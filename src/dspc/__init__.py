@@ -41,13 +41,11 @@ from .errors import (
     WitnessInvalid,
 )
 from .exact import (
-    BoundaryEdgeSet,
     DisjointShortestSolver,
     MemoStore,
     TupleKey,
     brute_force_oracle,
     count_shortest_paths,
-    enumerate_boundary_sets,
     iter_shortest_paths,
     merge_check,
     solve_disjoint_shortest,

@@ -1,7 +1,8 @@
 """Command-line interface: solve, verify, generate, oracle, and bench.
 
 Exit codes: 0 feasible/verified, 1 infeasible/refuted, 2 usage or input
-error. Set DSPC_LOG to quiet, info, or debug to control stderr logging.
+error or any other failure, recursion and memory errors included. Set
+DSPC_LOG to quiet, info, or debug to control stderr logging.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from pathlib import Path as FilePath
 
 from .core import EDGE, VERTEX, verify_solution
-from .errors import DspcError, OracleTooLarge
+from .errors import DspcError
 from .exact import brute_force_oracle, solve_disjoint_shortest
 from .congestion import solve_with_congestion
 from .kernel import solve_kdspc
@@ -239,14 +240,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleTooLarge as exc:
+    except (DspcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DspcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

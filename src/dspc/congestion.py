@@ -1,13 +1,15 @@
-"""Reduce vertex congestion c to congestion 1 by terminal isolation plus vertex copying.
+"""Congested routing in vertex mode, and the paper's reduction of congestion c to 1.
 
-Fresh degree-one endpoints are attached to every demand first, so no demand
-endpoint can sit on the interior of another path. Every non-terminal vertex
-is then copied c times, with each original edge wired between all copy
-pairs; a disjoint routing in the copied graph collapses back (by merging
-copies) to a routing with vertex congestion at most c, and conversely a
-congested routing lifts by handing the paths through each vertex distinct
-copies of it. Distances are unchanged up to the two unit-weight gadget
-edges added per demand.
+``solve_with_congestion`` runs the exact solver at the instance's budget c
+directly and re-verifies its routing. The reduction is kept as a tested
+reproduction that no solve takes: fresh degree-one endpoints are attached
+to every demand first, so no demand endpoint can sit on the interior of
+another path. Every non-terminal vertex is then copied c times, with each
+original edge wired between all copy pairs; a disjoint routing in the
+copied graph collapses back (by merging copies) to a routing with vertex
+congestion at most c, and conversely a congested routing lifts by handing
+the paths through each vertex distinct copies of it. Distances are
+unchanged up to the two unit-weight gadget edges added per demand.
 """
 
 from __future__ import annotations
@@ -213,16 +215,17 @@ def project_solution(sol: Solution, tm: TransformMap) -> Solution:
 def solve_with_congestion(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
     """Solve a vertex-mode instance with congestion budget c.
 
-    Pipeline: isolate terminals, expand congestion into vertex copies, solve
-    the congestion-1 instance exactly, and project the routing back. Returns
-    None exactly when the transformed instance is infeasible.
+    Runs the exact solver at budget c on the instance's own graph and
+    re-verifies the routing it returns; a failed check raises
+    ProjectionInvalid (it would mean a solver bug). Returns None exactly
+    when the instance is infeasible.
     """
     if inst.mode != VERTEX:
         raise InvariantViolation("use solve_edsp for edge-mode instances")
-    isolated, iso_map = isolate_terminals(inst)
-    expanded, exp_map = expand_congestion(isolated)
-    tm = compose(iso_map, exp_map)
-    routed = solve_disjoint_shortest(expanded.dag, expanded.demands, cap=cap)
+    routed = solve_disjoint_shortest(inst.dag, inst.demands, cap=cap, congestion=inst.congestion)
     if routed is None:
         return None
-    return project_solution(routed, tm)
+    report = verify_solution(inst, routed)
+    if not report.feasible:
+        raise ProjectionInvalid(f"solver routing fails verification: {report.violations}")
+    return routed

@@ -122,7 +122,7 @@ def project_edge_solution(sol: Solution, emap: EdgeNodeMap) -> Solution:
 
 
 def solve_edsp(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
-    """Solve an edge-mode instance: transform to H, solve there, project back."""
+    """Solve an edge-mode instance: split edges into H, solve H at budget c, project back."""
     if inst.mode != EDGE:
         raise InvariantViolation("solve_edsp applies to edge mode")
     h_inst, emap = edge_split_transform(inst)

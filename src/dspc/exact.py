@@ -1,4 +1,4 @@
-"""Exact vertex-disjoint shortest-path routing on DAGs, plus a brute-force oracle.
+"""Exact shortest-path routing with vertex congestion c on DAGs, plus a brute-force oracle.
 
 The solver divides the topological order in half, guesses the ordered set of
 boundary edges used by demands that cross the cut, and recurses on the two
@@ -9,13 +9,20 @@ topological order, any path between two vertices of an interval stays inside
 that interval, so "shortest within the interval" and "shortest globally"
 coincide and one global distance matrix serves every level of the recursion.
 
-Sub-results are memoized per (interval, demand tuple). Unlike a full table
-over all demand tuples, only tuples actually reachable from the root query
-are ever solved.
+Every vertex carries at most c paths. Each path through a vertex v reaches
+the single-vertex interval of v as a demand (v, v), so loads are counted
+where they arise: an interval whose demand endpoints already put more than
+c paths on one vertex is rejected, and a leaf routes at most c demands.
+Congestion 1 is the vertex-disjoint case.
+
+Sub-results are memoized per (interval, sorted demand multiset). Unlike a
+full table over all demand tuples, only tuples actually reachable from the
+root query are ever solved.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Sequence
@@ -57,21 +64,6 @@ class TupleKey:
             raise InvariantViolation("tuple key pairs must be sorted for canonical lookups")
 
 
-@dataclass(frozen=True)
-class BoundaryEdgeSet:
-    """Ordered cut edges, one per crossing demand; tails and heads each distinct."""
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if len(self.edges) < 1:
-            raise InvariantViolation("a boundary edge set needs at least one edge")
-        tails = [e[0] for e in self.edges]
-        heads = [e[1] for e in self.edges]
-        if len(set(tails)) != len(tails) or len(set(heads)) != len(heads):
-            raise InvariantViolation("boundary edges must have pairwise distinct tails and heads")
-
-
 @dataclass
 class MemoStore:
     """Write-once store of solved tuples; None records an infeasible tuple."""
@@ -97,14 +89,16 @@ def split_interval(interval: Interval) -> tuple[Interval, Interval]:
     return (lo, lo + left_size - 1), (lo + left_size, hi)
 
 
-def _iter_assignments(candidates: Sequence[Sequence[Edge]]) -> Iterator[tuple[Edge, ...]]:
-    """All picks of one edge per slot with distinct tails and distinct heads.
+def _iter_assignments(
+    candidates: Sequence[Sequence[Edge]], congestion: int = 1
+) -> Iterator[tuple[Edge, ...]]:
+    """All picks of one edge per slot using no tail and no head more than ``congestion`` times.
 
     Yields in lexicographic order by (slot index, candidate position).
     """
     chosen: list[Edge] = []
-    used_tails: set[int] = set()
-    used_heads: set[int] = set()
+    tail_uses: Counter = Counter()
+    head_uses: Counter = Counter()
 
     def rec(slot: int) -> Iterator[tuple[Edge, ...]]:
         if slot == len(candidates):
@@ -112,69 +106,46 @@ def _iter_assignments(candidates: Sequence[Sequence[Edge]]) -> Iterator[tuple[Ed
             return
         for edge in candidates[slot]:
             tail, head, _ = edge
-            if tail in used_tails or head in used_heads:
+            if tail_uses[tail] == congestion or head_uses[head] == congestion:
                 continue
             chosen.append(edge)
-            used_tails.add(tail)
-            used_heads.add(head)
+            tail_uses[tail] += 1
+            head_uses[head] += 1
             yield from rec(slot + 1)
             chosen.pop()
-            used_tails.remove(tail)
-            used_heads.remove(head)
+            tail_uses[tail] -= 1
+            head_uses[head] -= 1
 
     return rec(0)
-
-
-def enumerate_boundary_sets(
-    dag: Dag,
-    left: Interval,
-    right: Interval,
-    crossing_demands: Sequence[Demand],
-) -> Iterator[BoundaryEdgeSet]:
-    """Every assignment of one left-to-right edge per crossing demand.
-
-    Candidate edges are taken in edge-list order; assignments come out in
-    lexicographic order by (demand index, edge index). Tails and heads are
-    pairwise distinct across a yielded set.
-    """
-    if not crossing_demands:
-        return
-    pos = dag.position
-    crossing_edges = [
-        e
-        for e in dag.edges
-        if left[0] <= pos[e[0]] <= left[1] and right[0] <= pos[e[1]] <= right[1]
-    ]
-    candidates = [crossing_edges] * len(crossing_demands)
-    for assignment in _iter_assignments(candidates):
-        yield BoundaryEdgeSet(assignment)
 
 
 def merge_check(
     dm: DistanceMatrix,
     left_sol: Solution,
     right_sol: Solution,
-    bset: BoundaryEdgeSet,
+    edges: Sequence[Edge],
     demands: Sequence[Demand],
+    congestion: int = 1,
 ) -> Solution | None:
     """Concatenate crossing paths across the cut and accept iff lengths are shortest.
 
-    ``demands`` are the crossing demands, aligned with ``bset``; the last
-    len(bset) paths of each side are their left and right parts, any earlier
-    paths are demands local to one side and pass through unchanged. For every
-    crossing demand the sum left part + edge weight + right part must equal
-    the shortest-path distance. Vertex-disjointness of the assembled solution
-    is re-verified as a defensive check even though it holds by construction.
-    Returns the assembled paths (local left, local right, then crossing) or
-    None on rejection.
+    ``demands`` are the crossing demands, aligned with the cut ``edges``; the
+    last len(edges) paths of each side are their left and right parts, any
+    earlier paths are demands local to one side and pass through unchanged.
+    For every crossing demand the sum left part + edge weight + right part
+    must equal the shortest-path distance. That no vertex of the assembled
+    solution carries more than ``congestion`` paths is re-verified as a
+    defensive check even though it holds by construction. Returns the
+    assembled paths (local left, local right, then crossing) or None on
+    rejection.
     """
-    t = len(bset.edges)
-    if len(demands) != t or len(left_sol.paths) < t or len(right_sol.paths) < t:
-        raise InvariantViolation("boundary set, demands, and side solutions disagree on size")
+    t = len(edges)
+    if t < 1 or len(demands) != t or len(left_sol.paths) < t or len(right_sol.paths) < t:
+        raise InvariantViolation("cut edges, demands, and side solutions disagree on size")
     local = list(left_sol.paths[:-t]) + list(right_sol.paths[:-t])
     assembled: list[Path] = []
     for (s, term), (tail, head, weight), lp, rp in zip(
-        demands, bset.edges, left_sol.paths[-t:], right_sol.paths[-t:]
+        demands, edges, left_sol.paths[-t:], right_sol.paths[-t:]
     ):
         if lp.start != s or lp.end != tail or rp.start != head or rp.end != term:
             return None
@@ -182,25 +153,36 @@ def merge_check(
         if total != dm.dist(s, term):
             return None
         assembled.append(Path(lp.vertices + rp.vertices, total))
-    seen: set[int] = set()
-    for path in local + assembled:
-        for v in path.vertices:
-            if v in seen:
-                return None
-            seen.add(v)
+    load = Counter(v for path in local + assembled for v in path.vertices)
+    if max(load.values()) > congestion:
+        return None
     return Solution(tuple(local + assembled))
 
 
+def _in_input_order(keys: Sequence, paths: Sequence[Path]) -> Solution:
+    """Put back in input order paths listed in the stable sort order of ``keys``.
+
+    Positions, not key values, decide: equal demands keep their own paths.
+    """
+    out: list[Path | None] = [None] * len(keys)
+    for i, path in zip(sorted(range(len(keys)), key=keys.__getitem__), paths):
+        out[i] = path
+    return Solution(tuple(out))
+
+
 class DisjointShortestSolver:
-    """Memoized divide-and-conquer solver for congestion-1 routing on one DAG.
+    """Memoized divide-and-conquer solver for routing at vertex congestion c on one DAG.
 
     The memo store is populated during solve() and may be replayed read-only
     afterwards (it is never mutated once a query returns).
     """
 
-    def __init__(self, dag: Dag, cap: int = DEFAULT_CAP):
+    def __init__(self, dag: Dag, cap: int = DEFAULT_CAP, congestion: int = 1):
+        if congestion < 1:
+            raise InvariantViolation("congestion budget must be at least 1")
         self.dag = dag
         self.cap = cap
+        self.congestion = congestion
         self.order = dag.order
         self.pos = dag.position
         self.dm = dag.distances
@@ -228,41 +210,37 @@ class DisjointShortestSolver:
         if entry is _MISS:
             entry = self._compute(interval, spairs)
             self.memo.put(key, entry)
-        if entry is None:
-            return None
-        if spairs == pairs:
+        if entry is None or spairs == pairs:
             return entry
-        index = {pair: i for i, pair in enumerate(spairs)}
-        return Solution(tuple(entry.paths[index[p]] for p in pairs))
+        return _in_input_order(pairs, entry.paths)
 
     def _compute(self, interval: Interval, spairs: tuple[Demand, ...]) -> Solution | None:
-        pos, dm = self.pos, self.dm
+        pos, dm, c = self.pos, self.dm, self.congestion
         lo, hi = interval
-        claimed: set[int] = set()
+        load: Counter = Counter()
         for s, t in spairs:
             assert lo <= pos[s] <= hi and lo <= pos[t] <= hi, "demand escapes its interval"
-            ends = {s, t}
-            if claimed & ends:
-                return None  # two demands would share a vertex; impossible at congestion 1
-            claimed |= ends
             if pos[s] > pos[t] or dm.dist(s, t) == INFINITY:
                 return None
+            load[s] += 1
+            if t != s:
+                load[t] += 1
+        if max(load.values()) > c:
+            return None  # more paths start or end at one vertex than it can carry
         if lo == hi:
-            v = self.order[lo]
-            return Solution((Path((v,), 0),))
+            return Solution((Path((self.order[lo],), 0),) * len(spairs))
 
         left, right = split_interval(interval)
         mid = left[1]
-        left_pairs: list[Demand] = []
-        right_pairs: list[Demand] = []
-        crossing: list[Demand] = []
-        for pair in spairs:
-            if pos[pair[1]] <= mid:
-                left_pairs.append(pair)
-            elif pos[pair[0]] > mid:
-                right_pairs.append(pair)
-            else:
-                crossing.append(pair)
+        # Sides: 0 left-local, 1 right-local, 2 crossing; paths are assembled
+        # in that order.
+        groups: tuple[list[Demand], list[Demand], list[Demand]] = ([], [], [])
+        sides: list[int] = []
+        for s, t in spairs:
+            side = 0 if pos[t] <= mid else 1 if pos[s] > mid else 2
+            sides.append(side)
+            groups[side].append((s, t))
+        left_pairs, right_pairs, crossing = groups
 
         if not crossing:
             left_sol = self._solve(left, tuple(left_pairs))
@@ -271,9 +249,7 @@ class DisjointShortestSolver:
             right_sol = self._solve(right, tuple(right_pairs))
             if right_sol is None:
                 return None
-            by_pair = dict(zip(left_pairs, left_sol.paths))
-            by_pair.update(zip(right_pairs, right_sol.paths))
-            return Solution(tuple(by_pair[p] for p in spairs))
+            return _in_input_order(sides, left_sol.paths + right_sol.paths)
 
         # One candidate list per crossing demand, restricted to edges that can
         # sit on a shortest path of that demand; sets skipped by this filter
@@ -289,7 +265,7 @@ class DisjointShortestSolver:
                 return None
             candidates.append(tight)
 
-        for assignment in _iter_assignments(candidates):
+        for assignment in _iter_assignments(candidates, c):
             left_sub = tuple(left_pairs) + tuple(
                 (pair[0], edge[0]) for pair, edge in zip(crossing, assignment)
             )
@@ -302,17 +278,10 @@ class DisjointShortestSolver:
             right_sol = self._solve(right, right_sub)
             if right_sol is None:
                 continue
-            merged = merge_check(
-                dm, left_sol, right_sol, BoundaryEdgeSet(assignment), crossing
-            )
+            merged = merge_check(dm, left_sol, right_sol, assignment, crossing, c)
             if merged is None:
                 continue
-            by_pair = dict(zip(left_pairs, merged.paths))
-            by_pair.update(zip(right_pairs, merged.paths[len(left_pairs):]))
-            by_pair.update(
-                zip(crossing, merged.paths[len(left_pairs) + len(right_pairs):])
-            )
-            return Solution(tuple(by_pair[p] for p in spairs))
+            return _in_input_order(sides, merged.paths)
         return None
 
     def _boundary_edges(self, left: Interval, right: Interval) -> tuple[Edge, ...]:
@@ -329,15 +298,15 @@ class DisjointShortestSolver:
 
 
 def solve_disjoint_shortest(
-    dag: Dag, pairs: Sequence[Demand], cap: int = DEFAULT_CAP
+    dag: Dag, pairs: Sequence[Demand], cap: int = DEFAULT_CAP, congestion: int = 1
 ) -> Solution | None:
-    """Route every demand by a shortest path with at most one path per vertex.
+    """Route every demand by a shortest path with at most ``congestion`` paths per vertex.
 
     Returns None when no such routing exists. Deterministic: the first
     feasible boundary assignment in canonical enumeration order wins at
     every level.
     """
-    return DisjointShortestSolver(dag, cap=cap).solve(pairs)
+    return DisjointShortestSolver(dag, cap=cap, congestion=congestion).solve(pairs)
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:

@@ -5,7 +5,7 @@ core of 3d demands routable at congestion 2d whose routing extends to the
 whole instance by giving every remaining demand an arbitrary shortest path:
 a vertex then carries at most (k - 3d) remainder paths plus 2d core paths,
 which is exactly the budget c. The solver enumerates demand subsets of size
-3d and delegates each to the copy-transform pipeline.
+3d and delegates each to the exact solver at congestion 2d.
 
 The subpath-swapping operations make the underlying rerouting argument
 executable: repeatedly exchanging equal-length subpaths between a carrier
@@ -79,7 +79,7 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
     """Solve a vertex-mode congested instance through the demand-core reduction.
 
     Unreachable demands make the instance infeasible outright. When
-    k <= 3(k - c) the copy-transform solver is used directly; otherwise the
+    k <= 3(k - c) the exact solver runs at budget c directly; otherwise the
     subsets of 3(k - c) demands are tried in lexicographic order, each routed
     at congestion 2(k - c), extended with shortest paths, and the first
     extension that verifies at budget c wins.

@@ -77,7 +77,7 @@ def test_criterion_2_congestion_transform():
         if got is not None and not verify_solution(inst, got).feasible:
             projections_verified = False
     report(2, agree == total and projections_verified,
-           f"congestion pipeline vs oracle {agree}/{total}, projections verified")
+           f"congestion solver vs oracle {agree}/{total}, routings verified")
 
 
 def test_criterion_3_kernel_consistency():
@@ -90,7 +90,7 @@ def test_criterion_3_kernel_consistency():
                                max_weight=2)
         if (solve_kdspc(inst) is None) == (solve_with_congestion(inst) is None):
             agree += 1
-    report(3, agree == total, f"demand-core solver vs transform pipeline {agree}/{total}")
+    report(3, agree == total, f"demand-core solver vs congestion solver {agree}/{total}")
 
 
 def test_criterion_4_swap_invariance(monkeypatch):

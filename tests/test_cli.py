@@ -105,6 +105,15 @@ class TestOracle:
                              str(tmp_path / f"g{seed}.sol"))
             assert oracle_code == solve_code
 
+    def test_unexpected_failure_is_error_exit(self, feasible_file, monkeypatch, capsys):
+        def overflow(inst):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("dspc.cli.brute_force_oracle", overflow)
+        assert run("oracle", "-i", str(feasible_file)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: RecursionError: maximum recursion depth exceeded\n"
+
 
 class TestGen:
     def test_same_seed_same_bytes(self, tmp_path):

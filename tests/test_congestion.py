@@ -1,8 +1,9 @@
-"""Terminal isolation, vertex copying, projection, and the congested pipeline."""
+"""Congested routing, and terminal isolation, vertex copying and projection."""
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -14,19 +15,22 @@ from dspc import (
     Solution,
     all_pairs_dist,
     brute_force_oracle,
+    edge_split_transform,
     expand_congestion,
     isolate_terminals,
     project_solution,
     reachable,
     solve_disjoint_shortest,
+    solve_edsp,
     solve_with_congestion,
     topo_order,
     verify_solution,
 )
 from dspc.congestion import compose
+from dspc.edge_disjoint import project_edge_solution
 from dspc.randgen import random_instance
 
-from helpers import chain, diamond
+from helpers import chain, diamond, grid_dag
 
 
 class TestIsolateTerminals:
@@ -183,6 +187,23 @@ class TestSolveWithCongestion:
         assert verify_solution(inst, sol).feasible
         assert brute_force_oracle(inst) is not None
 
+    def test_equal_demands_keep_their_own_paths(self):
+        # the two (1,4) demands must take different arms: one arm already
+        # carries a single-vertex demand, so each vertex has room for one more
+        inst = Instance(diamond(), ((2, 2), (3, 3), (1, 4), (1, 4)), 2)
+        sol = solve_with_congestion(inst)
+        assert sol is not None
+        assert verify_solution(inst, sol).feasible
+
+    def test_overloaded_endpoint_rejected_without_search(self):
+        # three demands end at vertex 25 but only two paths fit through it
+        dag, _ = grid_dag(5, 5)
+        inst = Instance(dag, ((1, 25), (6, 25), (2, 25), (2, 19)), 2)
+        started = time.monotonic()
+        assert solve_with_congestion(inst) is None
+        assert time.monotonic() - started < 1.0
+        assert brute_force_oracle(inst) is None
+
     def test_unreachable_demand_absent(self):
         assert solve_with_congestion(Instance(chain(3), ((3, 1),), 2)) is None
 
@@ -217,5 +238,52 @@ class TestSolveWithCongestion:
             got = solve_with_congestion(inst)
             want = brute_force_oracle(inst)
             assert (got is None) == (want is None)
+            if got is not None:
+                assert verify_solution(inst, got).feasible
+
+
+class TestNativeAgainstReductions:
+    """The native solver, the paper's reduction pipeline and the oracle agree.
+
+    No solve route runs the reductions, so this is where they stay checked
+    end to end: isolate terminals, copy vertices c times, solve at
+    congestion 1 and project back (after the edge split in edge mode).
+    """
+
+    @staticmethod
+    def _reduced(inst):
+        isolated, iso_map = isolate_terminals(inst)
+        expanded, exp_map = expand_congestion(isolated)
+        routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        if routed is None:
+            return None
+        return project_solution(routed, compose(iso_map, exp_map))
+
+    @staticmethod
+    def _instances(mode):
+        for seed in range(300):
+            rng = random.Random(seed)
+            k = rng.randint(1, 5)
+            yield random_instance(rng, n=rng.randint(1, 7), k=k,
+                                  congestion=rng.randint(1, k), mode=mode)
+
+    def test_vertex_mode(self):
+        for inst in self._instances("vertex"):
+            got = solve_with_congestion(inst)
+            reduced = self._reduced(inst)
+            want = brute_force_oracle(inst)
+            assert (got is None) == (reduced is None) == (want is None)
+            if got is not None:
+                assert verify_solution(inst, got).feasible
+
+    def test_edge_mode(self):
+        for inst in self._instances("edge"):
+            got = solve_edsp(inst)
+            h_inst, emap = edge_split_transform(inst)
+            reduced = self._reduced(h_inst)
+            if reduced is not None:
+                reduced = project_edge_solution(reduced, emap)
+            want = brute_force_oracle(inst)
+            assert (got is None) == (reduced is None) == (want is None)
             if got is not None:
                 assert verify_solution(inst, got).feasible

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from dspc import (
-    BoundaryEdgeSet,
     Dag,
     DisjointShortestSolver,
     Instance,
@@ -18,7 +17,6 @@ from dspc import (
     Solution,
     all_pairs_dist,
     brute_force_oracle,
-    enumerate_boundary_sets,
     is_shortest,
     iter_shortest_paths,
     merge_check,
@@ -26,10 +24,10 @@ from dspc import (
     split_interval,
     verify_solution,
 )
-from dspc.exact import count_shortest_paths
+from dspc.exact import _iter_assignments, count_shortest_paths
 from dspc.randgen import random_dag, random_instance
 
-from helpers import chain, count_injective_assignments, diamond, enumerate_all_paths, grid_dag
+from helpers import chain, count_capped_assignments, diamond, enumerate_all_paths, grid_dag
 
 
 class TestSplitInterval:
@@ -50,51 +48,51 @@ class TestSplitInterval:
 
 
 class TestEnumerateBoundarySets:
+    """The solver's cut-edge selection and its per-demand boundary assignments."""
+
     def test_two_crossing_edges_one_demand(self):
         dag = Dag(4, ((1, 3, 1), (2, 4, 1), (1, 2, 1), (3, 4, 1)))
-        # order is (1,2,3,4); cut after position 1: crossing edges are
-        # (1,3) and (2,4) wait also (2,3)? none; in edge-list order: (1,3), (2,4)
-        sets = list(enumerate_boundary_sets(dag, (0, 1), (2, 3), [(1, 4)]))
-        assert [b.edges for b in sets] == [((1, 3, 1),), ((2, 4, 1),)]
+        # order is (1,2,3,4); cutting after position 1 leaves (1,3) and (2,4)
+        # crossing, in edge-list order
+        crossing = DisjointShortestSolver(dag)._boundary_edges((0, 1), (2, 3))
+        assert crossing == ((1, 3, 1), (2, 4, 1))
+        assert list(_iter_assignments([crossing])) == [((1, 3, 1),), ((2, 4, 1),)]
 
     def test_shared_only_edge_yields_nothing(self):
-        dag = chain(2)
-        sets = list(enumerate_boundary_sets(dag, (0, 0), (1, 1), [(1, 2), (1, 2)]))
-        assert sets == []
+        only = [(1, 2, 1)]
+        assert list(_iter_assignments([only, only])) == []
+        assert list(_iter_assignments([only, only], 2)) == [((1, 2, 1), (1, 2, 1))]
+        assert list(_iter_assignments([only] * 3, 2)) == []
 
     def test_counts_match_injective_enumeration(self):
         for seed in range(30):
             rng = random.Random(seed)
             dag = random_dag(rng, n=rng.randint(2, 8))
             n = dag.vertex_count
-            pos = {v: i for i, v in enumerate(dag.order)}
             mid = rng.randint(0, n - 2)
-            left, right = (0, mid), (mid + 1, n - 1)
-            crossing = [
-                e for e in dag.edges if pos[e[0]] <= mid < pos[e[1]]
-            ]
+            crossing = DisjointShortestSolver(dag)._boundary_edges((0, mid), (mid + 1, n - 1))
             for t in (1, 2, 3):
-                demands = [(1, n)] * t
-                got = sum(1 for _ in enumerate_boundary_sets(dag, left, right, demands))
-                want = count_injective_assignments([crossing] * t, t)
-                assert got == want
+                for c in (1, 2):
+                    got = sum(1 for _ in _iter_assignments([crossing] * t, c))
+                    assert got == count_capped_assignments([crossing] * t, c)
 
     def test_lexicographic_by_demand_then_edge(self):
-        dag = Dag(4, ((1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1)))
-        sets = [b.edges for b in enumerate_boundary_sets(dag, (0, 1), (2, 3),
-                                                         [(1, 3), (2, 4)])]
-        assert sets == [
+        edges = [(1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1)]
+        assert list(_iter_assignments([edges, edges])) == [
             ((1, 3, 1), (2, 4, 1)),
             ((1, 4, 1), (2, 3, 1)),
             ((2, 3, 1), (1, 4, 1)),
             ((2, 4, 1), (1, 3, 1)),
         ]
-
-    def test_boundary_set_validation(self):
-        with pytest.raises(InvariantViolation):
-            BoundaryEdgeSet(())
-        with pytest.raises(InvariantViolation):
-            BoundaryEdgeSet(((1, 3, 1), (1, 4, 1)))  # shared tail
+        # at congestion 2 no pick of two edges is capped, so all come out
+        assert list(_iter_assignments([edges, edges], 2)) == [
+            (a, b) for a in edges for b in edges
+        ]
+        # three slots: an edge may repeat once, never twice
+        capped = list(_iter_assignments([edges] * 3, 2))
+        assert capped == sorted(capped)
+        assert ((1, 3, 1), (1, 3, 1), (2, 4, 1)) in capped
+        assert ((1, 3, 1), (1, 4, 1), (1, 3, 1)) not in capped
 
 
 class TestMergeCheck:
@@ -103,7 +101,7 @@ class TestMergeCheck:
         dm = all_pairs_dist(dag)
         left = Solution((Path.trace(dag, (1, 2)),))
         right = Solution((Path.trace(dag, (3, 4)),))
-        merged = merge_check(dm, left, right, BoundaryEdgeSet(((2, 3, 1),)), [(1, 4)])
+        merged = merge_check(dm, left, right, ((2, 3, 1),), [(1, 4)])
         assert merged is not None
         assert merged.paths[0].vertices == (1, 2, 3, 4)
         assert merged.paths[0].length == 3
@@ -114,8 +112,25 @@ class TestMergeCheck:
         dm = all_pairs_dist(dag)
         left = Solution((Path.trace(dag, (1, 2)),))
         right = Solution((Path.trace(dag, (4,)),))
-        merged = merge_check(dm, left, right, BoundaryEdgeSet(((2, 4, 5),)), [(1, 4)])
+        merged = merge_check(dm, left, right, ((2, 4, 5),), [(1, 4)])
         assert merged is None
+
+    def test_empty_cut_rejected(self):
+        dag = chain(2)
+        sol = Solution((Path.trace(dag, (1,)),))
+        with pytest.raises(InvariantViolation):
+            merge_check(all_pairs_dist(dag), sol, sol, (), [])
+
+    def test_shared_vertex_accepted_up_to_congestion(self):
+        # both demands run 1 -> 3 -> 4 on the diamond and share every vertex
+        dag = diamond()
+        dm = all_pairs_dist(dag)
+        left = Solution((Path.trace(dag, (1,)),) * 2)
+        right = Solution((Path.trace(dag, (3, 4)),) * 2)
+        cut = ((1, 3, 1), (1, 3, 1))
+        assert merge_check(dm, left, right, cut, [(1, 4), (1, 4)]) is None
+        merged = merge_check(dm, left, right, cut, [(1, 4), (1, 4)], congestion=2)
+        assert [p.vertices for p in merged.paths] == [(1, 3, 4), (1, 3, 4)]
 
     def test_merged_solutions_verify_at_one(self):
         for seed in range(40):
@@ -145,6 +160,16 @@ class TestSolveDisjointShortest:
             dm = all_pairs_dist(dag)
             for path, expect in zip(sol.paths, want.paths):
                 assert path.length == expect.length == dm.dist(path.start, path.end)
+
+    def test_equal_demands_get_distinct_paths(self):
+        # the crossing (1,4) demands are identical; mapping sub-results back
+        # by demand value would route both along the same arm and overload it
+        dag = diamond()
+        demands = ((2, 2), (3, 3), (1, 4), (1, 4))
+        sol = solve_disjoint_shortest(dag, demands, congestion=2)
+        assert sol is not None
+        assert verify_solution(Instance(dag, demands, 2), sol).feasible
+        assert solve_disjoint_shortest(dag, demands, congestion=1) is None
 
     def test_cap_guard(self):
         dag = chain(8)
