@@ -43,7 +43,6 @@ from .errors import (
 from .exact import (
     DisjointShortestSolver,
     MemoStore,
-    TupleKey,
     brute_force_oracle,
     count_shortest_paths,
     iter_shortest_paths,

@@ -20,7 +20,6 @@ from .errors import DspcError
 from .exact import brute_force_oracle, solve_disjoint_shortest
 from .congestion import solve_with_congestion
 from .kernel import solve_kdspc
-from .edge_disjoint import solve_edsp
 from .formats import emit_instance, emit_solution, parse_instance, parse_solution
 from .hardness import (
     complete_bipartite_pattern,
@@ -59,11 +58,7 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     if args.mode is not None and args.mode != inst.mode:
         raise DspcError(f"instance is {inst.mode} mode, not {args.mode}")
-    if inst.mode == EDGE:
-        if args.algo == "kernel":
-            raise DspcError("the kernel algorithm handles vertex mode only")
-        sol = solve_edsp(inst)
-    elif args.algo == "kernel":
+    if args.algo == "kernel":
         sol = solve_kdspc(inst)
     else:
         sol = solve_with_congestion(inst)
@@ -178,7 +173,7 @@ def _cmd_bench(args) -> int:
             rng = random.Random(seed)
             cg = random_colored_graph(rng, n=rng.randint(2, 5), k=2)
             inst, _layout = mcc_to_planar_edsp(cg, 2)
-            routed = solve_edsp(inst)
+            routed = solve_with_congestion(inst)
             clique = find_colorful_clique(cg, 2)
             agree += (routed is None) == (clique is None)
         print(f"mcc agreement {agree}/{args.count}")

@@ -1,8 +1,9 @@
-"""Congested routing in vertex mode, and the paper's reduction of congestion c to 1.
+"""Congested routing in both modes, and the paper's reduction of congestion c to 1.
 
-``solve_with_congestion`` runs the exact solver at the instance's budget c
-directly and re-verifies its routing. The reduction is kept as a tested
-reproduction that no solve takes: fresh degree-one endpoints are attached
+``solve_with_congestion`` is the one solve route for vertex and edge
+budgets alike: it runs the exact solver at the instance's budget c in the
+instance's mode and re-verifies its routing. The reduction is kept as a
+tested reproduction that no solve takes: fresh degree-one endpoints are attached
 to every demand first, so no demand endpoint can sit on the interior of
 another path. Every non-terminal vertex is then copied c times, with each
 original edge wired between all copy pairs; a disjoint routing in the
@@ -213,16 +214,14 @@ def project_solution(sol: Solution, tm: TransformMap) -> Solution:
 
 
 def solve_with_congestion(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
-    """Solve a vertex-mode instance with congestion budget c.
+    """Solve an instance with congestion budget c per vertex or per edge, by its mode.
 
     Runs the exact solver at budget c on the instance's own graph and
     re-verifies the routing it returns; a failed check raises
     ProjectionInvalid (it would mean a solver bug). Returns None exactly
     when the instance is infeasible.
     """
-    if inst.mode != VERTEX:
-        raise InvariantViolation("use solve_edsp for edge-mode instances")
-    routed = solve_disjoint_shortest(inst.dag, inst.demands, cap=cap, congestion=inst.congestion)
+    routed = solve_disjoint_shortest(inst.dag, inst.demands, cap, inst.congestion, inst.mode)
     if routed is None:
         return None
     report = verify_solution(inst, routed)

@@ -1,4 +1,4 @@
-"""Edge-congestion routing on DAGs via an edge-to-node transform.
+"""The paper's edge-to-node transform from edge congestion to vertex congestion.
 
 Every edge of the input graph becomes a vertex of a new graph H, adjacent
 edge pairs become arcs carrying the second edge's weight, and each demand
@@ -6,6 +6,11 @@ endpoint occurrence gets its own fresh H-vertex (so two demands sharing an
 endpoint vertex are never spuriously in conflict). Walking H visits exactly
 the edges a walk of G traverses, with identical total weight, so
 vertex-congestion routing on H is edge-congestion routing on G.
+
+Edge-mode instances are solved by ``congestion.solve_with_congestion``,
+which counts edge loads in the search directly. The transform, its
+projection and ``solve_edsp`` (split, solve H, project back) are kept as a
+tested reproduction that no solve takes.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact shortest-path routing with vertex congestion c on DAGs, plus a brute-force oracle.
+"""Exact shortest-path routing with vertex or edge congestion c on DAGs, plus a brute-force oracle.
 
 The solver divides the topological order in half, guesses the ordered set of
 boundary edges used by demands that cross the cut, and recurses on the two
@@ -9,11 +9,15 @@ topological order, any path between two vertices of an interval stays inside
 that interval, so "shortest within the interval" and "shortest globally"
 coincide and one global distance matrix serves every level of the recursion.
 
-Every vertex carries at most c paths. Each path through a vertex v reaches
-the single-vertex interval of v as a demand (v, v), so loads are counted
-where they arise: an interval whose demand endpoints already put more than
-c paths on one vertex is rejected, and a leaf routes at most c demands.
-Congestion 1 is the vertex-disjoint case.
+Every vertex (vertex mode) or every edge (edge mode) carries at most c
+paths, and loads are counted where they arise. Each path through a vertex v
+reaches the single-vertex interval of v as a demand (v, v): in vertex mode
+an interval whose demand endpoints already put more than c paths on one
+vertex is rejected, and a leaf routes at most c demands. Each edge of an
+interval is left-internal, right-internal or a cut edge, so in edge mode an
+edge's load is the number of crossing demands that pick it at the one level
+where it is a cut edge, and a leaf routes any number of demands. Congestion
+1 is the disjoint case of either mode.
 
 Sub-results are memoized per (interval, sorted demand multiset). Unlike a
 full table over all demand tuples, only tuples actually reachable from the
@@ -34,6 +38,7 @@ from .core import (
     DistanceMatrix,
     Edge,
     Instance,
+    MODES,
     Path,
     Solution,
     VERTEX,
@@ -50,30 +55,19 @@ _EMPTY = Solution(())
 _MISS = object()
 
 
-@dataclass(frozen=True)
-class TupleKey:
-    """Memo key: an interval of the topological order plus a canonical demand tuple."""
-
-    interval: Interval
-    pairs: tuple[Demand, ...]
-
-    def __post_init__(self):
-        if len(self.pairs) < 1:
-            raise InvariantViolation("a tuple key needs at least one demand pair")
-        if tuple(sorted(self.pairs)) != self.pairs:
-            raise InvariantViolation("tuple key pairs must be sorted for canonical lookups")
-
-
 @dataclass
 class MemoStore:
-    """Write-once store of solved tuples; None records an infeasible tuple."""
+    """Write-once store of solved tuples; None records an infeasible tuple.
 
-    entries: dict[TupleKey, Solution | None] = field(default_factory=dict)
+    Keys are plain (interval, sorted demand tuple) pairs.
+    """
 
-    def get(self, key: TupleKey):
+    entries: dict[tuple, Solution | None] = field(default_factory=dict)
+
+    def get(self, key: tuple):
         return self.entries.get(key, _MISS)
 
-    def put(self, key: TupleKey, value: Solution | None) -> None:
+    def put(self, key: tuple, value: Solution | None) -> None:
         if key in self.entries:
             raise InvariantViolation("memo entries are write-once")
         self.entries[key] = value
@@ -90,31 +84,32 @@ def split_interval(interval: Interval) -> tuple[Interval, Interval]:
 
 
 def _iter_assignments(
-    candidates: Sequence[Sequence[Edge]], congestion: int = 1
+    candidates: Sequence[Sequence[Edge]], congestion: int = 1, mode: str = VERTEX
 ) -> Iterator[tuple[Edge, ...]]:
-    """All picks of one edge per slot using no tail and no head more than ``congestion`` times.
+    """All picks of one edge per slot within the budget on the cut.
 
-    Yields in lexicographic order by (slot index, candidate position).
+    In vertex mode no tail and no head is used more than ``congestion``
+    times; in edge mode no edge is. Tails lie left of the cut and heads right
+    of it, so one counter serves both. Yields in lexicographic order by
+    (slot index, candidate position).
     """
+    per_edge = mode != VERTEX
     chosen: list[Edge] = []
-    tail_uses: Counter = Counter()
-    head_uses: Counter = Counter()
+    uses: Counter = Counter()
 
     def rec(slot: int) -> Iterator[tuple[Edge, ...]]:
         if slot == len(candidates):
             yield tuple(chosen)
             return
         for edge in candidates[slot]:
-            tail, head, _ = edge
-            if tail_uses[tail] == congestion or head_uses[head] == congestion:
+            held = (edge,) if per_edge else edge[:2]
+            if any(uses[x] == congestion for x in held):
                 continue
             chosen.append(edge)
-            tail_uses[tail] += 1
-            head_uses[head] += 1
+            uses.update(held)
             yield from rec(slot + 1)
             chosen.pop()
-            tail_uses[tail] -= 1
-            head_uses[head] -= 1
+            uses.subtract(held)
 
     return rec(0)
 
@@ -126,6 +121,7 @@ def merge_check(
     edges: Sequence[Edge],
     demands: Sequence[Demand],
     congestion: int = 1,
+    mode: str = VERTEX,
 ) -> Solution | None:
     """Concatenate crossing paths across the cut and accept iff lengths are shortest.
 
@@ -134,10 +130,10 @@ def merge_check(
     earlier paths are demands local to one side and pass through unchanged.
     For every crossing demand the sum left part + edge weight + right part
     must equal the shortest-path distance. That no vertex of the assembled
-    solution carries more than ``congestion`` paths is re-verified as a
-    defensive check even though it holds by construction. Returns the
-    assembled paths (local left, local right, then crossing) or None on
-    rejection.
+    solution (vertex mode), or no cut edge (edge mode), carries more than
+    ``congestion`` paths is re-verified as a defensive check even though it
+    holds by construction. Returns the assembled paths (local left, local
+    right, then crossing) or None on rejection.
     """
     t = len(edges)
     if t < 1 or len(demands) != t or len(left_sol.paths) < t or len(right_sol.paths) < t:
@@ -153,7 +149,10 @@ def merge_check(
         if total != dm.dist(s, term):
             return None
         assembled.append(Path(lp.vertices + rp.vertices, total))
-    load = Counter(v for path in local + assembled for v in path.vertices)
+    if mode == VERTEX:
+        load = Counter(v for path in local + assembled for v in path.vertices)
+    else:
+        load = Counter(edges)
     if max(load.values()) > congestion:
         return None
     return Solution(tuple(local + assembled))
@@ -171,18 +170,23 @@ def _in_input_order(keys: Sequence, paths: Sequence[Path]) -> Solution:
 
 
 class DisjointShortestSolver:
-    """Memoized divide-and-conquer solver for routing at vertex congestion c on one DAG.
+    """Memoized divide-and-conquer solver routing at congestion c per vertex or edge of one DAG.
 
     The memo store is populated during solve() and may be replayed read-only
     afterwards (it is never mutated once a query returns).
     """
 
-    def __init__(self, dag: Dag, cap: int = DEFAULT_CAP, congestion: int = 1):
+    def __init__(
+        self, dag: Dag, cap: int = DEFAULT_CAP, congestion: int = 1, mode: str = VERTEX
+    ):
         if congestion < 1:
             raise InvariantViolation("congestion budget must be at least 1")
+        if mode not in MODES:
+            raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
         self.dag = dag
         self.cap = cap
         self.congestion = congestion
+        self.mode = mode
         self.order = dag.order
         self.pos = dag.position
         self.dm = dag.distances
@@ -205,7 +209,7 @@ class DisjointShortestSolver:
         if not pairs:
             return _EMPTY
         spairs = tuple(sorted(pairs))
-        key = TupleKey(interval, spairs)
+        key = (interval, spairs)
         entry = self.memo.get(key)
         if entry is _MISS:
             entry = self._compute(interval, spairs)
@@ -225,7 +229,7 @@ class DisjointShortestSolver:
             load[s] += 1
             if t != s:
                 load[t] += 1
-        if max(load.values()) > c:
+        if self.mode == VERTEX and max(load.values()) > c:
             return None  # more paths start or end at one vertex than it can carry
         if lo == hi:
             return Solution((Path((self.order[lo],), 0),) * len(spairs))
@@ -265,7 +269,7 @@ class DisjointShortestSolver:
                 return None
             candidates.append(tight)
 
-        for assignment in _iter_assignments(candidates, c):
+        for assignment in _iter_assignments(candidates, c, self.mode):
             left_sub = tuple(left_pairs) + tuple(
                 (pair[0], edge[0]) for pair, edge in zip(crossing, assignment)
             )
@@ -278,7 +282,7 @@ class DisjointShortestSolver:
             right_sol = self._solve(right, right_sub)
             if right_sol is None:
                 continue
-            merged = merge_check(dm, left_sol, right_sol, assignment, crossing, c)
+            merged = merge_check(dm, left_sol, right_sol, assignment, crossing, c, self.mode)
             if merged is None:
                 continue
             return _in_input_order(sides, merged.paths)
@@ -298,15 +302,17 @@ class DisjointShortestSolver:
 
 
 def solve_disjoint_shortest(
-    dag: Dag, pairs: Sequence[Demand], cap: int = DEFAULT_CAP, congestion: int = 1
+    dag: Dag, pairs: Sequence[Demand], cap: int = DEFAULT_CAP, congestion: int = 1,
+    mode: str = VERTEX,
 ) -> Solution | None:
-    """Route every demand by a shortest path with at most ``congestion`` paths per vertex.
+    """Route every demand by a shortest path with at most ``congestion`` paths per element.
 
-    Returns None when no such routing exists. Deterministic: the first
+    The elements are vertices when ``mode`` is "vertex" and edges when it is
+    "edge". Returns None when no such routing exists. Deterministic: the first
     feasible boundary assignment in canonical enumeration order wins at
     every level.
     """
-    return DisjointShortestSolver(dag, cap=cap, congestion=congestion).solve(pairs)
+    return DisjointShortestSolver(dag, cap=cap, congestion=congestion, mode=mode).solve(pairs)
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
@@ -338,19 +344,23 @@ def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
     target = dm.dist(s, t)
     if target == INFINITY:
         return
-    stack = [s]
-
-    def rec(u: int) -> Iterator[Path]:
-        if u == t:
-            yield Path(tuple(stack), int(target))
-            return
-        for _, head, weight in sorted(dag.out_edges[u], key=lambda e: e[1]):
-            if dm.dist(s, u) + weight + dm.dist(head, t) == target:
-                stack.append(head)
-                yield from rec(head)
-                stack.pop()
-
-    yield from rec(s)
+    # Depth-first with an explicit stack, so long paths stay clear of the
+    # recursion limit: pending[i] iterates the next vertices after path[:i].
+    path: list[int] = []
+    pending = [iter((s,))]
+    while pending:
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            del path[-1:]  # the first level has no vertex to drop
+        elif v == t:
+            yield Path((*path, t), int(target))
+        else:
+            path.append(v)
+            pending.append(iter(sorted(
+                head for _, head, weight in dag.out_edges[v]
+                if dm.dist(s, v) + weight + dm.dist(head, t) == target
+            )))
 
 
 def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:

@@ -50,7 +50,7 @@ class TestSolve:
         path.write_text("p dsp 3 2 1 1 edge\na 1 2 1\na 2 3 1\nd 1 3\n")
         assert run("solve", "--algo", "kernel", "-i", str(path)) == 2
 
-    def test_edge_mode_dispatches_to_edsp(self, tmp_path):
+    def test_edge_mode_solves_and_verifies(self, tmp_path):
         path = tmp_path / "edge.dsp"
         path.write_text("p dsp 3 2 1 1 edge\na 1 2 1\na 2 3 1\nd 1 3\n")
         out = tmp_path / "out.sol"
@@ -104,6 +104,15 @@ class TestOracle:
             solve_code = run("solve", "-i", str(inst), "-o",
                              str(tmp_path / f"g{seed}.sol"))
             assert oracle_code == solve_code
+
+    def test_long_chain_stays_below_recursion_limit(self, tmp_path, capsys):
+        n = 1600
+        arcs = "".join(f"a {v} {v + 1} 1\n" for v in range(1, n))
+        path = tmp_path / "chain.dsp"
+        path.write_text(f"p dsp {n} {n - 1} 1 1 vertex\n{arcs}d 1 {n}\n")
+        assert run("oracle", "-i", str(path)) == 0
+        vertices = " ".join(str(v) for v in range(1, n + 1))
+        assert capsys.readouterr().out == f"s 1\np 1 {n - 1} {vertices}\n"
 
     def test_unexpected_failure_is_error_exit(self, feasible_file, monkeypatch, capsys):
         def overflow(inst):

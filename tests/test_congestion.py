@@ -207,9 +207,14 @@ class TestSolveWithCongestion:
     def test_unreachable_demand_absent(self):
         assert solve_with_congestion(Instance(chain(3), ((3, 1),), 2)) is None
 
-    def test_rejects_edge_mode(self):
-        with pytest.raises(InvariantViolation):
-            solve_with_congestion(Instance(chain(3), ((1, 3),), 1, "edge"))
+    def test_edge_mode_routes_natively(self):
+        # the two (1,4) demands share vertices 1 and 4, which only edge mode allows
+        demands = ((1, 4), (1, 4))
+        edge_inst = Instance(diamond(), demands, 1, "edge")
+        sol = solve_with_congestion(edge_inst)
+        assert sol is not None
+        assert verify_solution(edge_inst, sol).feasible
+        assert solve_with_congestion(Instance(diamond(), demands, 1, "vertex")) is None
 
     def test_transformed_solutions_are_vertex_disjoint(self):
         # copy independence: the routed solution on the expanded graph is
@@ -247,7 +252,8 @@ class TestNativeAgainstReductions:
 
     No solve route runs the reductions, so this is where they stay checked
     end to end: isolate terminals, copy vertices c times, solve at
-    congestion 1 and project back (after the edge split in edge mode).
+    congestion 1 and project back (after the edge split in edge mode, which
+    ``solve_edsp`` also checks on its own).
     """
 
     @staticmethod
@@ -278,12 +284,13 @@ class TestNativeAgainstReductions:
 
     def test_edge_mode(self):
         for inst in self._instances("edge"):
-            got = solve_edsp(inst)
+            got = solve_with_congestion(inst)
+            split = solve_edsp(inst)
             h_inst, emap = edge_split_transform(inst)
             reduced = self._reduced(h_inst)
             if reduced is not None:
                 reduced = project_edge_solution(reduced, emap)
             want = brute_force_oracle(inst)
-            assert (got is None) == (reduced is None) == (want is None)
+            assert (got is None) == (split is None) == (reduced is None) == (want is None)
             if got is not None:
                 assert verify_solution(inst, got).feasible

@@ -94,6 +94,16 @@ class TestEnumerateBoundarySets:
         assert ((1, 3, 1), (1, 3, 1), (2, 4, 1)) in capped
         assert ((1, 3, 1), (1, 4, 1), (1, 3, 1)) not in capped
 
+    def test_edge_mode_caps_edges_not_tails(self):
+        # two distinct cut edges out of vertex 1: each edge is used once, but
+        # the shared tail twice
+        edges = [(1, 3, 1), (1, 4, 1)]
+        assert list(_iter_assignments([edges, edges], 1, "edge")) == [
+            ((1, 3, 1), (1, 4, 1)),
+            ((1, 4, 1), (1, 3, 1)),
+        ]
+        assert list(_iter_assignments([edges, edges], 1, "vertex")) == []
+
 
 class TestMergeCheck:
     def test_chain_merge_accepted(self):
@@ -131,6 +141,21 @@ class TestMergeCheck:
         assert merge_check(dm, left, right, cut, [(1, 4), (1, 4)]) is None
         merged = merge_check(dm, left, right, cut, [(1, 4), (1, 4)], congestion=2)
         assert [p.vertices for p in merged.paths] == [(1, 3, 4), (1, 3, 4)]
+
+    def test_edge_mode_counts_cut_edges_not_vertices(self):
+        dag = diamond()
+        dm = all_pairs_dist(dag)
+        left = Solution((Path.trace(dag, (1,)),) * 2)
+        shared = Solution((Path.trace(dag, (3, 4)),) * 2)
+        cut = ((1, 3, 1), (1, 3, 1))
+        assert merge_check(dm, left, shared, cut, [(1, 4), (1, 4)], 1, "edge") is None
+        assert merge_check(dm, left, shared, cut, [(1, 4), (1, 4)], 2, "edge") is not None
+        # distinct cut edges: vertices 1 and 4 carry both paths, no edge does
+        arms = Solution((Path.trace(dag, (2, 4)), Path.trace(dag, (3, 4))))
+        cut = ((1, 2, 1), (1, 3, 1))
+        merged = merge_check(dm, left, arms, cut, [(1, 4), (1, 4)], 1, "edge")
+        assert [p.vertices for p in merged.paths] == [(1, 2, 4), (1, 3, 4)]
+        assert merge_check(dm, left, arms, cut, [(1, 4), (1, 4)], 1, "vertex") is None
 
     def test_merged_solutions_verify_at_one(self):
         for seed in range(40):
@@ -170,6 +195,10 @@ class TestSolveDisjointShortest:
         assert sol is not None
         assert verify_solution(Instance(dag, demands, 2), sol).feasible
         assert solve_disjoint_shortest(dag, demands, congestion=1) is None
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvariantViolation):
+            solve_disjoint_shortest(chain(3), [(1, 3)], mode="arc")
 
     def test_cap_guard(self):
         dag = chain(8)
@@ -213,19 +242,13 @@ class TestSolveDisjointShortest:
 
 class TestMemoStore:
     def test_entries_are_write_once(self):
-        from dspc import MemoStore, TupleKey
+        from dspc import MemoStore
 
         store = MemoStore()
-        key = TupleKey((0, 0), ((1, 1),))
+        key = ((0, 0), ((1, 1),))
         store.put(key, None)
         with pytest.raises(InvariantViolation):
             store.put(key, None)
-
-    def test_tuple_key_requires_canonical_pairs(self):
-        from dspc import TupleKey
-
-        with pytest.raises(InvariantViolation):
-            TupleKey((0, 1), ((2, 2), (1, 1)))
 
     def test_yes_entries_replay_on_induced_subgraph(self):
         for seed in range(25):
@@ -235,10 +258,10 @@ class TestMemoStore:
             solver = DisjointShortestSolver(inst.dag)
             solver.solve(inst.demands)
             order = inst.dag.order
-            for key, entry in solver.memo.entries.items():
+            for ((lo, hi), pairs), entry in solver.memo.entries.items():
                 if entry is None:
                     continue
-                lo, hi = key.interval
+                assert pairs == tuple(sorted(pairs))
                 inside = set(order[lo:hi + 1])
                 remap = {v: i + 1 for i, v in enumerate(sorted(inside))}
                 sub_edges = tuple(
@@ -249,7 +272,7 @@ class TestMemoStore:
                 sub_dag = Dag(len(inside), sub_edges, transformed=inst.dag.transformed)
                 sub_inst = Instance(
                     sub_dag,
-                    tuple((remap[s], remap[t]) for s, t in key.pairs),
+                    tuple((remap[s], remap[t]) for s, t in pairs),
                     1,
                 )
                 replayed = Solution(tuple(
