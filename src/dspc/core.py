@@ -2,8 +2,12 @@
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads. Derived data
-(topological order, adjacency, distance matrix) is computed lazily and
-cached on the graph; a racing first access at worst recomputes.
+(topological order, positions, adjacency) is computed lazily and cached on
+the graph; a racing first access at worst recomputes. Distances come from
+one O(n + m) sweep per demand: ``Dag.dist_from(s)`` forward from a source,
+``Dag.dist_to(t)`` backward to a terminal. The all-pairs table
+``Dag.distances`` (O(n(n + m)) time, n^2 memory) stays for tests and
+reproduction; no solve, verify or oracle route reads it.
 """
 
 from __future__ import annotations
@@ -111,9 +115,14 @@ class Dag:
 
     @cached_property
     def distances(self) -> "DistanceMatrix":
-        return DistanceMatrix(tuple(self._dist_from(s) for s in range(self.vertex_count + 1)))
+        """The all-pairs table, one sweep per source: O(n(n+m)) time, n^2 memory.
 
-    def _dist_from(self, source: int) -> tuple[float, ...]:
+        No solve, verify or oracle route reads it; they sweep per demand.
+        """
+        return DistanceMatrix(tuple(self.dist_from(s) for s in range(self.vertex_count + 1)))
+
+    def dist_from(self, source: int) -> tuple[float, ...]:
+        """Shortest distance from ``source`` to every vertex, by one forward sweep."""
         dist = [INFINITY] * (self.vertex_count + 1)
         if source == 0:
             return tuple(dist)
@@ -125,6 +134,21 @@ class Dag:
             for _, head, weight in self.out_edges[v]:
                 if dv + weight < dist[head]:
                     dist[head] = dv + weight
+        return tuple(dist)
+
+    def dist_to(self, target: int) -> tuple[float, ...]:
+        """Shortest distance from every vertex to ``target``, by one backward sweep."""
+        dist = [INFINITY] * (self.vertex_count + 1)
+        if target == 0:
+            return tuple(dist)
+        dist[target] = 0
+        out_edges = self.out_edges
+        for v in reversed(self.order[:self.position[target]]):
+            best = INFINITY
+            for _, head, weight in out_edges[v]:
+                if weight + dist[head] < best:
+                    best = weight + dist[head]
+            dist[v] = best
         return tuple(dist)
 
 
@@ -259,7 +283,7 @@ def is_shortest(path: Path, dm: DistanceMatrix) -> bool:
 
 
 def reachable(dag: Dag, s: int, t: int) -> bool:
-    return dag.distances.dist(s, t) < INFINITY
+    return dag.dist_from(s)[t] < INFINITY
 
 
 def congestion_profile(inst: Instance, sol: Solution) -> CongestionProfile:
@@ -282,7 +306,6 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
     if len(sol.paths) != inst.k:
         raise ShapeMismatch(f"expected {inst.k} paths, got {len(sol.paths)}")
     violations: list[Violation] = []
-    dm = inst.dag.distances
     for i, (path, (s, t)) in enumerate(zip(sol.paths, inst.demands)):
         intact = bool(path.vertices)
         length = 0
@@ -298,7 +321,7 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
         if path.start != s or path.end != t:
             violations.append(Violation("endpoints", demand=i))
             continue
-        if not is_shortest(path, dm):
+        if path.length != inst.dag.dist_from(s)[t]:
             violations.append(Violation("not_shortest", demand=i))
     profile = congestion_profile(inst, sol)
     for subject in sorted(profile.counts):

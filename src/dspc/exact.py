@@ -2,12 +2,30 @@
 
 The solver divides the topological order in half, guesses the ordered set of
 boundary edges used by demands that cross the cut, and recurses on the two
-sides with rewritten demands. A candidate merge is accepted when, for every
-crossing demand, left part + boundary edge + right part adds up to the
-shortest-path distance of the demand. Because edges only run forward in the
+sides with rewritten demands. Because edges only run forward in the
 topological order, any path between two vertices of an interval stays inside
 that interval, so "shortest within the interval" and "shortest globally"
-coincide and one global distance matrix serves every level of the recursion.
+coincide.
+
+Each root demand (s, t) gets its own tight subgraph from one forward sweep
+f = dist(s, .) and one backward sweep b = dist(., t): an edge (u, v, w) is
+tight when f[u] + w + b[v] = dist(s, t), and the shortest s-to-t paths are
+exactly the s-to-t paths of tight edges. One reverse sweep over the
+topological range of the demand gives reachability bitmasks: bit y of
+reach[x] is set when a path of tight edges runs from x to y.
+
+Every sub-demand (u, v) the search creates keeps an invariant: in the tight
+subgraph of some root demand, u reaches v. A root demand vouches for itself,
+and a cut edge is only offered when u reaches its tail and its head reaches
+v in the same subgraph. For any root that vouches for (u, v), a cut edge
+lies on a shortest u-to-v path exactly when it is tight for that root, u
+reaches its tail and its head reaches v. So the candidate set does not
+depend on which root vouches: the solver takes the first one whose masks
+show u reaching v, sub-demands carry no root index, and memo keys are the
+plain (u, v) pairs. Any left part + cut edge + right part is then a
+shortest path, so merging needs no length check. The sweeps take
+O(k(n + m)) time and the masks at most one n-bit integer per vertex and
+root demand, instead of an O(n(n + m)) all-pairs table.
 
 Every vertex (vertex mode) or every edge (edge mode) carries at most c
 paths, and loads are counted where they arise. Each path through a vertex v
@@ -29,13 +47,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     INFINITY,
     Dag,
     Demand,
-    DistanceMatrix,
     Edge,
     Instance,
     MODES,
@@ -71,6 +88,40 @@ class MemoStore:
         if key in self.entries:
             raise InvariantViolation("memo entries are write-once")
         self.entries[key] = value
+
+
+class TightSubgraph(NamedTuple):
+    """Distances and tight-edge reachability of one demand (s, t).
+
+    ``dist_from`` is dist(s, .), ``dist_to`` is dist(., t) and ``length`` is
+    dist(s, t). Bit y of ``reach[x]`` is set when x and y lie on shortest
+    s-to-t paths and a path of tight edges runs from x to y (x = y included).
+    """
+
+    dist_from: tuple[float, ...]
+    dist_to: tuple[float, ...]
+    length: float
+    reach: tuple[int, ...]
+
+
+def tight_subgraph(dag: Dag, s: int, t: int) -> TightSubgraph | None:
+    """The tight subgraph of demand (s, t), or None when t is unreachable from s."""
+    f, b = dag.dist_from(s), dag.dist_to(t)
+    length = f[t]
+    if length == INFINITY:
+        return None
+    reach = [0] * (dag.vertex_count + 1)
+    out_edges, pos = dag.out_edges, dag.position
+    for x in reversed(dag.order[pos[s]:pos[t] + 1]):
+        fx = f[x]
+        if fx + b[x] != length:
+            continue
+        mask = 1 << x
+        for _, y, w in out_edges[x]:
+            if fx + w + b[y] == length:
+                mask |= reach[y]
+        reach[x] = mask
+    return TightSubgraph(f, b, length, tuple(reach))
 
 
 def split_interval(interval: Interval) -> tuple[Interval, Interval]:
@@ -115,7 +166,6 @@ def _iter_assignments(
 
 
 def merge_check(
-    dm: DistanceMatrix,
     left_sol: Solution,
     right_sol: Solution,
     edges: Sequence[Edge],
@@ -123,17 +173,19 @@ def merge_check(
     congestion: int = 1,
     mode: str = VERTEX,
 ) -> Solution | None:
-    """Concatenate crossing paths across the cut and accept iff lengths are shortest.
+    """Concatenate crossing paths across the cut and accept iff they fit the budget.
 
     ``demands`` are the crossing demands, aligned with the cut ``edges``; the
     last len(edges) paths of each side are their left and right parts, any
     earlier paths are demands local to one side and pass through unchanged.
-    For every crossing demand the sum left part + edge weight + right part
-    must equal the shortest-path distance. That no vertex of the assembled
-    solution (vertex mode), or no cut edge (edge mode), carries more than
-    ``congestion`` paths is re-verified as a defensive check even though it
-    holds by construction. Returns the assembled paths (local left, local
-    right, then crossing) or None on rejection.
+    Each part must run between its demand's endpoint and its cut edge's. The
+    solver only offers cut edges on a shortest path of their demand, so an
+    assembled path is shortest and its length is left + weight + right. That
+    no vertex of the assembled solution (vertex mode), or no cut edge (edge
+    mode), carries more than ``congestion`` paths is re-verified as a
+    defensive check even though it holds by construction. Returns the
+    assembled paths (local left, local right, then crossing) or None on
+    rejection.
     """
     t = len(edges)
     if t < 1 or len(demands) != t or len(left_sol.paths) < t or len(right_sol.paths) < t:
@@ -145,10 +197,7 @@ def merge_check(
     ):
         if lp.start != s or lp.end != tail or rp.start != head or rp.end != term:
             return None
-        total = lp.length + weight + rp.length
-        if total != dm.dist(s, term):
-            return None
-        assembled.append(Path(lp.vertices + rp.vertices, total))
+        assembled.append(Path(lp.vertices + rp.vertices, lp.length + weight + rp.length))
     if mode == VERTEX:
         load = Counter(v for path in local + assembled for v in path.vertices)
     else:
@@ -189,8 +238,12 @@ class DisjointShortestSolver:
         self.mode = mode
         self.order = dag.order
         self.pos = dag.position
-        self.dm = dag.distances
         self.memo = MemoStore()
+        self._tight: list[TightSubgraph] = []
+        # (edge-list index, edge) per topological position of the tail
+        self._out_by_pos: list[list[tuple[int, Edge]]] = [[] for _ in self.order]
+        for index, edge in enumerate(dag.edges):
+            self._out_by_pos[self.pos[edge[0]]].append((index, edge))
         self._boundary: dict[Interval, tuple[Edge, ...]] = {}
 
     def solve(self, pairs: Sequence[Demand]) -> Solution | None:
@@ -203,6 +256,12 @@ class DisjointShortestSolver:
         for s, t in pairs:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
+        self._tight = []
+        for s, t in dict.fromkeys(pairs):
+            tight = tight_subgraph(self.dag, s, t)
+            if tight is None:
+                return None
+            self._tight.append(tight)
         return self._solve((0, n - 1), pairs)
 
     def _solve(self, interval: Interval, pairs: tuple[Demand, ...]) -> Solution | None:
@@ -219,13 +278,11 @@ class DisjointShortestSolver:
         return _in_input_order(pairs, entry.paths)
 
     def _compute(self, interval: Interval, spairs: tuple[Demand, ...]) -> Solution | None:
-        pos, dm, c = self.pos, self.dm, self.congestion
+        pos, c = self.pos, self.congestion
         lo, hi = interval
         load: Counter = Counter()
         for s, t in spairs:
-            assert lo <= pos[s] <= hi and lo <= pos[t] <= hi, "demand escapes its interval"
-            if pos[s] > pos[t] or dm.dist(s, t) == INFINITY:
-                return None
+            assert lo <= pos[s] <= pos[t] <= hi, "demand escapes its interval"
             load[s] += 1
             if t != s:
                 load[t] += 1
@@ -255,15 +312,24 @@ class DisjointShortestSolver:
                 return None
             return _in_input_order(sides, left_sol.paths + right_sol.paths)
 
-        # One candidate list per crossing demand, restricted to edges that can
-        # sit on a shortest path of that demand; sets skipped by this filter
-        # could never pass merge_check, so the first feasible set is unchanged.
+        # One candidate list per crossing demand (u, v): the cut edges on a
+        # shortest u-to-v path, read off the tight subgraph of a root demand
+        # in which u reaches v. Sets skipped by this filter could never be
+        # part of a shortest routing, so the first feasible set is unchanged.
         boundary = self._boundary_edges(left, right)
         candidates: list[list[Edge]] = []
-        for s, t in crossing:
-            target = dm.dist(s, t)
+        for u, v in crossing:
+            for f, b, length, reach in self._tight:
+                if reach[u] >> v & 1:
+                    break
+            else:
+                raise InvariantViolation(f"sub-demand ({u},{v}) has no tight path")
+            from_u = reach[u]
             tight = [
-                e for e in boundary if dm.dist(s, e[0]) + e[2] + dm.dist(e[1], t) == target
+                e for e in boundary
+                if f[e[0]] + e[2] + b[e[1]] == length
+                and from_u >> e[0] & 1
+                and reach[e[1]] >> v & 1
             ]
             if not tight:
                 return None
@@ -282,21 +348,25 @@ class DisjointShortestSolver:
             right_sol = self._solve(right, right_sub)
             if right_sol is None:
                 continue
-            merged = merge_check(dm, left_sol, right_sol, assignment, crossing, c, self.mode)
+            merged = merge_check(left_sol, right_sol, assignment, crossing, c, self.mode)
             if merged is None:
                 continue
             return _in_input_order(sides, merged.paths)
         return None
 
     def _boundary_edges(self, left: Interval, right: Interval) -> tuple[Edge, ...]:
+        """Edges from ``left`` into ``right``, in edge-list order."""
         cached = self._boundary.get(left)
         if cached is None:
-            pos = self.pos
-            cached = tuple(
-                e
-                for e in self.dag.edges
-                if left[0] <= pos[e[0]] <= left[1] and right[0] <= pos[e[1]] <= right[1]
+            pos, out_by_pos = self.pos, self._out_by_pos
+            lo, hi = right
+            found = sorted(
+                item
+                for x in range(left[0], left[1] + 1)
+                for item in out_by_pos[x]
+                if lo <= pos[item[1][1]] <= hi
             )
+            cached = tuple(edge for _, edge in found)
             self._boundary[left] = cached
         return cached
 
@@ -317,8 +387,8 @@ def solve_disjoint_shortest(
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
     """Number of distinct shortest s-to-t paths (0 when t is unreachable)."""
-    dm = dag.distances
-    target = dm.dist(s, t)
+    f, b = dag.dist_from(s), dag.dist_to(t)
+    target = f[t]
     if target == INFINITY:
         return 0
     if s == t:
@@ -330,7 +400,7 @@ def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
         if not ways[v]:
             continue
         for _, head, weight in dag.out_edges[v]:
-            if dm.dist(s, v) + weight + dm.dist(head, t) == target:
+            if f[v] + weight + b[head] == target:
                 ways[head] += ways[v]
     return ways[t]
 
@@ -340,8 +410,8 @@ def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
 
     Walks only edges (u, v) with dist(s,u) + w(u,v) + dist(v,t) = dist(s,t).
     """
-    dm = dag.distances
-    target = dm.dist(s, t)
+    f, b = dag.dist_from(s), dag.dist_to(t)
+    target = f[t]
     if target == INFINITY:
         return
     # Depth-first with an explicit stack, so long paths stay clear of the
@@ -359,7 +429,7 @@ def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
             path.append(v)
             pending.append(iter(sorted(
                 head for _, head, weight in dag.out_edges[v]
-                if dm.dist(s, v) + weight + dm.dist(head, t) == target
+                if f[v] + weight + b[head] == target
             )))
 
 
@@ -373,12 +443,9 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     per-demand shortest-path counts exceeds ``limit``.
     """
     dag = inst.dag
-    dm = dag.distances
-    counts = []
-    for s, t in inst.demands:
-        if dm.dist(s, t) == INFINITY:
-            return None
-        counts.append(count_shortest_paths(dag, s, t))
+    counts = [count_shortest_paths(dag, s, t) for s, t in inst.demands]
+    if 0 in counts:
+        return None  # some terminal is unreachable
     if prod(counts) > limit:
         raise OracleTooLarge(f"{prod(counts)} path combinations exceed the bound of {limit}")
 

@@ -33,7 +33,6 @@ from .core import (
     Path,
     Solution,
     VERTEX,
-    all_pairs_dist,
     verify_solution,
 )
 from .errors import (
@@ -358,8 +357,7 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
             demands.append(demand_endpoints[(color, direction)])
     instance = Instance(dag, tuple(demands), 1, EDGE)
 
-    dm = all_pairs_dist(dag)
-    distances = {dm.dist(s, t) for s, t in demands}
+    distances = {dag.dist_from(s)[t] for s, t in demands}
     assert distances == {2 * n + 3}, "demand distances drifted from 2n + 3"
 
     layout = GridLayout(

@@ -28,6 +28,7 @@ from .core import (
     Solution,
     VERTEX,
     congestion_profile,
+    reachable,
     verify_solution,
 )
 from .errors import ContextInvalid, InvariantViolation, NoDonorFound
@@ -41,20 +42,20 @@ def canonical_shortest_path(dag: Dag, s: int, t: int) -> Path:
     Greedy descent: from each vertex take the smallest successor that still
     lies on some shortest path to t.
     """
-    dm = dag.distances
-    if dm.dist(s, t) == INFINITY:
+    to_t = dag.dist_to(t)
+    if to_t[s] == INFINITY:
         raise InvariantViolation(f"no path from {s} to {t}")
     vertices = [s]
     u = s
     while u != t:
         best = None
         for _, head, weight in dag.out_edges[u]:
-            if weight + dm.dist(head, t) == dm.dist(u, t):
+            if weight + to_t[head] == to_t[u]:
                 if best is None or head < best:
                     best = head
         vertices.append(best)
         u = best
-    return Path(tuple(vertices), int(dm.dist(s, t)))
+    return Path(tuple(vertices), int(to_t[s]))
 
 
 def extend_with_shortest(
@@ -86,10 +87,8 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
     """
     if inst.mode != VERTEX:
         raise InvariantViolation("solve_kdspc applies to vertex mode")
-    dm = inst.dag.distances
-    for s, t in inst.demands:
-        if dm.dist(s, t) == INFINITY:
-            return None
+    if not all(reachable(inst.dag, s, t) for s, t in inst.demands):
+        return None
     d = inst.slack
     if inst.k <= 3 * d:
         return solve_with_congestion(inst, cap=cap)

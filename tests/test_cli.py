@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dspc.cli import main
-from dspc import parse_instance, parse_solution, verify_solution
+from dspc import Dag, parse_instance, parse_solution, verify_solution
 
 
 def run(*argv) -> int:
@@ -122,6 +122,39 @@ class TestOracle:
         assert run("oracle", "-i", str(feasible_file)) == 2
         err = capsys.readouterr().err
         assert err == "error: RecursionError: maximum recursion depth exceeded\n"
+
+
+class TestNoAllPairsTable:
+    """Solve, verify and oracle sweep per demand and never build Dag.distances."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_table(self, monkeypatch):
+        def refuse(dag):
+            raise AssertionError("the all-pairs distance table was built")
+
+        monkeypatch.setattr(Dag, "distances", property(refuse))
+
+    def test_solve_and_verify_both_modes_and_kernel(self, tmp_path):
+        # a diamond with a tail: 4 demands at c = 3 make the kernel route
+        # solve demand subsets and extend them with canonical shortest paths
+        arcs = "a 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 4 5 2\n"
+        demands = "d 1 4\nd 1 5\nd 2 5\nd 1 3\n"
+        for mode, algos in (("vertex", ("dnc", "kernel")), ("edge", ("dnc",))):
+            inst = tmp_path / f"{mode}.dsp"
+            inst.write_text(f"p dsp 5 5 4 3 {mode}\n{arcs}{demands}")
+            for algo in algos:
+                out = tmp_path / f"{mode}-{algo}.sol"
+                assert run("solve", "--algo", algo, "-i", str(inst), "-o", str(out)) == 0
+                assert run("verify", "-i", str(inst), "-s", str(out)) == 0
+
+    def test_oracle_on_long_chain(self, tmp_path, capsys):
+        n = 3000
+        arcs = "".join(f"a {v} {v + 1} 1\n" for v in range(1, n))
+        path = tmp_path / "chain.dsp"
+        path.write_text(f"p dsp {n} {n - 1} 1 1 vertex\n{arcs}d 1 {n}\n")
+        assert run("oracle", "-i", str(path)) == 0
+        vertices = " ".join(str(v) for v in range(1, n + 1))
+        assert capsys.readouterr().out == f"s 1\np 1 {n - 1} {vertices}\n"
 
 
 class TestGen:

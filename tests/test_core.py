@@ -117,6 +117,18 @@ class TestDistances:
                 for t in range(1, dag.vertex_count + 1):
                     assert dm.dist(s, t) == exhaustive_distance(dag, s, t)
 
+    def test_per_vertex_sweeps_match_path_enumeration(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            dag = random_dag(rng, n=rng.randint(1, 8), max_weight=2)
+            n = dag.vertex_count
+            for v in range(1, n + 1):
+                from_v, to_v = dag.dist_from(v), dag.dist_to(v)
+                assert len(from_v) == len(to_v) == n + 1
+                for u in range(1, n + 1):
+                    assert from_v[u] == exhaustive_distance(dag, v, u)
+                    assert to_v[u] == exhaustive_distance(dag, u, v)
+
     def test_self_distance_zero_and_edge_triangle_inequality(self):
         for seed in range(20):
             dag = random_dag(random.Random(seed), n=7)

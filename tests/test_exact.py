@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,8 @@ from dspc import (
     split_interval,
     verify_solution,
 )
-from dspc.exact import _iter_assignments, count_shortest_paths
+from dspc import exact
+from dspc.exact import _iter_assignments, count_shortest_paths, tight_subgraph
 from dspc.randgen import random_dag, random_instance
 
 from helpers import chain, count_capped_assignments, diamond, enumerate_all_paths, grid_dag
@@ -108,54 +111,64 @@ class TestEnumerateBoundarySets:
 class TestMergeCheck:
     def test_chain_merge_accepted(self):
         dag = chain(4)
-        dm = all_pairs_dist(dag)
         left = Solution((Path.trace(dag, (1, 2)),))
         right = Solution((Path.trace(dag, (3, 4)),))
-        merged = merge_check(dm, left, right, ((2, 3, 1),), [(1, 4)])
+        merged = merge_check(left, right, ((2, 3, 1),), [(1, 4)])
         assert merged is not None
         assert merged.paths[0].vertices == (1, 2, 3, 4)
         assert merged.paths[0].length == 3
 
-    def test_detour_rejected_by_length(self):
-        # an extra heavy cut edge cannot be part of a shortest 1->4 path
+    def test_detour_is_never_a_candidate(self, monkeypatch):
+        # the heavy cut edge (2, 4, 5) is on no shortest 1->4 path, so the
+        # solver never offers it and merge_check needs no length test
         dag = Dag(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5)))
-        dm = all_pairs_dist(dag)
-        left = Solution((Path.trace(dag, (1, 2)),))
-        right = Solution((Path.trace(dag, (4,)),))
-        merged = merge_check(dm, left, right, ((2, 4, 5),), [(1, 4)])
-        assert merged is None
+        offered = []
+
+        def recording(candidates, *args):
+            offered.extend(candidates)
+            return _iter_assignments(candidates, *args)
+
+        monkeypatch.setattr(exact, "_iter_assignments", recording)
+        sol = solve_disjoint_shortest(dag, [(1, 4)])
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
+        assert sol.paths[0].length == 3
+        assert offered and all((2, 4, 5) not in slot for slot in offered)
+
+    def test_ends_must_meet_the_cut_edge(self):
+        dag = chain(4)
+        left = Solution((Path.trace(dag, (1,)),))
+        right = Solution((Path.trace(dag, (3, 4)),))
+        assert merge_check(left, right, ((2, 3, 1),), [(1, 4)]) is None
 
     def test_empty_cut_rejected(self):
         dag = chain(2)
         sol = Solution((Path.trace(dag, (1,)),))
         with pytest.raises(InvariantViolation):
-            merge_check(all_pairs_dist(dag), sol, sol, (), [])
+            merge_check(sol, sol, (), [])
 
     def test_shared_vertex_accepted_up_to_congestion(self):
         # both demands run 1 -> 3 -> 4 on the diamond and share every vertex
         dag = diamond()
-        dm = all_pairs_dist(dag)
         left = Solution((Path.trace(dag, (1,)),) * 2)
         right = Solution((Path.trace(dag, (3, 4)),) * 2)
         cut = ((1, 3, 1), (1, 3, 1))
-        assert merge_check(dm, left, right, cut, [(1, 4), (1, 4)]) is None
-        merged = merge_check(dm, left, right, cut, [(1, 4), (1, 4)], congestion=2)
+        assert merge_check(left, right, cut, [(1, 4), (1, 4)]) is None
+        merged = merge_check(left, right, cut, [(1, 4), (1, 4)], congestion=2)
         assert [p.vertices for p in merged.paths] == [(1, 3, 4), (1, 3, 4)]
 
     def test_edge_mode_counts_cut_edges_not_vertices(self):
         dag = diamond()
-        dm = all_pairs_dist(dag)
         left = Solution((Path.trace(dag, (1,)),) * 2)
         shared = Solution((Path.trace(dag, (3, 4)),) * 2)
         cut = ((1, 3, 1), (1, 3, 1))
-        assert merge_check(dm, left, shared, cut, [(1, 4), (1, 4)], 1, "edge") is None
-        assert merge_check(dm, left, shared, cut, [(1, 4), (1, 4)], 2, "edge") is not None
+        assert merge_check(left, shared, cut, [(1, 4), (1, 4)], 1, "edge") is None
+        assert merge_check(left, shared, cut, [(1, 4), (1, 4)], 2, "edge") is not None
         # distinct cut edges: vertices 1 and 4 carry both paths, no edge does
         arms = Solution((Path.trace(dag, (2, 4)), Path.trace(dag, (3, 4))))
         cut = ((1, 2, 1), (1, 3, 1))
-        merged = merge_check(dm, left, arms, cut, [(1, 4), (1, 4)], 1, "edge")
+        merged = merge_check(left, arms, cut, [(1, 4), (1, 4)], 1, "edge")
         assert [p.vertices for p in merged.paths] == [(1, 2, 4), (1, 3, 4)]
-        assert merge_check(dm, left, arms, cut, [(1, 4), (1, 4)], 1, "vertex") is None
+        assert merge_check(left, arms, cut, [(1, 4), (1, 4)], 1, "vertex") is None
 
     def test_merged_solutions_verify_at_one(self):
         for seed in range(40):
@@ -238,6 +251,57 @@ class TestSolveDisjointShortest:
             for path in sol.paths:
                 for cut in range(1, len(path.vertices) + 1):
                     assert is_shortest(Path.trace(inst.dag, path.vertices[:cut]), dm)
+
+
+class TestTightSubgraph:
+    def test_reach_masks_match_path_enumeration(self):
+        # bit y of reach[x]: x and y lie on shortest s-t paths and a path of
+        # edges of shortest s-t paths runs from x to y
+        for seed in range(40):
+            rng = random.Random(seed)
+            dag = random_dag(rng, n=rng.randint(1, 7))
+            n = dag.vertex_count
+            paths = {
+                (x, y): enumerate_all_paths(dag, x, y)
+                for x in range(1, n + 1) for y in range(1, n + 1)
+            }
+            for s in range(1, n + 1):
+                for t in range(1, n + 1):
+                    got = tight_subgraph(dag, s, t)
+                    length = min((w for _, w in paths[s, t]), default=None)
+                    if length is None:
+                        assert got is None
+                        continue
+                    assert got.length == length
+                    shortest = [p for p, w in paths[s, t] if w == length]
+                    on = {v for p in shortest for v in p}
+                    tight = {e for p in shortest for e in zip(p, p[1:])}
+                    for x in range(1, n + 1):
+                        for y in range(1, n + 1):
+                            linked = x == y or any(
+                                set(zip(p, p[1:])) <= tight for p, _ in paths[x, y]
+                            )
+                            want = x in on and y in on and linked
+                            assert bool(got.reach[x] >> y & 1) == want, (seed, s, t, x, y)
+
+    def test_three_thousand_vertex_chain(self):
+        # per-demand sweeps and masks: 2 demands at c = 2 solve in about
+        # 0.2 s with an 8 MB traced peak, where an all-pairs table of this
+        # chain alone takes seconds and peaks near 190 MB
+        demands = ((1, 3000), (2, 2999))
+        started = time.perf_counter()
+        sol = solve_disjoint_shortest(chain(3000), demands, congestion=2)
+        elapsed = time.perf_counter() - started
+        assert [p.vertices for p in sol.paths] == [tuple(range(1, 3001)), tuple(range(2, 3000))]
+        assert verify_solution(Instance(chain(3000), demands, 2), sol).feasible
+        assert elapsed < 1.5
+        tracemalloc.start()
+        try:
+            solve_disjoint_shortest(chain(3000), demands, congestion=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestMemoStore:
