@@ -48,7 +48,6 @@ from .exact import (
     iter_shortest_paths,
     merge_check,
     solve_disjoint_shortest,
-    split_interval,
 )
 from .congestion import (
     TransformMap,

@@ -1,53 +1,39 @@
 """Exact shortest-path routing with vertex or edge congestion c on DAGs, plus a brute-force oracle.
 
-The solver divides the topological order in half, guesses the ordered set of
-boundary edges used by demands that cross the cut, and recurses on the two
-sides with rewritten demands. Because edges only run forward in the
-topological order, any path between two vertices of an interval stays inside
-that interval, so "shortest within the interval" and "shortest globally"
-coincide.
+The solver is a pebbling search in the manner of Fortune, Hopcroft and
+Wyllie (TCS 10, 1980). One pebble per demand (s, t) starts on s and is
+finished once it rests on t. A move takes the unfinished pebbles on the
+topologically first vertex u that holds any, and advances each of them
+along an edge (u, v, w) that is tight for its own demand:
+f[u] + w + b[v] = dist(s, t), with f = dist(s, .) and b = dist(., t). A
+pebble that reached u along tight edges has f[u] = dist(s, t) - b[u], so
+the test reads w + b[v] = b[u] and needs only one backward sweep per
+terminal. The walks of a pebble are then exactly the shortest s-to-t paths.
 
-Each root demand (s, t) gets its own tight subgraph from one forward sweep
-f = dist(s, .) and one backward sweep b = dist(., t): an edge (u, v, w) is
-tight when f[u] + w + b[v] = dist(s, t), and the shortest s-to-t paths are
-exactly the s-to-t paths of tight edges. One reverse sweep over the
-topological range of the demand gives reachability bitmasks: bit y of
-reach[x] is set when a path of tight edges runs from x to y.
+After a move every unfinished pebble sits after u in the topological order,
+so no pebble comes back to u: all pebbles that ever visit a vertex are on
+it at the same time, and an edge is only taken in the one move that leaves
+its tail. ``merge_check`` therefore counts loads exactly, move by move: in
+vertex mode the pebbles on each head after the move, resting and finished
+ones included, and in edge mode the movers that take each edge. No move
+checks a source, so in vertex mode ``solve`` first rejects any vertex at
+which more than c demands start or end. Congestion 1 is the disjoint case
+of either mode.
 
-Every sub-demand (u, v) the search creates keeps an invariant: in the tight
-subgraph of some root demand, u reaches v. A root demand vouches for itself,
-and a cut edge is only offered when u reaches its tail and its head reaches
-v in the same subgraph. For any root that vouches for (u, v), a cut edge
-lies on a shortest u-to-v path exactly when it is tight for that root, u
-reaches its tail and its head reaches v. So the candidate set does not
-depend on which root vouches: the solver takes the first one whose masks
-show u reaching v, sub-demands carry no root index, and memo keys are the
-plain (u, v) pairs. Any left part + cut edge + right part is then a
-shortest path, so merging needs no length check. The sweeps take
-O(k(n + m)) time and the masks at most one n-bit integer per vertex and
-root demand, instead of an O(n(n + m)) all-pairs table.
-
-Every vertex (vertex mode) or every edge (edge mode) carries at most c
-paths, and loads are counted where they arise. Each path through a vertex v
-reaches the single-vertex interval of v as a demand (v, v): in vertex mode
-an interval whose demand endpoints already put more than c paths on one
-vertex is rejected, and a leaf routes at most c demands. Each edge of an
-interval is left-internal, right-internal or a cut edge, so in edge mode an
-edge's load is the number of crossing demands that pick it at the one level
-where it is a cut edge, and a leaf routes any number of demands. Congestion
-1 is the disjoint case of either mode.
-
-Sub-results are memoized per (interval, sorted demand multiset). Unlike a
-full table over all demand tuples, only tuples actually reachable from the
-root query are ever solved.
+A state is the tuple of pebble positions. Whether it can still be finished
+depends only on the pairs (position, terminal), so the depth-first search
+records each state whose moves all fail as dead and never expands it again.
+The search keeps its path in an explicit stack, one level per move, so long
+graphs stay clear of the recursion limit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     INFINITY,
@@ -65,164 +51,55 @@ from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 #: Default cap on the number of demands accepted by the exact solver.
 DEFAULT_CAP = 6
 
-#: Inclusive index range into the topological order.
-Interval = tuple[int, int]
-
-_EMPTY = Solution(())
-_MISS = object()
+#: One vertex per pebble, in demand order.
+State = tuple[int, ...]
 
 
 @dataclass
 class MemoStore:
-    """Write-once store of solved tuples; None records an infeasible tuple.
+    """Write-once record of dead states, from which no sequence of moves finishes."""
 
-    Keys are plain (interval, sorted demand tuple) pairs.
-    """
+    entries: dict[State, None] = field(default_factory=dict)
 
-    entries: dict[tuple, Solution | None] = field(default_factory=dict)
-
-    def get(self, key: tuple):
-        return self.entries.get(key, _MISS)
-
-    def put(self, key: tuple, value: Solution | None) -> None:
-        if key in self.entries:
+    def put(self, state: State) -> None:
+        if state in self.entries:
             raise InvariantViolation("memo entries are write-once")
-        self.entries[key] = value
-
-
-class TightSubgraph(NamedTuple):
-    """Distances and tight-edge reachability of one demand (s, t).
-
-    ``dist_from`` is dist(s, .), ``dist_to`` is dist(., t) and ``length`` is
-    dist(s, t). Bit y of ``reach[x]`` is set when x and y lie on shortest
-    s-to-t paths and a path of tight edges runs from x to y (x = y included).
-    """
-
-    dist_from: tuple[float, ...]
-    dist_to: tuple[float, ...]
-    length: float
-    reach: tuple[int, ...]
-
-
-def tight_subgraph(dag: Dag, s: int, t: int) -> TightSubgraph | None:
-    """The tight subgraph of demand (s, t), or None when t is unreachable from s."""
-    f, b = dag.dist_from(s), dag.dist_to(t)
-    length = f[t]
-    if length == INFINITY:
-        return None
-    reach = [0] * (dag.vertex_count + 1)
-    out_edges, pos = dag.out_edges, dag.position
-    for x in reversed(dag.order[pos[s]:pos[t] + 1]):
-        fx = f[x]
-        if fx + b[x] != length:
-            continue
-        mask = 1 << x
-        for _, y, w in out_edges[x]:
-            if fx + w + b[y] == length:
-                mask |= reach[y]
-        reach[x] = mask
-    return TightSubgraph(f, b, length, tuple(reach))
-
-
-def split_interval(interval: Interval) -> tuple[Interval, Interval]:
-    """Split an inclusive index range; the left part takes ceil(len/2) positions."""
-    lo, hi = interval
-    size = hi - lo + 1
-    if size < 2:
-        raise InvariantViolation("cannot split an interval of length < 2")
-    left_size = (size + 1) // 2
-    return (lo, lo + left_size - 1), (lo + left_size, hi)
-
-
-def _iter_assignments(
-    candidates: Sequence[Sequence[Edge]], congestion: int = 1, mode: str = VERTEX
-) -> Iterator[tuple[Edge, ...]]:
-    """All picks of one edge per slot within the budget on the cut.
-
-    In vertex mode no tail and no head is used more than ``congestion``
-    times; in edge mode no edge is. Tails lie left of the cut and heads right
-    of it, so one counter serves both. Yields in lexicographic order by
-    (slot index, candidate position).
-    """
-    per_edge = mode != VERTEX
-    chosen: list[Edge] = []
-    uses: Counter = Counter()
-
-    def rec(slot: int) -> Iterator[tuple[Edge, ...]]:
-        if slot == len(candidates):
-            yield tuple(chosen)
-            return
-        for edge in candidates[slot]:
-            held = (edge,) if per_edge else edge[:2]
-            if any(uses[x] == congestion for x in held):
-                continue
-            chosen.append(edge)
-            uses.update(held)
-            yield from rec(slot + 1)
-            chosen.pop()
-            uses.subtract(held)
-
-    return rec(0)
+        self.entries[state] = None
 
 
 def merge_check(
-    left_sol: Solution,
-    right_sol: Solution,
+    state: State,
+    movers: Sequence[int],
     edges: Sequence[Edge],
-    demands: Sequence[Demand],
     congestion: int = 1,
     mode: str = VERTEX,
-) -> Solution | None:
-    """Concatenate crossing paths across the cut and accept iff they fit the budget.
+) -> State | None:
+    """Move pebble ``movers[j]`` along ``edges[j]``; the next state, or None over budget.
 
-    ``demands`` are the crossing demands, aligned with the cut ``edges``; the
-    last len(edges) paths of each side are their left and right parts, any
-    earlier paths are demands local to one side and pass through unchanged.
-    Each part must run between its demand's endpoint and its cut edge's. The
-    solver only offers cut edges on a shortest path of their demand, so an
-    assembled path is shortest and its length is left + weight + right. That
-    no vertex of the assembled solution (vertex mode), or no cut edge (edge
-    mode), carries more than ``congestion`` paths is re-verified as a
-    defensive check even though it holds by construction. Returns the
-    assembled paths (local left, local right, then crossing) or None on
-    rejection.
+    In vertex mode a head's load is every pebble on it after the move,
+    resting and finished ones included; in edge mode an edge's load is the
+    number of movers that take it. Under the search's move order both counts
+    are final, so accepting up to ``congestion`` on each is exact.
     """
-    t = len(edges)
-    if t < 1 or len(demands) != t or len(left_sol.paths) < t or len(right_sol.paths) < t:
-        raise InvariantViolation("cut edges, demands, and side solutions disagree on size")
-    local = list(left_sol.paths[:-t]) + list(right_sol.paths[:-t])
-    assembled: list[Path] = []
-    for (s, term), (tail, head, weight), lp, rp in zip(
-        demands, edges, left_sol.paths[-t:], right_sol.paths[-t:]
-    ):
-        if lp.start != s or lp.end != tail or rp.start != head or rp.end != term:
-            return None
-        assembled.append(Path(lp.vertices + rp.vertices, lp.length + weight + rp.length))
+    if not movers or len(movers) != len(edges):
+        raise InvariantViolation("movers and edges disagree on size")
+    nxt = list(state)
+    for i, edge in zip(movers, edges):
+        if state[i] != edge[0]:
+            raise InvariantViolation(f"pebble {i} on vertex {state[i]} cannot take edge {edge}")
+        nxt[i] = edge[1]
     if mode == VERTEX:
-        load = Counter(v for path in local + assembled for v in path.vertices)
+        over = any(nxt.count(head) > congestion for _, head, _ in edges)
     else:
-        load = Counter(edges)
-    if max(load.values()) > congestion:
-        return None
-    return Solution(tuple(local + assembled))
-
-
-def _in_input_order(keys: Sequence, paths: Sequence[Path]) -> Solution:
-    """Put back in input order paths listed in the stable sort order of ``keys``.
-
-    Positions, not key values, decide: equal demands keep their own paths.
-    """
-    out: list[Path | None] = [None] * len(keys)
-    for i, path in zip(sorted(range(len(keys)), key=keys.__getitem__), paths):
-        out[i] = path
-    return Solution(tuple(out))
+        over = any(edges.count(edge) > congestion for edge in edges)
+    return None if over else tuple(nxt)
 
 
 class DisjointShortestSolver:
-    """Memoized divide-and-conquer solver routing at congestion c per vertex or edge of one DAG.
+    """Pebbling search routing at congestion c per vertex or edge of one DAG.
 
-    The memo store is populated during solve() and may be replayed read-only
-    afterwards (it is never mutated once a query returns).
+    ``memo`` holds the dead states of the latest solve() call and is not
+    mutated once that call returns.
     """
 
     def __init__(
@@ -236,15 +113,7 @@ class DisjointShortestSolver:
         self.cap = cap
         self.congestion = congestion
         self.mode = mode
-        self.order = dag.order
-        self.pos = dag.position
         self.memo = MemoStore()
-        self._tight: list[TightSubgraph] = []
-        # (edge-list index, edge) per topological position of the tail
-        self._out_by_pos: list[list[tuple[int, Edge]]] = [[] for _ in self.order]
-        for index, edge in enumerate(dag.edges):
-            self._out_by_pos[self.pos[edge[0]]].append((index, edge))
-        self._boundary: dict[Interval, tuple[Edge, ...]] = {}
 
     def solve(self, pairs: Sequence[Demand]) -> Solution | None:
         pairs = tuple((int(s), int(t)) for s, t in pairs)
@@ -256,119 +125,62 @@ class DisjointShortestSolver:
         for s, t in pairs:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
-        self._tight = []
-        for s, t in dict.fromkeys(pairs):
-            tight = tight_subgraph(self.dag, s, t)
-            if tight is None:
-                return None
-            self._tight.append(tight)
-        return self._solve((0, n - 1), pairs)
+        self.memo = MemoStore()
+        if self.mode == VERTEX:
+            load = Counter(s for s, _ in pairs) + Counter(t for s, t in pairs if t != s)
+            if max(load.values()) > self.congestion:
+                return None  # more paths start or end at one vertex than it can carry
+        terminals = tuple(t for _, t in pairs)
+        to_t = {t: self.dag.dist_to(t) for t in dict.fromkeys(terminals)}
+        if any(to_t[t][s] == INFINITY for s, t in pairs):
+            return None
+        states = self._search(tuple(s for s, _ in pairs), terminals, to_t)
+        if states is None:
+            return None
+        # Pebbles only move forward, so dropping repeats leaves each walk.
+        return Solution(tuple(
+            Path(tuple(dict.fromkeys(state[i] for state in states)), to_t[t][s])
+            for i, (s, t) in enumerate(pairs)
+        ))
 
-    def _solve(self, interval: Interval, pairs: tuple[Demand, ...]) -> Solution | None:
-        if not pairs:
-            return _EMPTY
-        spairs = tuple(sorted(pairs))
-        key = (interval, spairs)
-        entry = self.memo.get(key)
-        if entry is _MISS:
-            entry = self._compute(interval, spairs)
-            self.memo.put(key, entry)
-        if entry is None or spairs == pairs:
-            return entry
-        return _in_input_order(pairs, entry.paths)
+    def _search(
+        self, start: State, terminals: State, to_t: dict[int, tuple[float, ...]]
+    ) -> list[State] | None:
+        """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
+        pos, out_edges = self.dag.position, self.dag.out_edges
+        c, mode, dead = self.congestion, self.mode, self.memo.entries
+        tight: dict[tuple[int, int], list[Edge]] = {}
 
-    def _compute(self, interval: Interval, spairs: tuple[Demand, ...]) -> Solution | None:
-        pos, c = self.pos, self.congestion
-        lo, hi = interval
-        load: Counter = Counter()
-        for s, t in spairs:
-            assert lo <= pos[s] <= pos[t] <= hi, "demand escapes its interval"
-            load[s] += 1
-            if t != s:
-                load[t] += 1
-        if self.mode == VERTEX and max(load.values()) > c:
-            return None  # more paths start or end at one vertex than it can carry
-        if lo == hi:
-            return Solution((Path((self.order[lo],), 0),) * len(spairs))
+        def moves(state: State) -> Iterator[State]:
+            u = min((v for v, t in zip(state, terminals) if v != t), key=pos.__getitem__)
+            movers = [i for i, v in enumerate(state) if v == u != terminals[i]]
+            options = []
+            for i in movers:
+                t = terminals[i]
+                edges = tight.get((u, t))
+                if edges is None:
+                    b = to_t[t]
+                    edges = tight[u, t] = [e for e in out_edges[u] if e[2] + b[e[1]] == b[u]]
+                options.append(edges)
+            for pick in product(*options):
+                nxt = merge_check(state, movers, pick, c, mode)
+                if nxt is not None and nxt not in dead:
+                    yield nxt
 
-        left, right = split_interval(interval)
-        mid = left[1]
-        # Sides: 0 left-local, 1 right-local, 2 crossing; paths are assembled
-        # in that order.
-        groups: tuple[list[Demand], list[Demand], list[Demand]] = ([], [], [])
-        sides: list[int] = []
-        for s, t in spairs:
-            side = 0 if pos[t] <= mid else 1 if pos[s] > mid else 2
-            sides.append(side)
-            groups[side].append((s, t))
-        left_pairs, right_pairs, crossing = groups
-
-        if not crossing:
-            left_sol = self._solve(left, tuple(left_pairs))
-            if left_sol is None:
-                return None
-            right_sol = self._solve(right, tuple(right_pairs))
-            if right_sol is None:
-                return None
-            return _in_input_order(sides, left_sol.paths + right_sol.paths)
-
-        # One candidate list per crossing demand (u, v): the cut edges on a
-        # shortest u-to-v path, read off the tight subgraph of a root demand
-        # in which u reaches v. Sets skipped by this filter could never be
-        # part of a shortest routing, so the first feasible set is unchanged.
-        boundary = self._boundary_edges(left, right)
-        candidates: list[list[Edge]] = []
-        for u, v in crossing:
-            for f, b, length, reach in self._tight:
-                if reach[u] >> v & 1:
-                    break
+        if start == terminals:
+            return [start]
+        path, frames = [start], [moves(start)]
+        while frames:
+            nxt = next(frames[-1], None)
+            if nxt is None:
+                frames.pop()
+                self.memo.put(path.pop())
             else:
-                raise InvariantViolation(f"sub-demand ({u},{v}) has no tight path")
-            from_u = reach[u]
-            tight = [
-                e for e in boundary
-                if f[e[0]] + e[2] + b[e[1]] == length
-                and from_u >> e[0] & 1
-                and reach[e[1]] >> v & 1
-            ]
-            if not tight:
-                return None
-            candidates.append(tight)
-
-        for assignment in _iter_assignments(candidates, c, self.mode):
-            left_sub = tuple(left_pairs) + tuple(
-                (pair[0], edge[0]) for pair, edge in zip(crossing, assignment)
-            )
-            right_sub = tuple(right_pairs) + tuple(
-                (edge[1], pair[1]) for pair, edge in zip(crossing, assignment)
-            )
-            left_sol = self._solve(left, left_sub)
-            if left_sol is None:
-                continue
-            right_sol = self._solve(right, right_sub)
-            if right_sol is None:
-                continue
-            merged = merge_check(left_sol, right_sol, assignment, crossing, c, self.mode)
-            if merged is None:
-                continue
-            return _in_input_order(sides, merged.paths)
+                path.append(nxt)
+                if nxt == terminals:
+                    return path
+                frames.append(moves(nxt))
         return None
-
-    def _boundary_edges(self, left: Interval, right: Interval) -> tuple[Edge, ...]:
-        """Edges from ``left`` into ``right``, in edge-list order."""
-        cached = self._boundary.get(left)
-        if cached is None:
-            pos, out_by_pos = self.pos, self._out_by_pos
-            lo, hi = right
-            found = sorted(
-                item
-                for x in range(left[0], left[1] + 1)
-                for item in out_by_pos[x]
-                if lo <= pos[item[1][1]] <= hi
-            )
-            cached = tuple(edge for _, edge in found)
-            self._boundary[left] = cached
-        return cached
 
 
 def solve_disjoint_shortest(
@@ -378,9 +190,9 @@ def solve_disjoint_shortest(
     """Route every demand by a shortest path with at most ``congestion`` paths per element.
 
     The elements are vertices when ``mode`` is "vertex" and edges when it is
-    "edge". Returns None when no such routing exists. Deterministic: the first
-    feasible boundary assignment in canonical enumeration order wins at
-    every level.
+    "edge". Returns None when no such routing exists. Deterministic: each
+    move tries the movers' edges in lexicographic order of their out-edge
+    lists, and the first sequence of moves that finishes wins.
     """
     return DisjointShortestSolver(dag, cap=cap, congestion=congestion, mode=mode).solve(pairs)
 

@@ -89,20 +89,6 @@ def all_topological_orders(dag: Dag) -> list[tuple[int, ...]]:
     return orders
 
 
-def count_capped_assignments(candidates: list[list[tuple]], cap: int) -> int:
-    """Brute-force count of edge picks using no tail and no head more than ``cap`` times."""
-    from collections import Counter
-    from itertools import product
-
-    total = 0
-    for combo in product(*candidates):
-        tails = Counter(e[0] for e in combo)
-        heads = Counter(e[1] for e in combo)
-        if max(tails.values()) <= cap and max(heads.values()) <= cap:
-            total += 1
-    return total
-
-
 def build_miss_gadget(
     rng: random.Random, hot_columns: int = 4, paths: int = 4, padding: bool = True
 ) -> tuple[Instance, Solution, tuple[int, ...]]:

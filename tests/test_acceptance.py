@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
             assert verify_solution(inst, got).feasible
     elapsed = time.monotonic() - started
     report(1, agree == total and elapsed < 60,
-           f"divide-and-conquer vs oracle {agree}/{total} in {elapsed:.1f}s (< 60s)")
+           f"exact solver vs oracle {agree}/{total} in {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_congestion_transform():

@@ -1,4 +1,4 @@
-"""Divide-and-conquer solver, boundary enumeration, merging, and the oracle."""
+"""Pebbling search, its move check, its dead-state memo, and the brute-force oracle."""
 
 from __future__ import annotations
 
@@ -23,152 +23,81 @@ from dspc import (
     iter_shortest_paths,
     merge_check,
     solve_disjoint_shortest,
-    split_interval,
     verify_solution,
 )
 from dspc import exact
-from dspc.exact import _iter_assignments, count_shortest_paths, tight_subgraph
+from dspc.exact import count_shortest_paths
 from dspc.randgen import random_dag, random_instance
 
-from helpers import chain, count_capped_assignments, diamond, enumerate_all_paths, grid_dag
-
-
-class TestSplitInterval:
-    def test_even_split(self):
-        left, right = split_interval((0, 3))
-        assert left == (0, 1) and right == (2, 3)
-
-    def test_odd_split_gives_ceiling_to_left(self):
-        left, right = split_interval((0, 4))
-        assert left == (0, 2) and right == (3, 4)
-
-    def test_two_element_interval(self):
-        assert split_interval((5, 6)) == ((5, 5), (6, 6))
-
-    def test_too_short_rejected(self):
-        with pytest.raises(InvariantViolation):
-            split_interval((2, 2))
-
-
-class TestEnumerateBoundarySets:
-    """The solver's cut-edge selection and its per-demand boundary assignments."""
-
-    def test_two_crossing_edges_one_demand(self):
-        dag = Dag(4, ((1, 3, 1), (2, 4, 1), (1, 2, 1), (3, 4, 1)))
-        # order is (1,2,3,4); cutting after position 1 leaves (1,3) and (2,4)
-        # crossing, in edge-list order
-        crossing = DisjointShortestSolver(dag)._boundary_edges((0, 1), (2, 3))
-        assert crossing == ((1, 3, 1), (2, 4, 1))
-        assert list(_iter_assignments([crossing])) == [((1, 3, 1),), ((2, 4, 1),)]
-
-    def test_shared_only_edge_yields_nothing(self):
-        only = [(1, 2, 1)]
-        assert list(_iter_assignments([only, only])) == []
-        assert list(_iter_assignments([only, only], 2)) == [((1, 2, 1), (1, 2, 1))]
-        assert list(_iter_assignments([only] * 3, 2)) == []
-
-    def test_counts_match_injective_enumeration(self):
-        for seed in range(30):
-            rng = random.Random(seed)
-            dag = random_dag(rng, n=rng.randint(2, 8))
-            n = dag.vertex_count
-            mid = rng.randint(0, n - 2)
-            crossing = DisjointShortestSolver(dag)._boundary_edges((0, mid), (mid + 1, n - 1))
-            for t in (1, 2, 3):
-                for c in (1, 2):
-                    got = sum(1 for _ in _iter_assignments([crossing] * t, c))
-                    assert got == count_capped_assignments([crossing] * t, c)
-
-    def test_lexicographic_by_demand_then_edge(self):
-        edges = [(1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1)]
-        assert list(_iter_assignments([edges, edges])) == [
-            ((1, 3, 1), (2, 4, 1)),
-            ((1, 4, 1), (2, 3, 1)),
-            ((2, 3, 1), (1, 4, 1)),
-            ((2, 4, 1), (1, 3, 1)),
-        ]
-        # at congestion 2 no pick of two edges is capped, so all come out
-        assert list(_iter_assignments([edges, edges], 2)) == [
-            (a, b) for a in edges for b in edges
-        ]
-        # three slots: an edge may repeat once, never twice
-        capped = list(_iter_assignments([edges] * 3, 2))
-        assert capped == sorted(capped)
-        assert ((1, 3, 1), (1, 3, 1), (2, 4, 1)) in capped
-        assert ((1, 3, 1), (1, 4, 1), (1, 3, 1)) not in capped
-
-    def test_edge_mode_caps_edges_not_tails(self):
-        # two distinct cut edges out of vertex 1: each edge is used once, but
-        # the shared tail twice
-        edges = [(1, 3, 1), (1, 4, 1)]
-        assert list(_iter_assignments([edges, edges], 1, "edge")) == [
-            ((1, 3, 1), (1, 4, 1)),
-            ((1, 4, 1), (1, 3, 1)),
-        ]
-        assert list(_iter_assignments([edges, edges], 1, "vertex")) == []
+from helpers import chain, dfs_reachable, diamond, enumerate_all_paths, grid_dag
 
 
 class TestMergeCheck:
+    """One move of the pebbling search: state, movers, their edges, budget."""
+
     def test_chain_merge_accepted(self):
-        dag = chain(4)
-        left = Solution((Path.trace(dag, (1, 2)),))
-        right = Solution((Path.trace(dag, (3, 4)),))
-        merged = merge_check(left, right, ((2, 3, 1),), [(1, 4)])
-        assert merged is not None
-        assert merged.paths[0].vertices == (1, 2, 3, 4)
-        assert merged.paths[0].length == 3
+        assert merge_check((1, 3), [0], ((1, 2, 1),)) == (2, 3)
+        # a mover's head may hold pebbles as long as the budget allows
+        assert merge_check((2, 3), [0], ((2, 3, 1),), congestion=2) == (3, 3)
 
     def test_detour_is_never_a_candidate(self, monkeypatch):
-        # the heavy cut edge (2, 4, 5) is on no shortest 1->4 path, so the
-        # solver never offers it and merge_check needs no length test
+        # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
+        # never offers it and merge_check needs no length test
         dag = Dag(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5)))
         offered = []
 
-        def recording(candidates, *args):
-            offered.extend(candidates)
-            return _iter_assignments(candidates, *args)
+        def recording(state, movers, edges, *args):
+            offered.extend(edges)
+            return merge_check(state, movers, edges, *args)
 
-        monkeypatch.setattr(exact, "_iter_assignments", recording)
+        monkeypatch.setattr(exact, "merge_check", recording)
         sol = solve_disjoint_shortest(dag, [(1, 4)])
         assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
         assert sol.paths[0].length == 3
-        assert offered and all((2, 4, 5) not in slot for slot in offered)
+        assert offered and (2, 4, 5) not in offered
 
     def test_ends_must_meet_the_cut_edge(self):
-        dag = chain(4)
-        left = Solution((Path.trace(dag, (1,)),))
-        right = Solution((Path.trace(dag, (3, 4)),))
-        assert merge_check(left, right, ((2, 3, 1),), [(1, 4)]) is None
+        # every mover must sit on the tail of the edge it takes
+        with pytest.raises(InvariantViolation):
+            merge_check((1, 2), [1], ((1, 3, 1),))
+        with pytest.raises(InvariantViolation):
+            merge_check((1, 1), [0, 1], ((1, 2, 1), (2, 3, 1)))
 
     def test_empty_cut_rejected(self):
-        dag = chain(2)
-        sol = Solution((Path.trace(dag, (1,)),))
         with pytest.raises(InvariantViolation):
-            merge_check(sol, sol, (), [])
+            merge_check((1,), [], ())
+        with pytest.raises(InvariantViolation):
+            merge_check((1, 1), [0, 1], ((1, 2, 1),))
 
     def test_shared_vertex_accepted_up_to_congestion(self):
-        # both demands run 1 -> 3 -> 4 on the diamond and share every vertex
-        dag = diamond()
-        left = Solution((Path.trace(dag, (1,)),) * 2)
-        right = Solution((Path.trace(dag, (3, 4)),) * 2)
+        # two pebbles leave vertex 1 of the diamond for the same head
         cut = ((1, 3, 1), (1, 3, 1))
-        assert merge_check(left, right, cut, [(1, 4), (1, 4)]) is None
-        merged = merge_check(left, right, cut, [(1, 4), (1, 4)], congestion=2)
-        assert [p.vertices for p in merged.paths] == [(1, 3, 4), (1, 3, 4)]
+        assert merge_check((1, 1), [0, 1], cut) is None
+        assert merge_check((1, 1), [0, 1], cut, congestion=2) == (3, 3)
+        # the arms split the load
+        assert merge_check((1, 1), [0, 1], ((1, 2, 1), (1, 3, 1))) == (2, 3)
+
+    def test_finished_pebbles_count_on_their_vertex(self):
+        # pebble 1 rests on its terminal 3 (demand (3, 3) or a finished
+        # walk); a pebble arriving at 3 makes its load 2 in vertex mode
+        assert merge_check((1, 3), [0], ((1, 3, 1),)) is None
+        assert merge_check((1, 3), [0], ((1, 3, 1),), congestion=2) == (3, 3)
+        # pebble 2 rests on 3 too: three pebbles on 3 exceed a budget of 2
+        assert merge_check((1, 1, 3), [0, 1], ((1, 3, 1), (1, 2, 1)), 2) == (3, 2, 3)
+        assert merge_check((1, 1, 3), [0, 1], ((1, 3, 1), (1, 3, 1)), 2) is None
+        # edge mode counts no vertex
+        assert merge_check((1, 3), [0], ((1, 3, 1),), 1, "edge") == (3, 3)
 
     def test_edge_mode_counts_cut_edges_not_vertices(self):
-        dag = diamond()
-        left = Solution((Path.trace(dag, (1,)),) * 2)
-        shared = Solution((Path.trace(dag, (3, 4)),) * 2)
-        cut = ((1, 3, 1), (1, 3, 1))
-        assert merge_check(left, shared, cut, [(1, 4), (1, 4)], 1, "edge") is None
-        assert merge_check(left, shared, cut, [(1, 4), (1, 4)], 2, "edge") is not None
-        # distinct cut edges: vertices 1 and 4 carry both paths, no edge does
-        arms = Solution((Path.trace(dag, (2, 4)), Path.trace(dag, (3, 4))))
-        cut = ((1, 2, 1), (1, 3, 1))
-        merged = merge_check(left, arms, cut, [(1, 4), (1, 4)], 1, "edge")
-        assert [p.vertices for p in merged.paths] == [(1, 2, 4), (1, 3, 4)]
-        assert merge_check(left, arms, cut, [(1, 4), (1, 4)], 1, "vertex") is None
+        # a mover may join pebbles on its head: no edge is shared
+        assert merge_check((1, 4), [0], ((1, 4, 2),), 1, "edge") == (4, 4)
+        assert merge_check((1, 4), [0], ((1, 4, 2),), 1, "vertex") is None
+        # two movers share head 4 only by sharing edge (1, 4), capped at c
+        shared = ((1, 4, 2), (1, 4, 2))
+        assert merge_check((1, 1), [0, 1], shared, 1, "edge") is None
+        assert merge_check((1, 1), [0, 1], shared, 2, "edge") == (4, 4)
+        assert merge_check((1, 1, 1), [0, 1, 2], shared + ((1, 4, 2),), 2, "edge") is None
+        assert merge_check((1, 1), [0, 1], ((1, 2, 1), (1, 3, 1)), 1, "edge") == (2, 3)
 
     def test_merged_solutions_verify_at_one(self):
         for seed in range(40):
@@ -254,40 +183,12 @@ class TestSolveDisjointShortest:
 
 
 class TestTightSubgraph:
-    def test_reach_masks_match_path_enumeration(self):
-        # bit y of reach[x]: x and y lie on shortest s-t paths and a path of
-        # edges of shortest s-t paths runs from x to y
-        for seed in range(40):
-            rng = random.Random(seed)
-            dag = random_dag(rng, n=rng.randint(1, 7))
-            n = dag.vertex_count
-            paths = {
-                (x, y): enumerate_all_paths(dag, x, y)
-                for x in range(1, n + 1) for y in range(1, n + 1)
-            }
-            for s in range(1, n + 1):
-                for t in range(1, n + 1):
-                    got = tight_subgraph(dag, s, t)
-                    length = min((w for _, w in paths[s, t]), default=None)
-                    if length is None:
-                        assert got is None
-                        continue
-                    assert got.length == length
-                    shortest = [p for p, w in paths[s, t] if w == length]
-                    on = {v for p in shortest for v in p}
-                    tight = {e for p in shortest for e in zip(p, p[1:])}
-                    for x in range(1, n + 1):
-                        for y in range(1, n + 1):
-                            linked = x == y or any(
-                                set(zip(p, p[1:])) <= tight for p, _ in paths[x, y]
-                            )
-                            want = x in on and y in on and linked
-                            assert bool(got.reach[x] >> y & 1) == want, (seed, s, t, x, y)
+    """Pebbles move along the tight edges of their own demands."""
 
     def test_three_thousand_vertex_chain(self):
-        # per-demand sweeps and masks: 2 demands at c = 2 solve in about
-        # 0.2 s with an 8 MB traced peak, where an all-pairs table of this
-        # chain alone takes seconds and peaks near 190 MB
+        # one backward sweep per demand and 2,999 moves, far past the
+        # recursion limit, on the search's explicit stack; an all-pairs
+        # table of this chain alone takes seconds and peaks near 190 MB
         demands = ((1, 3000), (2, 2999))
         started = time.perf_counter()
         sol = solve_disjoint_shortest(chain(3000), demands, congestion=2)
@@ -309,41 +210,35 @@ class TestMemoStore:
         from dspc import MemoStore
 
         store = MemoStore()
-        key = ((0, 0), ((1, 1),))
-        store.put(key, None)
+        key = (1, 1)
+        store.put(key)
         with pytest.raises(InvariantViolation):
-            store.put(key, None)
+            store.put(key)
 
-    def test_yes_entries_replay_on_induced_subgraph(self):
-        for seed in range(25):
-            rng = random.Random(seed)
-            inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3),
-                                   congestion=1)
-            solver = DisjointShortestSolver(inst.dag)
-            solver.solve(inst.demands)
-            order = inst.dag.order
-            for ((lo, hi), pairs), entry in solver.memo.entries.items():
-                if entry is None:
-                    continue
-                assert pairs == tuple(sorted(pairs))
-                inside = set(order[lo:hi + 1])
-                remap = {v: i + 1 for i, v in enumerate(sorted(inside))}
-                sub_edges = tuple(
-                    (remap[u], remap[v], w)
-                    for u, v, w in inst.dag.edges
-                    if u in inside and v in inside
-                )
-                sub_dag = Dag(len(inside), sub_edges, transformed=inst.dag.transformed)
-                sub_inst = Instance(
-                    sub_dag,
-                    tuple((remap[s], remap[t]) for s, t in pairs),
-                    1,
-                )
-                replayed = Solution(tuple(
-                    Path.trace(sub_dag, tuple(remap[v] for v in p.vertices))
-                    for p in entry.paths
-                ))
-                assert verify_solution(sub_inst, replayed).feasible
+    def test_dead_states_are_infeasible(self):
+        # a dead state, restated as demands (position, terminal) at the same
+        # budget and mode, is an instance the oracle cannot route; grid
+        # demands with distinct endpoints pass the endpoint check and cross
+        for mode in ("vertex", "edge"):
+            dead = 0
+            for seed in range(40):
+                rng = random.Random(seed)
+                dag, _ = grid_dag(rng.randint(2, 4), rng.randint(3, 4))
+                k = rng.randint(2, min(4, dag.vertex_count // 2))
+                c = rng.randint(1, 2) if mode == "vertex" else 1
+                while True:
+                    ends = rng.sample(range(1, dag.vertex_count + 1), 2 * k)
+                    demands = [tuple(sorted(ends[i:i + 2])) for i in range(0, 2 * k, 2)]
+                    if all(dfs_reachable(dag, s, t) for s, t in demands):
+                        break
+                solver = DisjointShortestSolver(dag, congestion=c, mode=mode)
+                solver.solve(demands)
+                terminals = [t for _, t in demands]
+                for state in solver.memo.entries:
+                    restated = Instance(dag, tuple(zip(state, terminals)), c, mode)
+                    assert brute_force_oracle(restated) is None, (mode, seed, state)
+                    dead += 1
+            assert dead >= 10, mode
 
 
 class TestBruteForceOracle:
