@@ -20,20 +20,37 @@ checks a source, so in vertex mode ``solve`` first rejects any vertex at
 which more than c demands start or end. Congestion 1 is the disjoint case
 of either mode.
 
+Before the search, ``solve`` pins every demand whose route is forced and
+takes its load off the budget. A walk from s along tight edges that never
+forks is the demand's only shortest path. When such walks were pinned, the
+other demands are counted again, up to 2 shortest paths, skipping every
+element (vertex or edge) that the pinned paths already fill to c: a demand
+with one path left is pinned too, one with none makes the instance
+infeasible, and the count repeats until nothing changes. The pinned loads
+form a ``fixed`` map that ``merge_check`` adds to every count, so the
+search moves only the free pebbles. Every pinned route is the same in every
+feasible routing, so the routing found is the one the search would find
+carrying every pebble. In vertex mode a pinned path may run through the
+source of a free pebble, which no move checks, so ``solve`` checks those
+sources itself.
+
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
 The search keeps its path in an explicit stack, one level per move, so long
-graphs stay clear of the recursion limit.
+graphs stay clear of the recursion limit. At ``DSPC_LOG=debug`` an
+infeasible solve logs its reason on the ``dspc.exact`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import prod
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     INFINITY,
@@ -54,6 +71,13 @@ DEFAULT_CAP = 6
 #: One vertex per pebble, in demand order.
 State = tuple[int, ...]
 
+#: Paths pinned before the search, per element (vertex or edge); read only.
+Load = Mapping[object, int]
+#: The load when nothing is pinned.
+NO_LOAD: Load = MappingProxyType({})
+
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class MemoStore:
@@ -73,13 +97,16 @@ def merge_check(
     edges: Sequence[Edge],
     congestion: int = 1,
     mode: str = VERTEX,
+    fixed: Load = NO_LOAD,
 ) -> State | None:
     """Move pebble ``movers[j]`` along ``edges[j]``; the next state, or None over budget.
 
     In vertex mode a head's load is every pebble on it after the move,
     resting and finished ones included; in edge mode an edge's load is the
-    number of movers that take it. Under the search's move order both counts
-    are final, so accepting up to ``congestion`` on each is exact.
+    number of movers that take it. Either load adds the ``fixed`` load of
+    the paths pinned before the search (read only). Under the search's move
+    order both counts are final, so accepting up to ``congestion`` on each
+    is exact.
     """
     if not movers or len(movers) != len(edges):
         raise InvariantViolation("movers and edges disagree on size")
@@ -88,17 +115,19 @@ def merge_check(
         if state[i] != edge[0]:
             raise InvariantViolation(f"pebble {i} on vertex {state[i]} cannot take edge {edge}")
         nxt[i] = edge[1]
+    pinned = fixed.get
     if mode == VERTEX:
-        over = any(nxt.count(head) > congestion for _, head, _ in edges)
+        over = any(nxt.count(head) + pinned(head, 0) > congestion for _, head, _ in edges)
     else:
-        over = any(edges.count(edge) > congestion for edge in edges)
+        over = any(edges.count(edge) + pinned(edge, 0) > congestion for edge in edges)
     return None if over else tuple(nxt)
 
 
 class DisjointShortestSolver:
     """Pebbling search routing at congestion c per vertex or edge of one DAG.
 
-    ``memo`` holds the dead states of the latest solve() call and is not
+    ``memo`` holds the dead states and ``pinned`` the indices of the demands
+    pinned before the search, both of the latest solve() call; neither is
     mutated once that call returns.
     """
 
@@ -114,6 +143,7 @@ class DisjointShortestSolver:
         self.congestion = congestion
         self.mode = mode
         self.memo = MemoStore()
+        self.pinned: tuple[int, ...] = ()
 
     def solve(self, pairs: Sequence[Demand]) -> Solution | None:
         pairs = tuple((int(s), int(t)) for s, t in pairs)
@@ -126,30 +156,123 @@ class DisjointShortestSolver:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
         self.memo = MemoStore()
+        self.pinned = ()
         if self.mode == VERTEX:
             load = Counter(s for s, _ in pairs) + Counter(t for s, t in pairs if t != s)
-            if max(load.values()) > self.congestion:
-                return None  # more paths start or end at one vertex than it can carry
+            over = [v for v, count in load.items() if count > self.congestion]
+            if over:
+                # more paths start or end at the vertex than it can carry
+                return _infeasible("endpoint overload at vertex %d", over[0])
         terminals = tuple(t for _, t in pairs)
         to_t = {t: self.dag.dist_to(t) for t in dict.fromkeys(terminals)}
-        if any(to_t[t][s] == INFINITY for s, t in pairs):
+        for i, (s, t) in enumerate(pairs):
+            if to_t[t][s] == INFINITY:
+                return _infeasible("demand %d has no shortest path left", i)
+        # Tight out-edges per (vertex, terminal), built on first use by the
+        # pin pass or the search: (u, v, w) with w + b[v] = b[u], b = to_t[t].
+        tight: dict[tuple[int, int], list[Edge]] = {}
+        walks: dict[int, tuple[int, ...]] = {}
+        fixed = self._pin(pairs, to_t, tight, walks)
+        self.pinned = tuple(sorted(walks))
+        if fixed is None:
             return None
-        states = self._search(tuple(s for s, _ in pairs), terminals, to_t)
+        free = [i for i in range(len(pairs)) if i not in walks]
+        states = self._search(
+            tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), to_t, tight, fixed
+        )
         if states is None:
-            return None
-        # Pebbles only move forward, so dropping repeats leaves each walk.
-        return Solution(tuple(
-            Path(tuple(dict.fromkeys(state[i] for state in states)), to_t[t][s])
-            for i, (s, t) in enumerate(pairs)
-        ))
+            return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
+        for j, i in enumerate(free):
+            # Pebbles only move forward, so dropping repeats leaves each walk.
+            walks[i] = tuple(dict.fromkeys(state[j] for state in states))
+        return Solution(tuple(Path(walks[i], to_t[t][s]) for i, (s, t) in enumerate(pairs)))
+
+    def _pin(
+        self,
+        pairs: tuple[Demand, ...],
+        to_t: dict[int, tuple[float, ...]],
+        tight: dict[tuple[int, int], list[Edge]],
+        walks: dict[int, tuple[int, ...]],
+    ) -> Load | None:
+        """Pin the forced demands into ``walks`` by index; their loads, or None when infeasible."""
+        c, vertex_mode, out_edges = self.congestion, self.mode == VERTEX, self.dag.out_edges
+
+        def tight_out(u: int, t: int) -> list[Edge]:
+            edges = tight.get((u, t))
+            if edges is None:
+                b = to_t[t]
+                edges = tight[u, t] = [e for e in out_edges[u] if e[2] + b[e[1]] == b[u]]
+            return edges
+
+        # Every tight edge out of a vertex reached from s leads on to t, so a
+        # walk that never forks is the demand's only shortest path.
+        loads = []
+        for i, (s, t) in enumerate(pairs):
+            taken, u = [], s
+            while u != t:
+                edges = tight_out(u, t)
+                if len(edges) != 1:
+                    break
+                taken.append(edges[0])
+                u = edges[0][1]
+            else:
+                walks[i] = (s, *(head for _, head, _ in taken))
+                loads.append(walks[i] if vertex_mode else taken)
+        if not walks:
+            return NO_LOAD
+        fixed = Counter(chain.from_iterable(loads))
+        over = [x for x, load in fixed.items() if load > c]
+        if over:
+            return _infeasible("pinned paths overload %s %s", self.mode, over[0])
+
+        # Count the free demands again on what the pinned paths leave open.
+        pos, order = self.dag.position, self.dag.order
+        changed = True
+        while changed:
+            changed = False
+            for i, (s, t) in enumerate(pairs):
+                if i in walks:
+                    continue
+                ways = {} if vertex_mode and fixed[s] >= c else {s: 1}
+                last: dict[int, Edge] = {}
+                for u in order[pos[s]:pos[t]]:
+                    if u not in ways:
+                        continue
+                    for edge in tight_out(u, t):
+                        head = edge[1]
+                        if fixed[head if vertex_mode else edge] < c:
+                            ways[head] = min(2, ways.get(head, 0) + ways[u])
+                            last[head] = edge
+                count = ways.get(t, 0)
+                if count == 0:
+                    return _infeasible("demand %d has no shortest path left", i)
+                if count == 1:
+                    # ways is 1 all along the one path, so its last edges trace it
+                    walk = [t]
+                    while walk[-1] != s:
+                        walk.append(last[walk[-1]][0])
+                    walks[i] = tuple(reversed(walk))
+                    fixed.update(walks[i] if vertex_mode else (last[v] for v in walk[:-1]))
+                    changed = True
+
+        if vertex_mode:
+            starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
+            for s, count in starts.items():
+                if fixed[s] + count > c:
+                    return _infeasible("pinned paths overload vertex %d", s)
+        return fixed
 
     def _search(
-        self, start: State, terminals: State, to_t: dict[int, tuple[float, ...]]
+        self,
+        start: State,
+        terminals: State,
+        to_t: dict[int, tuple[float, ...]],
+        tight: dict[tuple[int, int], list[Edge]],
+        fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
         pos, out_edges = self.dag.position, self.dag.out_edges
         c, mode, dead = self.congestion, self.mode, self.memo.entries
-        tight: dict[tuple[int, int], list[Edge]] = {}
 
         def moves(state: State) -> Iterator[State]:
             u = min((v for v, t in zip(state, terminals) if v != t), key=pos.__getitem__)
@@ -163,7 +286,7 @@ class DisjointShortestSolver:
                     edges = tight[u, t] = [e for e in out_edges[u] if e[2] + b[e[1]] == b[u]]
                 options.append(edges)
             for pick in product(*options):
-                nxt = merge_check(state, movers, pick, c, mode)
+                nxt = merge_check(state, movers, pick, c, mode, fixed)
                 if nxt is not None and nxt not in dead:
                     yield nxt
 
@@ -181,6 +304,12 @@ class DisjointShortestSolver:
                     return path
                 frames.append(moves(nxt))
         return None
+
+
+def _infeasible(reason: str, *args: object) -> None:
+    """Log why a solve found no routing, and return its None."""
+    log.debug("infeasible: " + reason, *args)
+    return None
 
 
 def solve_disjoint_shortest(

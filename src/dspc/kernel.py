@@ -59,20 +59,18 @@ def canonical_shortest_path(dag: Dag, s: int, t: int) -> Path:
 
 
 def extend_with_shortest(
-    inst: Instance, core_solution: Solution, core_subset: Sequence[int]
+    shortest: Sequence[Path], core_solution: Solution, core_subset: Sequence[int]
 ) -> Solution:
-    """Combine a routed demand core with canonical shortest paths for the rest.
+    """Combine a routed demand core with given shortest paths for the rest.
 
-    ``core_subset`` lists the demand indices the core solution covers, in the
-    same order as its paths. The combined solution is returned unverified.
+    ``shortest`` holds one shortest path per demand; ``core_subset`` lists
+    the demand indices the core solution covers, in the same order as its
+    paths, and those demands take their core paths instead. The combined
+    solution is returned unverified.
     """
-    by_index = dict(zip(core_subset, core_solution.paths))
-    paths = []
-    for i, (s, t) in enumerate(inst.demands):
-        if i in by_index:
-            paths.append(by_index[i])
-        else:
-            paths.append(canonical_shortest_path(inst.dag, s, t))
+    paths = list(shortest)
+    for i, path in zip(core_subset, core_solution.paths):
+        paths[i] = path
     return Solution(tuple(paths))
 
 
@@ -82,8 +80,9 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
     Unreachable demands make the instance infeasible outright. When
     k <= 3(k - c) the exact solver runs at budget c directly; otherwise the
     subsets of 3(k - c) demands are tried in lexicographic order, each routed
-    at congestion 2(k - c), extended with shortest paths, and the first
-    extension that verifies at budget c wins.
+    at congestion 2(k - c), extended with canonical shortest paths (one per
+    demand, found once per call), and the first extension that verifies at
+    budget c wins.
     """
     if inst.mode != VERTEX:
         raise InvariantViolation("solve_kdspc applies to vertex mode")
@@ -92,6 +91,7 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
     d = inst.slack
     if inst.k <= 3 * d:
         return solve_with_congestion(inst, cap=cap)
+    shortest = [canonical_shortest_path(inst.dag, s, t) for s, t in inst.demands]
     for subset in combinations(range(inst.k), 3 * d):
         if subset:
             sub = Instance(
@@ -105,7 +105,7 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
                 continue
         else:
             core = Solution(())
-        candidate = extend_with_shortest(inst, core, subset)
+        candidate = extend_with_shortest(shortest, core, subset)
         if verify_solution(inst, candidate).feasible:
             return candidate
     return None

@@ -13,6 +13,7 @@ from itertools import permutations
 from math import inf
 
 from dspc import Dag, Instance, Path, Solution
+from dspc.randgen import grid
 
 
 def chain(n: int, weight: int = 1) -> Dag:
@@ -25,18 +26,8 @@ def diamond() -> Dag:
 
 def grid_dag(rows: int, cols: int) -> tuple[Dag, dict[tuple[int, int], int]]:
     """Unit-weight grid directed right and down; returns (dag, coordinate ids)."""
-    vid = {}
-    for r in range(rows):
-        for c in range(cols):
-            vid[(r, c)] = r * cols + c + 1
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid[(r, c)], vid[(r, c + 1)], 1))
-            if r + 1 < rows:
-                edges.append((vid[(r, c)], vid[(r + 1, c)], 1))
-    return Dag(rows * cols, tuple(edges)), vid
+    vid = {(r, c): r * cols + c + 1 for r in range(rows) for c in range(cols)}
+    return grid(rows, cols), vid
 
 
 def enumerate_all_paths(dag: Dag, s: int, t: int) -> list[tuple[tuple[int, ...], int]]:

@@ -1,10 +1,11 @@
-"""Pebbling search, its move check, its dead-state memo, and the brute-force oracle."""
+"""Pebbling search with its pin pass, move check and dead-state memo; the brute-force oracle."""
 
 from __future__ import annotations
 
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -27,9 +28,9 @@ from dspc import (
 )
 from dspc import exact
 from dspc.exact import count_shortest_paths
-from dspc.randgen import random_dag, random_instance
+from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
-from helpers import chain, dfs_reachable, diamond, enumerate_all_paths, grid_dag
+from helpers import chain, diamond, enumerate_all_paths, grid_dag
 
 
 class TestMergeCheck:
@@ -42,8 +43,9 @@ class TestMergeCheck:
 
     def test_detour_is_never_a_candidate(self, monkeypatch):
         # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
-        # never offers it and merge_check needs no length test
-        dag = Dag(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5)))
+        # never offers it and merge_check needs no length test; the second
+        # route 1-5-3-4 keeps the demand from being pinned before the search
+        dag = Dag(5, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1)))
         offered = []
 
         def recording(state, movers, edges, *args):
@@ -87,6 +89,13 @@ class TestMergeCheck:
         assert merge_check((1, 1, 3), [0, 1], ((1, 3, 1), (1, 3, 1)), 2) is None
         # edge mode counts no vertex
         assert merge_check((1, 3), [0], ((1, 3, 1),), 1, "edge") == (3, 3)
+
+    def test_fixed_load_adds_to_every_count(self):
+        # one pinned path already holds vertex 2 and edge (1, 2, 1)
+        assert merge_check((1,), [0], ((1, 2, 1),), 1, "vertex", {2: 1}) is None
+        assert merge_check((1,), [0], ((1, 2, 1),), 2, "vertex", {2: 1}) == (2,)
+        assert merge_check((1,), [0], ((1, 2, 1),), 1, "edge", {(1, 2, 1): 1}) is None
+        assert merge_check((1,), [0], ((1, 2, 1),), 1, "edge", {2: 1}) == (2,)
 
     def test_edge_mode_counts_cut_edges_not_vertices(self):
         # a mover may join pebbles on its head: no edge is shared
@@ -182,23 +191,135 @@ class TestSolveDisjointShortest:
                     assert is_shortest(Path.trace(inst.dag, path.vertices[:cut]), dm)
 
 
+class TestPinPass:
+    """Forced demands are routed before the search and fill part of the budget."""
+
+    def test_unique_path_is_routed_without_search(self):
+        solver = DisjointShortestSolver(chain(4))
+        sol = solver.solve([(1, 4)])
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
+        assert solver.pinned == (0,) and not solver.memo.entries
+
+    def test_saturated_edge_pins_a_second_demand(self):
+        # (1, 3) has one path and fills edge (2, 3); (2, 5) then has only 2-4-5
+        dag = Dag(5, ((1, 2, 1), (2, 3, 1), (2, 4, 1), (3, 5, 1), (4, 5, 1)))
+        solver = DisjointShortestSolver(dag, mode="edge")
+        sol = solver.solve([(2, 5), (1, 3)])
+        assert [p.vertices for p in sol.paths] == [(2, 4, 5), (1, 2, 3)]
+        assert solver.pinned == (0, 1) and not solver.memo.entries
+        # at c = 2 the second demand keeps both routes and is searched
+        solver = DisjointShortestSolver(dag, congestion=2, mode="edge")
+        assert [p.vertices for p in solver.solve([(2, 5), (1, 3)]).paths] == [(2, 3, 5), (1, 2, 3)]
+        assert solver.pinned == (1,)
+
+    def test_no_residual_path_is_infeasible(self, caplog):
+        # the pinned path 1-2-3 fills both middle vertices of (4, 5)
+        dag = Dag(5, ((1, 2, 1), (2, 3, 1), (4, 2, 1), (4, 3, 1), (2, 5, 1), (3, 5, 1)))
+        solver = DisjointShortestSolver(dag)
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solver.solve([(1, 3), (4, 5)]) is None
+        assert caplog.messages == ["infeasible: demand 1 has no shortest path left"]
+        assert solver.pinned == (0,) and not solver.memo.entries
+        assert solver.solve([(4, 5)]) is not None and solver.pinned == ()
+
+    def test_pinned_path_through_a_free_source(self, caplog):
+        # 1-2-3 is forced and runs through vertex 2, where free demands start
+        dag = Dag(6, ((1, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (4, 6, 1), (5, 6, 1)))
+        assert solve_disjoint_shortest(dag, [(1, 3), (2, 6)]) is None
+        assert brute_force_oracle(Instance(dag, ((1, 3), (2, 6)), 1)) is None
+        # at c = 2 the source holds the pinned path and two free pebbles
+        demands = ((1, 3), (2, 6), (2, 6))
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solve_disjoint_shortest(dag, demands, congestion=2) is None
+        assert caplog.messages == ["infeasible: pinned paths overload vertex 2"]
+        assert brute_force_oracle(Instance(dag, demands, 2)) is None
+        assert solve_disjoint_shortest(dag, demands, congestion=3) is not None
+
+    def test_zero_length_and_duplicate_demands(self, caplog):
+        # (2, 2) holds vertex 2, which leaves (1, 4) the arm through 3
+        solver = DisjointShortestSolver(diamond())
+        sol = solver.solve([(2, 2), (1, 4)])
+        assert [p.vertices for p in sol.paths] == [(2,), (1, 3, 4)]
+        assert solver.pinned == (0, 1) and not solver.memo.entries
+        # in edge mode (2, 2) takes no edge
+        solver = DisjointShortestSolver(diamond(), mode="edge")
+        assert [p.vertices for p in solver.solve([(2, 2), (1, 4)]).paths] == [(2,), (1, 2, 4)]
+        assert solver.pinned == (0,)
+        # equal unique demands are both pinned and share the load
+        solver = DisjointShortestSolver(chain(3), congestion=2, mode="edge")
+        assert len(solver.solve([(1, 3), (1, 3)]).paths) == 2 and solver.pinned == (0, 1)
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)], mode="edge") is None
+            assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)]) is None
+        assert caplog.messages == [
+            "infeasible: pinned paths overload edge (1, 2, 1)",
+            "infeasible: endpoint overload at vertex 1",
+        ]
+
+    def test_search_exhausted_is_logged(self, caplog):
+        # 3x3 grid: (1, 6) must avoid 2 and so ends on 4-5-6, which leaves
+        # (2, 9) no way down
+        solver = DisjointShortestSolver(grid(3, 3))
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solver.solve([(1, 6), (2, 9)]) is None
+        dead = len(solver.memo.entries)
+        assert solver.pinned == () and dead > 0
+        assert caplog.messages == [f"infeasible: search exhausted after {dead} dead states"]
+
+    def test_agrees_with_oracle_on_every_route(self, monkeypatch):
+        # an instance is decided by the pin pass alone, pinned in part and
+        # then searched, or searched with nothing pinned; every route is
+        # taken at least 10 times per mode
+        searched = []
+        search = DisjointShortestSolver._search
+
+        def recording(self, start, *args):
+            searched.append(bool(start))
+            return search(self, start, *args)
+
+        monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
+        for mode in ("vertex", "edge"):
+            routes = Counter()
+            for seed in range(4000):
+                rng = random.Random(seed)
+                k = rng.randint(1, 5)
+                inst = random_instance(
+                    rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                    edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                )
+                searched.clear()
+                solver = DisjointShortestSolver(inst.dag, congestion=inst.congestion, mode=mode)
+                got = solver.solve(inst.demands)
+                want = brute_force_oracle(inst)
+                assert (got is None) == (want is None), (mode, seed)
+                if got is not None:
+                    assert verify_solution(inst, got).feasible, (mode, seed)
+                routes[bool(solver.pinned), any(searched)] += 1
+            assert min(routes[True, False], routes[True, True], routes[False, True]) >= 10, routes
+
+
 class TestTightSubgraph:
     """Pebbles move along the tight edges of their own demands."""
 
     def test_three_thousand_vertex_chain(self):
         # one backward sweep per demand and 2,999 moves, far past the
         # recursion limit, on the search's explicit stack; an all-pairs
-        # table of this chain alone takes seconds and peaks near 190 MB
+        # table of this chain alone takes seconds and peaks near 190 MB.
+        # Bypasses 1-3001-3 and 2-3002-4 give each demand a second shortest
+        # path, so neither is pinned and the search makes every move.
+        dag = Dag(3002, chain(3000).edges + ((1, 3001, 1), (3001, 3, 1), (2, 3002, 1), (3002, 4, 1)))
         demands = ((1, 3000), (2, 2999))
+        solver = DisjointShortestSolver(dag, congestion=2)
         started = time.perf_counter()
-        sol = solve_disjoint_shortest(chain(3000), demands, congestion=2)
+        sol = solver.solve(demands)
         elapsed = time.perf_counter() - started
+        assert solver.pinned == ()
         assert [p.vertices for p in sol.paths] == [tuple(range(1, 3001)), tuple(range(2, 3000))]
-        assert verify_solution(Instance(chain(3000), demands, 2), sol).feasible
+        assert verify_solution(Instance(dag, demands, 2), sol).feasible
         assert elapsed < 1.5
         tracemalloc.start()
         try:
-            solve_disjoint_shortest(chain(3000), demands, congestion=2)
+            solver.solve(demands)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -217,25 +338,21 @@ class TestMemoStore:
 
     def test_dead_states_are_infeasible(self):
         # a dead state, restated as demands (position, terminal) at the same
-        # budget and mode, is an instance the oracle cannot route; grid
-        # demands with distinct endpoints pass the endpoint check and cross
+        # budget and mode next to the pinned demands, is an instance the
+        # oracle cannot route
         for mode in ("vertex", "edge"):
             dead = 0
             for seed in range(40):
                 rng = random.Random(seed)
-                dag, _ = grid_dag(rng.randint(2, 4), rng.randint(3, 4))
-                k = rng.randint(2, min(4, dag.vertex_count // 2))
+                k = rng.randint(2, 4)
                 c = rng.randint(1, 2) if mode == "vertex" else 1
-                while True:
-                    ends = rng.sample(range(1, dag.vertex_count + 1), 2 * k)
-                    demands = [tuple(sorted(ends[i:i + 2])) for i in range(0, 2 * k, 2)]
-                    if all(dfs_reachable(dag, s, t) for s, t in demands):
-                        break
-                solver = DisjointShortestSolver(dag, congestion=c, mode=mode)
-                solver.solve(demands)
-                terminals = [t for _, t in demands]
+                inst = search_heavy_instance(rng, k, c, mode)
+                solver = DisjointShortestSolver(inst.dag, congestion=c, mode=mode)
+                solver.solve(inst.demands)
+                pinned = tuple(inst.demands[i] for i in solver.pinned)
+                terminals = [t for i, (_, t) in enumerate(inst.demands) if i not in solver.pinned]
                 for state in solver.memo.entries:
-                    restated = Instance(dag, tuple(zip(state, terminals)), c, mode)
+                    restated = Instance(inst.dag, tuple(zip(state, terminals)) + pinned, c, mode)
                     assert brute_force_oracle(restated) is None, (mode, seed, state)
                     dead += 1
             assert dead >= 10, mode

@@ -29,6 +29,7 @@ from dspc import (
     swap_subpaths,
     verify_solution,
 )
+from dspc import kernel
 from dspc.randgen import random_dag, random_instance
 
 from helpers import build_miss_gadget, chain, diamond, enumerate_all_paths
@@ -94,16 +95,40 @@ class TestSolveKdspc:
 class TestExtendWithShortest:
     def test_empty_remainder_is_identity(self):
         dag = chain(3)
-        inst = Instance(dag, ((1, 3),), 1)
         core = Solution((Path.trace(dag, (1, 2, 3)),))
-        assert extend_with_shortest(inst, core, (0,)) == core
+        assert extend_with_shortest([canonical_shortest_path(dag, 1, 3)], core, (0,)) == core
 
     def test_remainder_gets_its_unique_path(self):
         dag = chain(4)
-        inst = Instance(dag, ((1, 2), (2, 4)), 2)
+        shortest = [canonical_shortest_path(dag, s, t) for s, t in ((1, 2), (2, 4))]
         core = Solution((Path.trace(dag, (1, 2)),))
-        combined = extend_with_shortest(inst, core, (0,))
+        combined = extend_with_shortest(shortest, core, (0,))
         assert combined.paths[1].vertices == (2, 3, 4)
+
+    def test_each_canonical_path_is_found_once_per_call(self, monkeypatch):
+        # on the subset route every demand's path is found once, up front,
+        # however many subsets are tried
+        calls = Counter()
+        canonical = kernel.canonical_shortest_path
+
+        def counting(dag, s, t):
+            calls["paths"] += 1
+            return canonical(dag, s, t)
+
+        monkeypatch.setattr(kernel, "canonical_shortest_path", counting)
+        cores = kernel.solve_with_congestion
+        monkeypatch.setattr(kernel, "solve_with_congestion",
+                            lambda sub, cap: calls.update(["cores"]) or cores(sub, cap=cap))
+        several = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = rng.choice((4, 5))
+            inst = random_instance(rng, n=rng.randint(3, 8), k=k, congestion=k - 1)
+            calls.clear()
+            kernel.solve_kdspc(inst)
+            assert calls["paths"] in (0, k), seed
+            several += calls["cores"] > 1
+        assert several >= 5
 
     def test_combined_congestion_within_budget(self):
         # whenever the core verifies at 2d, the extension verifies at c
