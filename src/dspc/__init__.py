@@ -18,9 +18,7 @@ from .core import (
     Solution,
     VerifyReport,
     Violation,
-    all_pairs_dist,
     congestion_profile,
-    is_shortest,
     reachable,
     topo_order,
     verify_solution,

@@ -27,7 +27,7 @@ from .core import (
     verify_solution,
 )
 from .errors import InvariantViolation, ProjectionInvalid
-from .exact import DEFAULT_CAP, solve_disjoint_shortest
+from .exact import solve_disjoint_shortest
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def project_solution(sol: Solution, tm: TransformMap) -> Solution:
     return result
 
 
-def solve_with_congestion(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
+def solve_with_congestion(inst: Instance) -> Solution | None:
     """Solve an instance with congestion budget c per vertex or per edge, by its mode.
 
     Runs the exact solver at budget c on the instance's own graph and
@@ -221,7 +221,7 @@ def solve_with_congestion(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | 
     ProjectionInvalid (it would mean a solver bug). Returns None exactly
     when the instance is infeasible.
     """
-    routed = solve_disjoint_shortest(inst.dag, inst.demands, cap, inst.congestion, inst.mode)
+    routed = solve_disjoint_shortest(inst.dag, inst.demands, inst.congestion, inst.mode)
     if routed is None:
         return None
     report = verify_solution(inst, routed)

@@ -21,7 +21,6 @@ from typing import Mapping
 
 from .core import Dag, EDGE, Instance, Path, Solution, VERTEX, verify_solution
 from .errors import InvariantViolation, ProjectionInvalid
-from .exact import DEFAULT_CAP
 from .congestion import solve_with_congestion
 
 SOURCE = "source"
@@ -126,12 +125,12 @@ def project_edge_solution(sol: Solution, emap: EdgeNodeMap) -> Solution:
     return result
 
 
-def solve_edsp(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
+def solve_edsp(inst: Instance) -> Solution | None:
     """Solve an edge-mode instance: split edges into H, solve H at budget c, project back."""
     if inst.mode != EDGE:
         raise InvariantViolation("solve_edsp applies to edge mode")
     h_inst, emap = edge_split_transform(inst)
-    routed = solve_with_congestion(h_inst, cap=cap)
+    routed = solve_with_congestion(h_inst)
     if routed is None:
         return None
     return project_edge_solution(routed, emap)

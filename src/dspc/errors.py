@@ -31,7 +31,7 @@ class ParseError(DspcError):
 
 
 class LimitExceeded(DspcError):
-    """More demands than the exact solver's configured cap."""
+    """The exact solver recorded its budget of dead states without deciding the instance."""
 
 
 class OracleTooLarge(DspcError):

@@ -37,9 +37,12 @@ sources itself.
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
-The search keeps its path in an explicit stack, one level per move, so long
-graphs stay clear of the recursion limit. At ``DSPC_LOG=debug`` an
-infeasible solve logs its reason on the ``dspc.exact`` logger.
+The dead-state memo is what grows with the search, so it is also the
+search's budget: once it holds ``MAX_DEAD_STATES`` states the solve raises
+LimitExceeded. No demand count is refused up front. The search keeps its
+path in an explicit stack, one level per move, so long graphs stay clear of
+the recursion limit. At ``DSPC_LOG=debug`` an infeasible solve logs its
+reason on the ``dspc.exact`` logger.
 """
 
 from __future__ import annotations
@@ -65,8 +68,10 @@ from .core import (
 )
 from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 
-#: Default cap on the number of demands accepted by the exact solver.
-DEFAULT_CAP = 6
+#: Dead states a solve may record before it gives up with LimitExceeded.
+#: Each dead state is expanded once, so this bounds time as well as memory:
+#: a 27-demand block instance that runs out peaks near 117 MB after about 7 s.
+MAX_DEAD_STATES = 2**19
 
 #: One vertex per pebble, in demand order.
 State = tuple[int, ...]
@@ -81,14 +86,38 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class MemoStore:
-    """Write-once record of dead states, from which no sequence of moves finishes."""
+    """Write-once record of dead states, from which no sequence of moves finishes.
+
+    It holds at most ``MAX_DEAD_STATES``; a put past that raises LimitExceeded.
+    """
 
     entries: dict[State, None] = field(default_factory=dict)
 
     def put(self, state: State) -> None:
         if state in self.entries:
             raise InvariantViolation("memo entries are write-once")
+        if len(self.entries) >= MAX_DEAD_STATES:
+            raise LimitExceeded(f"search gave up after {MAX_DEAD_STATES} dead states")
         self.entries[state] = None
+
+
+class _TightEdges(dict):
+    """Tight out-edges per (vertex, terminal), each list built on its first lookup.
+
+    ``self[u, t]`` lists the edges (u, v, w) of u with w + b[v] = b[u],
+    b = dist(., t), in out-edge order; a hit is one dict lookup.
+    """
+
+    def __init__(self, out_edges: Sequence[Sequence[Edge]], to_t: Mapping[int, Sequence[float]]):
+        super().__init__()
+        self.out_edges = out_edges
+        self.to_t = to_t
+
+    def __missing__(self, key: tuple[int, int]) -> list[Edge]:
+        u, t = key
+        b = self.to_t[t]
+        edges = self[key] = [e for e in self.out_edges[u] if e[2] + b[e[1]] == b[u]]
+        return edges
 
 
 def merge_check(
@@ -131,15 +160,12 @@ class DisjointShortestSolver:
     mutated once that call returns.
     """
 
-    def __init__(
-        self, dag: Dag, cap: int = DEFAULT_CAP, congestion: int = 1, mode: str = VERTEX
-    ):
+    def __init__(self, dag: Dag, congestion: int = 1, mode: str = VERTEX):
         if congestion < 1:
             raise InvariantViolation("congestion budget must be at least 1")
         if mode not in MODES:
             raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
         self.dag = dag
-        self.cap = cap
         self.congestion = congestion
         self.mode = mode
         self.memo = MemoStore()
@@ -149,8 +175,6 @@ class DisjointShortestSolver:
         pairs = tuple((int(s), int(t)) for s, t in pairs)
         if len(pairs) < 1:
             raise InvariantViolation("need at least one demand pair")
-        if len(pairs) > self.cap:
-            raise LimitExceeded(f"{len(pairs)} demands exceed the solver cap of {self.cap}")
         n = self.dag.vertex_count
         for s, t in pairs:
             if not (1 <= s <= n and 1 <= t <= n):
@@ -168,17 +192,15 @@ class DisjointShortestSolver:
         for i, (s, t) in enumerate(pairs):
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
-        # Tight out-edges per (vertex, terminal), built on first use by the
-        # pin pass or the search: (u, v, w) with w + b[v] = b[u], b = to_t[t].
-        tight: dict[tuple[int, int], list[Edge]] = {}
+        tight = _TightEdges(self.dag.out_edges, to_t)
         walks: dict[int, tuple[int, ...]] = {}
-        fixed = self._pin(pairs, to_t, tight, walks)
+        fixed = self._pin(pairs, tight, walks)
         self.pinned = tuple(sorted(walks))
         if fixed is None:
             return None
         free = [i for i in range(len(pairs)) if i not in walks]
         states = self._search(
-            tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), to_t, tight, fixed
+            tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), tight, fixed
         )
         if states is None:
             return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
@@ -190,19 +212,11 @@ class DisjointShortestSolver:
     def _pin(
         self,
         pairs: tuple[Demand, ...],
-        to_t: dict[int, tuple[float, ...]],
-        tight: dict[tuple[int, int], list[Edge]],
+        tight: _TightEdges,
         walks: dict[int, tuple[int, ...]],
     ) -> Load | None:
         """Pin the forced demands into ``walks`` by index; their loads, or None when infeasible."""
-        c, vertex_mode, out_edges = self.congestion, self.mode == VERTEX, self.dag.out_edges
-
-        def tight_out(u: int, t: int) -> list[Edge]:
-            edges = tight.get((u, t))
-            if edges is None:
-                b = to_t[t]
-                edges = tight[u, t] = [e for e in out_edges[u] if e[2] + b[e[1]] == b[u]]
-            return edges
+        c, vertex_mode = self.congestion, self.mode == VERTEX
 
         # Every tight edge out of a vertex reached from s leads on to t, so a
         # walk that never forks is the demand's only shortest path.
@@ -210,7 +224,7 @@ class DisjointShortestSolver:
         for i, (s, t) in enumerate(pairs):
             taken, u = [], s
             while u != t:
-                edges = tight_out(u, t)
+                edges = tight[u, t]
                 if len(edges) != 1:
                     break
                 taken.append(edges[0])
@@ -238,7 +252,7 @@ class DisjointShortestSolver:
                 for u in order[pos[s]:pos[t]]:
                     if u not in ways:
                         continue
-                    for edge in tight_out(u, t):
+                    for edge in tight[u, t]:
                         head = edge[1]
                         if fixed[head if vertex_mode else edge] < c:
                             ways[head] = min(2, ways.get(head, 0) + ways[u])
@@ -266,25 +280,17 @@ class DisjointShortestSolver:
         self,
         start: State,
         terminals: State,
-        to_t: dict[int, tuple[float, ...]],
-        tight: dict[tuple[int, int], list[Edge]],
+        tight: _TightEdges,
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        pos, out_edges = self.dag.position, self.dag.out_edges
+        pos = self.dag.position
         c, mode, dead = self.congestion, self.mode, self.memo.entries
 
         def moves(state: State) -> Iterator[State]:
             u = min((v for v, t in zip(state, terminals) if v != t), key=pos.__getitem__)
             movers = [i for i, v in enumerate(state) if v == u != terminals[i]]
-            options = []
-            for i in movers:
-                t = terminals[i]
-                edges = tight.get((u, t))
-                if edges is None:
-                    b = to_t[t]
-                    edges = tight[u, t] = [e for e in out_edges[u] if e[2] + b[e[1]] == b[u]]
-                options.append(edges)
+            options = [tight[u, terminals[i]] for i in movers]
             for pick in product(*options):
                 nxt = merge_check(state, movers, pick, c, mode, fixed)
                 if nxt is not None and nxt not in dead:
@@ -313,17 +319,18 @@ def _infeasible(reason: str, *args: object) -> None:
 
 
 def solve_disjoint_shortest(
-    dag: Dag, pairs: Sequence[Demand], cap: int = DEFAULT_CAP, congestion: int = 1,
-    mode: str = VERTEX,
+    dag: Dag, pairs: Sequence[Demand], congestion: int = 1, mode: str = VERTEX
 ) -> Solution | None:
     """Route every demand by a shortest path with at most ``congestion`` paths per element.
 
     The elements are vertices when ``mode`` is "vertex" and edges when it is
-    "edge". Returns None when no such routing exists. Deterministic: each
-    move tries the movers' edges in lexicographic order of their out-edge
-    lists, and the first sequence of moves that finishes wins.
+    "edge". Returns None when no such routing exists, and raises
+    LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states
+    without deciding. Deterministic: each move tries the movers' edges in
+    lexicographic order of their out-edge lists, and the first sequence of
+    moves that finishes wins.
     """
-    return DisjointShortestSolver(dag, cap=cap, congestion=congestion, mode=mode).solve(pairs)
+    return DisjointShortestSolver(dag, congestion=congestion, mode=mode).solve(pairs)
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:

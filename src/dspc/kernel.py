@@ -32,7 +32,6 @@ from .core import (
     verify_solution,
 )
 from .errors import ContextInvalid, InvariantViolation, NoDonorFound
-from .exact import DEFAULT_CAP
 from .congestion import solve_with_congestion
 
 
@@ -74,7 +73,7 @@ def extend_with_shortest(
     return Solution(tuple(paths))
 
 
-def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
+def solve_kdspc(inst: Instance) -> Solution | None:
     """Solve a vertex-mode congested instance through the demand-core reduction.
 
     Unreachable demands make the instance infeasible outright. When
@@ -90,7 +89,7 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
         return None
     d = inst.slack
     if inst.k <= 3 * d:
-        return solve_with_congestion(inst, cap=cap)
+        return solve_with_congestion(inst)
     shortest = [canonical_shortest_path(inst.dag, s, t) for s, t in inst.demands]
     for subset in combinations(range(inst.k), 3 * d):
         if subset:
@@ -100,7 +99,7 @@ def solve_kdspc(inst: Instance, cap: int = DEFAULT_CAP) -> Solution | None:
                 2 * d,
                 VERTEX,
             )
-            core = solve_with_congestion(sub, cap=cap)
+            core = solve_with_congestion(sub)
             if core is None:
                 continue
         else:

@@ -48,6 +48,11 @@ def enumerate_all_paths(dag: Dag, s: int, t: int) -> list[tuple[tuple[int, ...],
     walk(s, [s], 0)
     return results
 
+def is_shortest(dag: Dag, path: Path) -> bool:
+    """Whether the path's length is the distance between its endpoints, by one forward sweep."""
+    return path.length == dag.dist_from(path.start)[path.end]
+
+
 def exhaustive_distance(dag: Dag, s: int, t: int):
     paths = enumerate_all_paths(dag, s, t)
     return min((w for _, w in paths), default=inf)

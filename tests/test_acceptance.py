@@ -15,7 +15,6 @@ from collections import Counter
 import dspc.kernel
 from dspc import (
     HostGraph,
-    all_pairs_dist,
     brute_force_oracle,
     complete_bipartite_pattern,
     concentrate_congestion,
@@ -127,9 +126,8 @@ def test_criterion_5_psi_structure():
     host = HostGraph((1,) * 6, tuple(((a, 1), (b, 1)) for a, b in pattern.edges))
     inst, layout = psi_to_dspc(pattern, host, 2)
     ok = inst.k == 6 * (2 * (2 - 1) + 1) + 9 == 27
-    dm = all_pairs_dist(inst.dag)
     for l in range(1, 10):
-        ok &= dm.dist(layout.edge_source[l], layout.edge_target[l]) == 5
+        ok &= inst.dag.dist_from(layout.edge_source[l])[layout.edge_target[l]] == 5
     for i in range(1, 7):
         upper = inst.demands[layout.demand_index[("upper", i, 0)]]
         lower = inst.demands[layout.demand_index[("lower", i, 0)]]
@@ -150,8 +148,7 @@ def test_criterion_6_mcc_generator():
         inst, layout = mcc_to_planar_edsp(cg, 2)
         merged = len(layout.merged_cells)
         ok &= inst.dag.vertex_count == n * n + (2 * n * n - merged) + 4 * n + 8
-        dm = all_pairs_dist(inst.dag)
-        ok &= {dm.dist(s, t) for s, t in inst.demands} == {2 * n + 3}
+        ok &= {inst.dag.dist_from(s)[t] for s, t in inst.demands} == {2 * n + 3}
         routed = solve_edsp(inst)
 
         # independent witness search: try every one-per-color combination

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
 from dspc.cli import main
-from dspc import Dag, parse_instance, parse_solution, verify_solution
+from dspc import (
+    Dag,
+    Instance,
+    complete_bipartite_pattern,
+    emit_instance,
+    find_colorful_clique,
+    find_homomorphism,
+    parse_instance,
+    parse_solution,
+    verify_solution,
+)
+from dspc import exact
+from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
+from dspc.randgen import grid
 
 
 def run(*argv) -> int:
@@ -66,6 +82,18 @@ class TestSolve:
         path = tmp_path / "junk.dsp"
         path.write_text("hello\n")
         assert run("solve", "-i", str(path)) == 2
+
+    def test_dead_state_budget_is_error_exit(self, tmp_path, monkeypatch, capsys):
+        # the 3x3 grid whose search records a handful of dead states
+        path = tmp_path / "grid.dsp"
+        path.write_text(emit_instance(Instance(grid(3, 3), ((1, 6), (2, 9)), 1)))
+        assert run("solve", "-i", str(path)) == 1
+        monkeypatch.setattr(exact, "MAX_DEAD_STATES", 1)
+        capsys.readouterr()
+        assert run("solve", "-i", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search gave up after 1 dead states\n"
 
     def test_solution_files_are_deterministic(self, feasible_file, tmp_path):
         first = tmp_path / "a.sol"
@@ -189,6 +217,45 @@ class TestGen:
         text = inst.read_text()
         assert "c family=psi seed=3" in text
         assert "c witness homomorphism" in text
+
+
+class TestGadgetFamilies:
+    """``dspc solve`` decides the paper's gadget families, which carry 8 to 27 demands."""
+
+    @staticmethod
+    def _solve(tmp_path, family, seed, *params):
+        """Generate, solve and, when feasible, verify one file; the solve's exit code."""
+        inst, out = tmp_path / f"{family}.dsp", tmp_path / f"{family}.sol"
+        assert run("gen", family, "--seed", str(seed), "--edge-prob", "0.5", *params,
+                   "-o", str(inst)) == 0
+        code = run("solve", "-i", str(inst), "-o", str(out))
+        if code == 0:
+            assert run("verify", "-i", str(inst), "-s", str(out)) == 0
+        return code
+
+    def test_block_family_matches_homomorphism_search(self, tmp_path):
+        pattern = complete_bipartite_pattern()
+        verdicts = set()
+        for c, size, seed, plant in product((1, 2), (1, 2), (1, 2), (True, False)):
+            code = self._solve(tmp_path, "psi", seed, "--congestion", str(c),
+                               "--class-size", str(size), "--plant" if plant else "--no-plant")
+            host, _ = random_host(random.Random(seed), pattern, [size] * 6, 0.5, plant)
+            assert code == (1 if find_homomorphism(pattern, host) is None else 0), (c, size, seed)
+            verdicts.add(code)
+        assert verdicts == {0, 1}
+
+    def test_four_colour_grid_family_matches_clique_search(self, tmp_path):
+        verdicts = set()
+        for seed, plant in product((1, 2), (True, False)):
+            code = self._solve(tmp_path, "mcc", seed, "--size", "6", "--colors", "4",
+                               "--plant" if plant else "--no-plant")
+            rng = random.Random(seed)
+            cg = random_colored_graph(rng, 6, 4, 0.5)
+            if plant:
+                cg, _ = plant_colorful_clique(rng, cg)
+            assert code == (1 if find_colorful_clique(cg, 4) is None else 0), (seed, plant)
+            verdicts.add(code)
+        assert verdicts == {0, 1}
 
 
 class TestBench:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspc import (
     Instance,
@@ -13,7 +16,6 @@ from dspc import (
     Path,
     ProjectionInvalid,
     Solution,
-    all_pairs_dist,
     brute_force_oracle,
     edge_split_transform,
     expand_congestion,
@@ -22,13 +24,14 @@ from dspc import (
     reachable,
     solve_disjoint_shortest,
     solve_edsp,
+    solve_kdspc,
     solve_with_congestion,
     topo_order,
     verify_solution,
 )
 from dspc.congestion import compose
 from dspc.edge_disjoint import project_edge_solution
-from dspc.randgen import random_instance
+from dspc.randgen import random_instance, search_heavy_instance
 
 from helpers import chain, diamond, grid_dag
 
@@ -39,7 +42,7 @@ class TestIsolateTerminals:
         isolated, tm = isolate_terminals(inst)
         assert isolated.dag.vertex_count == 5
         assert isolated.demands == ((4, 5),)
-        assert all_pairs_dist(isolated.dag).dist(4, 5) == 4
+        assert isolated.dag.dist_from(4)[5] == 4
         assert tm.terminal_gadget == {0: (4, 5)}
 
     def test_shared_source_gets_two_fresh_sources(self):
@@ -56,10 +59,8 @@ class TestIsolateTerminals:
             inst = random_instance(rng, n=rng.randint(1, 6), k=rng.randint(1, 3),
                                    congestion=rng.randint(1, 2))
             isolated, _ = isolate_terminals(inst)
-            dm_old = all_pairs_dist(inst.dag)
-            dm_new = all_pairs_dist(isolated.dag)
             for (s, t), (ns, nt) in zip(inst.demands, isolated.demands):
-                assert dm_new.dist(ns, nt) == dm_old.dist(s, t) + 2
+                assert isolated.dag.dist_from(ns)[nt] == inst.dag.dist_from(s)[t] + 2
 
     def test_feasibility_preserved(self):
         for seed in range(40):
@@ -72,7 +73,8 @@ class TestIsolateTerminals:
     def test_zero_length_demand(self):
         inst = Instance(chain(3), ((2, 2),), 1)
         isolated, _ = isolate_terminals(inst)
-        assert all_pairs_dist(isolated.dag).dist(*isolated.demands[0]) == 2
+        (s, t), = isolated.demands
+        assert isolated.dag.dist_from(s)[t] == 2
 
 
 class TestExpandCongestion:
@@ -294,3 +296,29 @@ class TestNativeAgainstReductions:
             assert (got is None) == (split is None) == (reduced is None) == (want is None)
             if got is not None:
                 assert verify_solution(inst, got).feasible
+
+    # No search_heavy_instance demand is pinned, so every draw reaches the
+    # pebbling search. Edge budgets above 1 leave nearly every draw feasible,
+    # so edge mode draws c = 1 and at least 4 demands.
+    @pytest.mark.parametrize("mode, smallest_k, largest_c", (("vertex", 2, 3), ("edge", 4, 1)))
+    def test_search_heavy_draws(self, mode, smallest_k, largest_c):
+        verdicts = Counter()
+
+        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32), st.integers(smallest_k, 6), st.data())
+        def check(seed, k, data):
+            c = data.draw(st.integers(1, min(k, largest_c)), label="congestion")
+            inst = search_heavy_instance(random.Random(seed), k, c, mode)
+            infeasible = brute_force_oracle(inst) is None
+            routes = [solve_with_congestion(inst)]
+            if mode == "vertex":
+                routes += [self._reduced(inst), solve_kdspc(inst)]
+            else:
+                routes += [solve_edsp(inst)]
+            for routed in routes:
+                assert (routed is None) == infeasible
+                assert routed is None or verify_solution(inst, routed).feasible
+            verdicts[infeasible] += 1
+
+        check()
+        assert min(verdicts[False], verdicts[True]) >= 10, verdicts

@@ -17,9 +17,7 @@ from dspc import (
     Path,
     ShapeMismatch,
     Solution,
-    all_pairs_dist,
     congestion_profile,
-    is_shortest,
     reachable,
     topo_order,
     verify_solution,
@@ -33,6 +31,7 @@ from helpers import (
     diamond,
     enumerate_all_paths,
     exhaustive_distance,
+    is_shortest,
 )
 
 
@@ -66,7 +65,7 @@ class TestDagInvariants:
 
     def test_allows_zero_weight_when_transformed(self):
         dag = Dag(2, ((1, 2, 0),), transformed=True)
-        assert all_pairs_dist(dag).dist(1, 2) == 0
+        assert dag.dist_from(1)[2] == 0
 
     def test_cycle_detected_on_order(self):
         dag = Dag(2, ((1, 2, 1), (2, 1, 1)))
@@ -101,18 +100,19 @@ class TestTopoOrder:
 
 class TestDistances:
     def test_chain(self):
-        dm = all_pairs_dist(chain(3))
-        assert dm.dist(1, 3) == 2
-        assert dm.dist(3, 1) == INFINITY
+        dag = chain(3)
+        assert dag.dist_from(1)[3] == 2
+        assert dag.dist_from(3)[1] == INFINITY
 
     def test_diamond_two_hops(self):
-        assert all_pairs_dist(diamond()).dist(1, 4) == 2
+        assert diamond().dist_from(1)[4] == 2
 
     def test_matches_path_enumeration_on_random_dags(self):
+        # the all-pairs table no route reads, kept for the benchmark's traced runs
         for seed in range(40):
             rng = random.Random(seed)
             dag = random_dag(rng, n=rng.randint(1, 8), max_weight=2)
-            dm = all_pairs_dist(dag)
+            dm = dag.distances
             for s in range(1, dag.vertex_count + 1):
                 for t in range(1, dag.vertex_count + 1):
                     assert dm.dist(s, t) == exhaustive_distance(dag, s, t)
@@ -132,47 +132,45 @@ class TestDistances:
     def test_self_distance_zero_and_edge_triangle_inequality(self):
         for seed in range(20):
             dag = random_dag(random.Random(seed), n=7)
-            dm = all_pairs_dist(dag)
-            for v in range(1, dag.vertex_count + 1):
-                assert dm.dist(v, v) == 0
             for u in range(1, dag.vertex_count + 1):
+                dist = dag.dist_from(u)
+                assert dist[u] == 0
                 for v, w, weight in dag.edges:
-                    assert dm.dist(u, w) <= dm.dist(u, v) + weight
+                    assert dist[w] <= dist[v] + weight
 
 
 class TestIsShortest:
     def test_chain_path(self):
         dag = chain(3)
-        assert is_shortest(Path.trace(dag, (1, 2, 3)), all_pairs_dist(dag))
+        assert is_shortest(dag, Path.trace(dag, (1, 2, 3)))
 
     def test_detour_loses_to_direct_edge(self):
         dag = Dag(4, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (1, 4, 1)))
-        assert not is_shortest(Path.trace(dag, (1, 2, 4)), all_pairs_dist(dag))
+        assert not is_shortest(dag, Path.trace(dag, (1, 2, 4)))
 
     def test_agrees_with_enumeration_on_sampled_paths(self):
         for seed in range(25):
             rng = random.Random(seed)
             dag = random_dag(rng, n=7)
-            dm = all_pairs_dist(dag)
             for s in range(1, 8):
                 for t in range(s, 8):
                     for vertices, weight in enumerate_all_paths(dag, s, t):
                         expected = weight == exhaustive_distance(dag, s, t)
-                        assert is_shortest(Path(vertices, weight), dm) == expected
+                        assert is_shortest(dag, Path(vertices, weight)) == expected
 
     def test_prefix_of_shortest_is_shortest(self):
         for seed in range(25):
             rng = random.Random(seed)
             dag = random_dag(rng, n=8)
-            dm = all_pairs_dist(dag)
             for s in range(1, 9):
+                dist = dag.dist_from(s)
                 for t in range(s, 9):
                     for vertices, weight in enumerate_all_paths(dag, s, t):
-                        if weight != dm.dist(s, t):
+                        if weight != dist[t]:
                             continue
                         for cut in range(1, len(vertices) + 1):
                             prefix = Path.trace(dag, vertices[:cut])
-                            assert is_shortest(prefix, dm)
+                            assert is_shortest(dag, prefix)
 
 
 class TestPath:
@@ -303,7 +301,7 @@ class TestReachable:
 
 class TestConcurrentSharing:
     def test_threads_share_one_graph_safely(self):
-        # derived state (order, distances) may race on first access; every
+        # derived state (order, positions, adjacency) may race on first access; every
         # thread must still observe identical values
         import threading
 
@@ -311,8 +309,7 @@ class TestConcurrentSharing:
         results = []
 
         def worker():
-            dm = all_pairs_dist(dag)
-            results.append((topo_order(dag), dm.dist(1, dag.vertex_count)))
+            results.append((topo_order(dag), dag.dist_from(1)[dag.vertex_count]))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:

@@ -10,7 +10,6 @@ from dspc import (
     Dag,
     Instance,
     InvariantViolation,
-    all_pairs_dist,
     brute_force_oracle,
     edge_split_transform,
     solve_edsp,
@@ -29,7 +28,7 @@ class TestEdgeSplitTransform:
         assert h_inst.dag.vertex_count == 4
         assert h_inst.mode == "vertex"
         s, t = h_inst.demands[0]
-        assert all_pairs_dist(h_inst.dag).dist(s, t) == 2
+        assert h_inst.dag.dist_from(s)[t] == 2
 
     def test_requires_edge_mode(self):
         with pytest.raises(InvariantViolation):
@@ -48,10 +47,8 @@ class TestEdgeSplitTransform:
             inst = random_instance(rng, n=rng.randint(1, 6), k=rng.randint(1, 2),
                                    congestion=1, mode="edge")
             h_inst, _ = edge_split_transform(inst)
-            dm_g = all_pairs_dist(inst.dag)
-            dm_h = all_pairs_dist(h_inst.dag)
             for (s, t), (hs, ht) in zip(inst.demands, h_inst.demands):
-                assert dm_h.dist(hs, ht) == dm_g.dist(s, t)
+                assert h_inst.dag.dist_from(hs)[ht] == inst.dag.dist_from(s)[t]
 
     def test_transformed_graph_is_acyclic(self):
         for seed in range(20):

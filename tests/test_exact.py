@@ -18,9 +18,7 @@ from dspc import (
     OracleTooLarge,
     Path,
     Solution,
-    all_pairs_dist,
     brute_force_oracle,
-    is_shortest,
     iter_shortest_paths,
     merge_check,
     solve_disjoint_shortest,
@@ -30,7 +28,7 @@ from dspc import exact
 from dspc.exact import count_shortest_paths
 from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
-from helpers import chain, diamond, enumerate_all_paths, grid_dag
+from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest
 
 
 class TestMergeCheck:
@@ -133,9 +131,9 @@ class TestSolveDisjointShortest:
         want = brute_force_oracle(Instance(dag, pairs, 1))
         assert (sol is None) == (want is None)
         if sol is not None:
-            dm = all_pairs_dist(dag)
             for path, expect in zip(sol.paths, want.paths):
-                assert path.length == expect.length == dm.dist(path.start, path.end)
+                assert path.length == expect.length
+                assert is_shortest(dag, path)
 
     def test_equal_demands_get_distinct_paths(self):
         # the crossing (1,4) demands are identical; mapping sub-results back
@@ -151,10 +149,16 @@ class TestSolveDisjointShortest:
         with pytest.raises(InvariantViolation):
             solve_disjoint_shortest(chain(3), [(1, 3)], mode="arc")
 
-    def test_cap_guard(self):
-        dag = chain(8)
-        with pytest.raises(LimitExceeded):
-            solve_disjoint_shortest(dag, [(1, 2)] * 7)
+    def test_demand_count_is_not_capped(self, caplog):
+        # seven demands on one edge are decided, not refused: the endpoint
+        # check rejects them at c = 1 and they all fit at c = 7
+        dag, demands = chain(8), ((1, 2),) * 7
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solve_disjoint_shortest(dag, demands) is None
+        assert caplog.messages == ["infeasible: endpoint overload at vertex 1"]
+        assert brute_force_oracle(Instance(dag, demands, 1)) is None
+        sol = solve_disjoint_shortest(dag, demands, congestion=7)
+        assert sol == brute_force_oracle(Instance(dag, demands, 7))
 
     def test_deterministic(self):
         for seed in range(15):
@@ -174,8 +178,7 @@ class TestSolveDisjointShortest:
             assert (got is None) == (want is None)
             if got is not None:
                 assert verify_solution(inst, got).feasible
-                dm = all_pairs_dist(inst.dag)
-                assert all(is_shortest(p, dm) for p in got.paths)
+                assert all(is_shortest(inst.dag, p) for p in got.paths)
 
     def test_crossing_prefix_is_globally_shortest(self):
         # prefix-optimality of returned paths across the root split
@@ -185,10 +188,9 @@ class TestSolveDisjointShortest:
             sol = solve_disjoint_shortest(inst.dag, inst.demands)
             if sol is None:
                 continue
-            dm = all_pairs_dist(inst.dag)
             for path in sol.paths:
                 for cut in range(1, len(path.vertices) + 1):
-                    assert is_shortest(Path.trace(inst.dag, path.vertices[:cut]), dm)
+                    assert is_shortest(inst.dag, Path.trace(inst.dag, path.vertices[:cut]))
 
 
 class TestPinPass:
@@ -336,6 +338,20 @@ class TestMemoStore:
         with pytest.raises(InvariantViolation):
             store.put(key)
 
+    def test_budget_of_dead_states(self, monkeypatch):
+        # the 3x3 grid of test_search_exhausted_is_logged: its search records
+        # some number of dead states, and one fewer allowed stops the solve
+        solver = DisjointShortestSolver(grid(3, 3))
+        assert solver.solve([(1, 6), (2, 9)]) is None
+        dead = len(solver.memo.entries)
+        assert 0 < dead < exact.MAX_DEAD_STATES
+        monkeypatch.setattr(exact, "MAX_DEAD_STATES", dead)
+        assert solver.solve([(1, 6), (2, 9)]) is None
+        monkeypatch.setattr(exact, "MAX_DEAD_STATES", dead - 1)
+        with pytest.raises(LimitExceeded, match=f"after {dead - 1} dead states"):
+            solver.solve([(1, 6), (2, 9)])
+        assert len(solver.memo.entries) == dead - 1
+
     def test_dead_states_are_infeasible(self):
         # a dead state, restated as demands (position, terminal) at the same
         # budget and mode next to the pinned demands, is an instance the
@@ -397,13 +413,10 @@ class TestShortestPathHelpers:
         for seed in range(30):
             rng = random.Random(seed)
             dag = random_dag(rng, n=7)
-            dm = all_pairs_dist(dag)
             for s in range(1, 8):
+                dist = dag.dist_from(s)
                 for t in range(1, 8):
                     listed = list(iter_shortest_paths(dag, s, t))
-                    brute = [
-                        v for v, w in enumerate_all_paths(dag, s, t)
-                        if w == dm.dist(s, t)
-                    ]
+                    brute = [v for v, w in enumerate_all_paths(dag, s, t) if w == dist[t]]
                     assert count_shortest_paths(dag, s, t) == len(listed) == len(brute)
                     assert [p.vertices for p in listed] == sorted(brute)

@@ -16,7 +16,6 @@ from dspc import (
     PatternNotCubicBipartite,
     UndirectedGraph,
     WitnessInvalid,
-    all_pairs_dist,
     brute_force_oracle,
     clique_to_mcc,
     complete_bipartite_pattern,
@@ -104,8 +103,7 @@ class TestGridGenerator:
             n = rng.randint(2, 5)
             cg = random_colored_graph(rng, n, 2)
             inst, layout = mcc_to_planar_edsp(cg, 2)
-            dm = all_pairs_dist(inst.dag)
-            dists = {dm.dist(s, t) for s, t in inst.demands}
+            dists = {inst.dag.dist_from(s)[t] for s, t in inst.demands}
             assert dists == {2 * n + 3} and layout.common_distance == 2 * n + 3
 
     def test_generated_graph_is_acyclic(self):
@@ -233,9 +231,8 @@ class TestBlockGenerator:
 
     def test_link_demands_have_distance_exactly_five(self):
         inst, layout = self._k33_unit_instance()
-        dm = all_pairs_dist(inst.dag)
         for l in range(1, 10):
-            assert dm.dist(layout.edge_source[l], layout.edge_target[l]) == 5
+            assert inst.dag.dist_from(layout.edge_source[l])[layout.edge_target[l]] == 5
 
     def test_blocking_demands_have_unique_shortest_paths(self):
         inst, layout = self._k33_unit_instance()
