@@ -16,7 +16,6 @@ tested reproduction that no solve takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .core import Dag, EDGE, Instance, Path, Solution, VERTEX, verify_solution
@@ -35,13 +34,6 @@ class EdgeNodeMap:
     target: Instance
     node_of_edge: Mapping[tuple[int, int], int]
     endpoint_node: Mapping[tuple[int, str], int]
-
-    def edge_of_node(self, node: int) -> tuple[int, int] | None:
-        return self._node_to_edge.get(node)
-
-    @cached_property
-    def _node_to_edge(self) -> dict[int, tuple[int, int]]:
-        return {node: edge for edge, node in self.node_of_edge.items()}
 
 
 def edge_split_transform(inst: Instance) -> tuple[Instance, EdgeNodeMap]:
@@ -94,7 +86,7 @@ def edge_split_transform(inst: Instance) -> tuple[Instance, EdgeNodeMap]:
 def project_edge_solution(sol: Solution, emap: EdgeNodeMap) -> Solution:
     """Convert an H routing back into G paths and re-verify edge congestion."""
     original = emap.source
-    node_to_edge = emap._node_to_edge
+    node_to_edge = {node: edge for edge, node in emap.node_of_edge.items()}
     paths = []
     for i, path in enumerate(sol.paths):
         s, t = original.demands[i]

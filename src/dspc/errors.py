@@ -31,7 +31,7 @@ class ParseError(DspcError):
 
 
 class LimitExceeded(DspcError):
-    """The exact solver recorded its budget of dead states without deciding the instance."""
+    """The exact solver used up its budget of dead states or of moves checked without deciding."""
 
 
 class OracleTooLarge(DspcError):

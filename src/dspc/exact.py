@@ -17,8 +17,9 @@ its tail. ``merge_check`` therefore counts loads exactly, move by move: in
 vertex mode the pebbles on each head after the move, resting and finished
 ones included, and in edge mode the movers that take each edge. No move
 checks a source, so in vertex mode ``solve`` first rejects any vertex at
-which more than c demands start or end. Congestion 1 is the disjoint case
-of either mode.
+which more than c demands start or end. In edge mode it rejects a vertex
+at which more demands start than c per out-edge, or end than c per
+in-edge. Congestion 1 is the disjoint case of either mode.
 
 Before the search, ``solve`` pins every demand whose route is forced and
 takes its load off the budget. A walk from s along tight edges that never
@@ -37,9 +38,11 @@ sources itself.
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
-The dead-state memo is what grows with the search, so it is also the
-search's budget: once it holds ``MAX_DEAD_STATES`` states the solve raises
-LimitExceeded. No demand count is refused up front. The search keeps its
+Two budgets bound a solve, and running out of either raises LimitExceeded:
+the memo holds at most ``MAX_DEAD_STATES`` states, and the search checks at
+most ``MAX_MOVES_CHECKED`` moves. The memo alone does not bound time: the m
+movers on a vertex have up to out-degree^m moves, and only in vertex mode
+is m at most c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` an infeasible solve logs its
 reason on the ``dspc.exact`` logger.
@@ -68,10 +71,10 @@ from .core import (
 )
 from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 
-#: Dead states a solve may record before it gives up with LimitExceeded.
-#: Each dead state is expanded once, so this bounds time as well as memory:
-#: a 27-demand block instance that runs out peaks near 117 MB after about 7 s.
+#: Dead states a solve may record before LimitExceeded; about 117 MB at 27 pebbles.
 MAX_DEAD_STATES = 2**19
+#: Moves (``merge_check`` calls) a solve may check before LimitExceeded; 5-15 µs each.
+MAX_MOVES_CHECKED = 2**20
 
 #: One vertex per pebble, in demand order.
 State = tuple[int, ...]
@@ -86,10 +89,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class MemoStore:
-    """Write-once record of dead states, from which no sequence of moves finishes.
-
-    It holds at most ``MAX_DEAD_STATES``; a put past that raises LimitExceeded.
-    """
+    """Write-once record of at most ``MAX_DEAD_STATES`` states from which no moves finish."""
 
     entries: dict[State, None] = field(default_factory=dict)
 
@@ -181,12 +181,20 @@ class DisjointShortestSolver:
                 raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
         self.memo = MemoStore()
         self.pinned = ()
+        c, out = self.congestion, self.dag.out_edges
         if self.mode == VERTEX:
             load = Counter(s for s, _ in pairs) + Counter(t for s, t in pairs if t != s)
-            over = [v for v, count in load.items() if count > self.congestion]
-            if over:
-                # more paths start or end at the vertex than it can carry
-                return _infeasible("endpoint overload at vertex %d", over[0])
+            over = [v for v, count in load.items() if count > c]
+        else:
+            starts = Counter(s for s, t in pairs if t != s)
+            ends = Counter(t for s, t in pairs if t != s)
+            over = [s for s, count in starts.items() if count > c * max(1, len(out[s]))]
+            if max(ends.values(), default=0) > c:
+                indeg = Counter(head for edges in out for _, head, _ in edges)
+                over += [t for t, count in ends.items() if count > c * max(1, indeg[t])]
+        if over:
+            # more paths start or end at the vertex than it can carry
+            return _infeasible("endpoint overload at vertex %d", over[0])
         terminals = tuple(t for _, t in pairs)
         to_t = {t: self.dag.dist_to(t) for t in dict.fromkeys(terminals)}
         for i, (s, t) in enumerate(pairs):
@@ -286,12 +294,17 @@ class DisjointShortestSolver:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
         pos = self.dag.position
         c, mode, dead = self.congestion, self.mode, self.memo.entries
+        checked = 0
 
         def moves(state: State) -> Iterator[State]:
+            nonlocal checked
             u = min((v for v, t in zip(state, terminals) if v != t), key=pos.__getitem__)
             movers = [i for i, v in enumerate(state) if v == u != terminals[i]]
             options = [tight[u, terminals[i]] for i in movers]
             for pick in product(*options):
+                checked += 1
+                if checked > MAX_MOVES_CHECKED:
+                    raise LimitExceeded(f"search gave up after {MAX_MOVES_CHECKED} moves checked")
                 nxt = merge_check(state, movers, pick, c, mode, fixed)
                 if nxt is not None and nxt not in dead:
                     yield nxt
@@ -325,10 +338,10 @@ def solve_disjoint_shortest(
 
     The elements are vertices when ``mode`` is "vertex" and edges when it is
     "edge". Returns None when no such routing exists, and raises
-    LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states
-    without deciding. Deterministic: each move tries the movers' edges in
-    lexicographic order of their out-edge lists, and the first sequence of
-    moves that finishes wins.
+    LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states or
+    checks ``MAX_MOVES_CHECKED`` moves without deciding. Deterministic: each
+    move tries the movers' edges in lexicographic order of their out-edge
+    lists, and the first sequence of moves that finishes wins.
     """
     return DisjointShortestSolver(dag, congestion=congestion, mode=mode).solve(pairs)
 
@@ -403,14 +416,11 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     load: dict = {}
     picked: list[Path] = []
 
-    def keys_of(path: Path):
-        return path.vertices if vertex_mode else tuple(path.edge_seq())
-
     def rec(i: int) -> bool:
         if i == len(choices):
             return True
         for path in choices[i]:
-            keys = keys_of(path)
+            keys = path.vertices if vertex_mode else tuple(path.edge_seq())
             if any(load.get(x, 0) >= budget for x in keys):
                 continue
             for x in keys:
@@ -423,6 +433,4 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
                 load[x] -= 1
         return False
 
-    if rec(0):
-        return Solution(tuple(picked))
-    return None
+    return Solution(tuple(picked)) if rec(0) else None

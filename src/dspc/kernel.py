@@ -81,7 +81,8 @@ def solve_kdspc(inst: Instance) -> Solution | None:
     subsets of 3(k - c) demands are tried in lexicographic order, each routed
     at congestion 2(k - c), extended with canonical shortest paths (one per
     demand, found once per call), and the first extension that verifies at
-    budget c wins.
+    budget c wins. The exact solver's budgets hold per core solve, so this
+    route may spend C(k, 3(k - c)) times them before raising LimitExceeded.
     """
     if inst.mode != VERTEX:
         raise InvariantViolation("solve_kdspc applies to vertex mode")

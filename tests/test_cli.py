@@ -95,6 +95,15 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: search gave up after 1 dead states\n"
 
+    def test_move_budget_is_error_exit(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "grid.dsp"
+        path.write_text(emit_instance(Instance(grid(3, 3), ((1, 6), (2, 9)), 1)))
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", 1)
+        assert run("solve", "-i", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search gave up after 1 moves checked\n"
+
     def test_solution_files_are_deterministic(self, feasible_file, tmp_path):
         first = tmp_path / "a.sol"
         second = tmp_path / "b.sol"

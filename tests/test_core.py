@@ -301,15 +301,16 @@ class TestReachable:
 
 class TestConcurrentSharing:
     def test_threads_share_one_graph_safely(self):
-        # derived state (order, positions, adjacency) may race on first access; every
-        # thread must still observe identical values
+        # derived state (order, positions, adjacency, distances) may race on first
+        # access; every thread must still observe identical values
         import threading
 
         dag = random_dag(random.Random(99), n=8)
+        n = dag.vertex_count
         results = []
 
         def worker():
-            results.append((topo_order(dag), dag.dist_from(1)[dag.vertex_count]))
+            results.append((topo_order(dag), dag.distances.dist(1, n), dag.dist_from(1)[n]))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:

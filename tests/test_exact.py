@@ -160,6 +160,22 @@ class TestSolveDisjointShortest:
         sol = solve_disjoint_shortest(dag, demands, congestion=7)
         assert sol == brute_force_oracle(Instance(dag, demands, 7))
 
+    def test_edge_mode_endpoint_overload(self, caplog):
+        # in edge mode a vertex carries c paths per out-edge from it and per
+        # in-edge into it; the diamond's source and sink have two of each
+        dag = diamond()
+        for demands, vertex in ((((1, 4),) * 3, 1), (((2, 4), (3, 4), (1, 4)), 4)):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="dspc.exact"):
+                assert solve_disjoint_shortest(dag, demands, mode="edge") is None
+            assert caplog.messages == [f"infeasible: endpoint overload at vertex {vertex}"]
+            assert brute_force_oracle(Instance(dag, demands, 1, "edge")) is None
+        sol = solve_disjoint_shortest(dag, ((1, 4),) * 2, mode="edge")
+        assert sol == brute_force_oracle(Instance(dag, ((1, 4),) * 2, 1, "edge"))
+        # thirty pebbles on the forking source are refused up front; the search
+        # would try 2^30 moves from there, none of which fits
+        assert solve_disjoint_shortest(dag, ((1, 4),) * 30, mode="edge") is None
+
     def test_deterministic(self):
         for seed in range(15):
             rng = random.Random(seed)
@@ -250,12 +266,16 @@ class TestPinPass:
         # equal unique demands are both pinned and share the load
         solver = DisjointShortestSolver(chain(3), congestion=2, mode="edge")
         assert len(solver.solve([(1, 3), (1, 3)]).paths) == 2 and solver.pinned == (0, 1)
+        # two forced paths that start and end apart still share edge (3, 4)
+        apart = Dag(6, ((1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1)))
         with caplog.at_level("DEBUG", logger="dspc.exact"):
             assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)], mode="edge") is None
             assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)]) is None
+            assert solve_disjoint_shortest(apart, [(1, 5), (2, 6)], mode="edge") is None
         assert caplog.messages == [
-            "infeasible: pinned paths overload edge (1, 2, 1)",
             "infeasible: endpoint overload at vertex 1",
+            "infeasible: endpoint overload at vertex 1",
+            "infeasible: pinned paths overload edge (3, 4, 1)",
         ]
 
     def test_search_exhausted_is_logged(self, caplog):
@@ -351,6 +371,34 @@ class TestMemoStore:
         with pytest.raises(LimitExceeded, match=f"after {dead - 1} dead states"):
             solver.solve([(1, 6), (2, 9)])
         assert len(solver.memo.entries) == dead - 1
+
+    def test_budget_of_moves_checked(self, monkeypatch):
+        # edge mode, c = 1: twelve pebbles from twelve sources meet at one
+        # vertex with two out-edges, and none of the 2^12 moves from there
+        # fits; the memo stays small, so only the move budget bounds the work
+        k = 12
+        u, a, b = k + 1, k + 2, k + 3
+        edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, a, 1), (u, b, 1)]
+        edges += [(x, b + i, 1) for i in range(1, k + 1) for x in (a, b)]
+        dag, demands = Dag(b + k, tuple(edges)), [(i, b + i) for i in range(1, k + 1)]
+        solver = DisjointShortestSolver(dag, mode="edge")
+        checked = []
+        real = exact.merge_check
+
+        def counting(*args):
+            checked.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(exact, "merge_check", counting)
+        assert solver.solve(demands) is None
+        assert brute_force_oracle(Instance(dag, tuple(demands), 1, "edge")) is None
+        assert len(checked) == k + 2**k
+        assert len(solver.memo.entries) == k + 1
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + 2**k)
+        assert solver.solve(demands) is None
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + 2**k - 1)
+        with pytest.raises(LimitExceeded, match=f"after {k + 2**k - 1} moves checked"):
+            solver.solve(demands)
 
     def test_dead_states_are_infeasible(self):
         # a dead state, restated as demands (position, terminal) at the same
