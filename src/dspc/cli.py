@@ -10,28 +10,16 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import random
 import sys
-import time
 from pathlib import Path as FilePath
 
+# Only what solve, verify and oracle call; gen, bench and --algo kernel
+# import the rest when they run.
 from .core import EDGE, VERTEX, verify_solution
 from .errors import DspcError
-from .exact import brute_force_oracle, solve_disjoint_shortest
+from .exact import brute_force_oracle
 from .congestion import solve_with_congestion
-from .kernel import solve_kdspc
 from .formats import emit_instance, emit_solution, parse_instance, parse_solution
-from .hardness import (
-    complete_bipartite_pattern,
-    find_colorful_clique,
-    make_certificate,
-    mcc_to_planar_edsp,
-    plant_colorful_clique,
-    psi_to_dspc,
-    random_colored_graph,
-    random_host,
-)
-from .randgen import random_instance
 
 log = logging.getLogger("dspc")
 
@@ -59,6 +47,8 @@ def _cmd_solve(args) -> int:
     if args.mode is not None and args.mode != inst.mode:
         raise DspcError(f"instance is {inst.mode} mode, not {args.mode}")
     if args.algo == "kernel":
+        from .kernel import solve_kdspc
+
         sol = solve_kdspc(inst)
     else:
         sol = solve_with_congestion(inst)
@@ -90,6 +80,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    import random
+
+    from .hardness import (
+        complete_bipartite_pattern,
+        make_certificate,
+        mcc_to_planar_edsp,
+        plant_colorful_clique,
+        psi_to_dspc,
+        random_colored_graph,
+        random_host,
+    )
+    from .randgen import random_instance
+
     rng = random.Random(args.seed)
     comments = [f"family={args.family} seed={args.seed}"]
     if args.family == "random":
@@ -136,6 +139,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import random
+    import time
+
+    from .exact import solve_disjoint_shortest
+    from .hardness import find_colorful_clique, mcc_to_planar_edsp, random_colored_graph
+    from .kernel import solve_kdspc
+    from .randgen import random_instance
+
     started = time.monotonic()
     if args.suite == "dnc-oracle":
         agree = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from .core import Dag, Instance, VERTEX
+from .core import EDGE, Dag, Instance, VERTEX
 
 
 def random_dag(rng: random.Random, n: int, edge_prob: float = 0.5, max_weight: int = 2) -> Dag:
@@ -50,19 +50,47 @@ def grid(rows: int, cols: int) -> Dag:
     return Dag(rows * cols, tuple(edges))
 
 
-def layered_dag(rng: random.Random, layers: int, width: int, edge_prob: float = 0.6) -> Dag:
-    """Unit-weight edges between consecutive layers of ``width`` vertices, numbered layer by layer.
+def layered_dag(rng: random.Random, widths: list[int], edge_prob: float = 0.6) -> Dag:
+    """Unit-weight edges between consecutive layers of the given widths, numbered layer by layer.
 
     Every vertex gets at least one edge into the next layer.
     """
     edges = []
-    for layer in range(layers - 1):
-        here = range(layer * width + 1, (layer + 1) * width + 1)
+    first = 1
+    for width, next_width in zip(widths, widths[1:]):
+        here = range(first, first + width)
+        after = range(first + width, first + width + next_width)
         for u in here:
-            heads = [v + width for v in here if rng.random() < edge_prob]
-            for v in heads or [rng.choice(here) + width]:
+            heads = [v for v in after if rng.random() < edge_prob]
+            for v in heads or [rng.choice(after)]:
                 edges.append((u, v, 1))
-    return Dag(layers * width, tuple(edges))
+        first += width
+    return Dag(sum(widths), tuple(edges))
+
+
+def _forking_pairs(dag: Dag, sources) -> list[tuple[int, int]]:
+    """Pairs (s, t), s in ``sources``, with at least two s-to-t paths."""
+    pairs = []
+    for s in sources:
+        ways = Counter({s: 1})
+        for u in dag.order[dag.position[s]:]:
+            if ways[u]:
+                for _, head, _ in dag.out_edges[u]:
+                    ways[head] = min(2, ways[head] + ways[u])
+        pairs += [(s, t) for t, count in ways.items() if count == 2]
+    return pairs
+
+
+def _distinct_demands(rng: random.Random, pairs, k: int) -> tuple | None:
+    """k of the pairs, shuffled, on 2k distinct endpoints; None when they do not fit."""
+    rng.shuffle(pairs)
+    used: set[int] = set()
+    demands = []
+    for s, t in pairs:
+        if len(demands) < k and s not in used and t not in used:
+            used.update((s, t))
+            demands.append((s, t))
+    return tuple(demands) if len(demands) == k else None
 
 
 def search_heavy_instance(
@@ -80,21 +108,32 @@ def search_heavy_instance(
         if rng.random() < 0.5:
             dag = grid(rng.randint(2, 4), rng.randint(3, 4))
         else:
-            dag = layered_dag(rng, rng.randint(3, 5), rng.randint(2, 3))
-        pairs = []
-        for s in dag.order:
-            ways = Counter({s: 1})
-            for u in dag.order[dag.position[s]:]:
-                if ways[u]:
-                    for _, head, _ in dag.out_edges[u]:
-                        ways[head] = min(2, ways[head] + ways[u])
-            pairs += [(s, t) for t, count in ways.items() if count == 2]
-        rng.shuffle(pairs)
-        used: set[int] = set()
-        demands = []
-        for s, t in pairs:
-            if len(demands) < k and s not in used and t not in used:
-                used.update((s, t))
-                demands.append((s, t))
-        if len(demands) == k:
-            return Instance(dag, tuple(demands), congestion, mode)
+            layers = rng.randint(3, 5)
+            dag = layered_dag(rng, [rng.randint(2, 3)] * layers)
+        demands = _distinct_demands(rng, _forking_pairs(dag, dag.order), k)
+        if demands is not None:
+            return Instance(dag, demands, congestion, mode)
+
+
+def bottleneck_instance(rng: random.Random, k: int, congestion: int) -> Instance:
+    """An edge-mode layered DAG whose k demands must all cross one layer of a single vertex.
+
+    Demands sit on 2k distinct endpoints, sources before the narrow vertex
+    and sinks after it, and each has 2+ shortest paths (every path is
+    shortest, as in ``search_heavy_instance``). At least one side of the
+    narrow vertex is two layers deep, since with one layer on each side
+    every path is unique. All k paths run through the narrow vertex, so its
+    few in- and out-edges must share them out at c each. At c = 2 and k of
+    4 to 6 about one draw in five is infeasible, where
+    ``search_heavy_instance`` draws almost never are. The graph is drawn
+    again until k such demands fit.
+    """
+    while True:
+        width, before = rng.randint(3, 4), rng.randint(1, 2)
+        after = 2 if before == 1 else rng.randint(1, 2)
+        dag = layered_dag(rng, [width] * before + [1] + [width] * after)
+        narrow = before * width + 1
+        pairs = [(s, t) for s, t in _forking_pairs(dag, range(1, narrow)) if t > narrow]
+        demands = _distinct_demands(rng, pairs, k)
+        if demands is not None:
+            return Instance(dag, demands, congestion, EDGE)

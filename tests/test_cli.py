@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import dspc
 from dspc.cli import main
 from dspc import (
     Dag,
@@ -284,3 +289,60 @@ class TestUsage:
         monkeypatch.setenv("DSPC_LOG", "debug")
         assert run("solve", "-i", str(feasible_file),
                    "-o", str(tmp_path / "o.sol")) == 0
+
+
+def in_fresh_interpreter(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a new Python process that imports this dspc."""
+    paths = [os.path.dirname(os.path.dirname(dspc.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("DSPC_LOG", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+
+
+class TestLoading:
+    """A command imports only the modules it calls; root names load on first use."""
+
+    SOLVE = (
+        "import json, sys\n"
+        "from dspc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('dspc'))]))\n"
+    )
+
+    def _solve(self, *argv):
+        proc = in_fresh_interpreter(self.SOLVE, *argv)
+        *routing, last = proc.stdout.splitlines(keepends=True)
+        code, modules = json.loads(last)
+        return code, "".join(routing), set(modules)
+
+    def test_solve_loads_only_what_it_calls(self, feasible_file):
+        code, _, modules = self._solve("solve", "-i", str(feasible_file))
+        assert code == 0
+        assert modules == {f"dspc{suffix}" for suffix in (
+            "", ".cli", ".core", ".errors", ".exact", ".congestion", ".formats")}
+
+    def test_kernel_algo_loads_kernel_and_routes_alike(self, tmp_path, capsys):
+        path = tmp_path / "two.dsp"
+        path.write_text(emit_instance(Instance(
+            Dag(4, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1))), ((1, 4), (1, 4)), 2)))
+        code, routing, modules = self._solve("solve", "-i", str(path), "--algo", "kernel")
+        assert "dspc.kernel" in modules
+        assert {"dspc.hardness", "dspc.randgen", "dspc.edge_disjoint"}.isdisjoint(modules)
+        assert run("solve", "-i", str(path), "--algo", "kernel") == code == 0
+        assert capsys.readouterr().out == routing
+
+    def test_root_names_resolve_on_first_use(self):
+        in_fresh_interpreter(
+            "import importlib, sys\n"
+            "import dspc\n"
+            "assert [m for m in sys.modules if m.startswith('dspc.')] == []\n"
+            "for module, names in dspc._EXPORTS.items():\n"
+            "    for name in names:\n"
+            "        exec(f'from dspc import {name} as value')\n"
+            "        assert value is getattr(importlib.import_module('dspc.' + module), name)\n"
+            "for name in ('no_such_name', 'DistanceMatrix', 'VerifyReport', 'TransformMap'):\n"
+            "    assert not hasattr(dspc, name), name\n"
+            "from dspc import kernel\n"
+            "assert kernel is sys.modules['dspc.kernel']\n"
+        )

@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspc import (
+    EDGE,
+    VERTEX,
     Instance,
     InvariantViolation,
     Path,
@@ -31,7 +34,7 @@ from dspc import (
 )
 from dspc.congestion import compose
 from dspc.edge_disjoint import project_edge_solution
-from dspc.randgen import random_instance, search_heavy_instance
+from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
 from helpers import chain, diamond, grid_dag
 
@@ -298,20 +301,26 @@ class TestNativeAgainstReductions:
                 assert verify_solution(inst, got).feasible
 
     # No search_heavy_instance demand is pinned, so every draw reaches the
-    # pebbling search. Edge budgets above 1 leave nearly every draw feasible,
-    # so edge mode draws c = 1 and at least 4 demands.
-    @pytest.mark.parametrize("mode, smallest_k, largest_c", (("vertex", 2, 3), ("edge", 4, 1)))
-    def test_search_heavy_draws(self, mode, smallest_k, largest_c):
+    # pebbling search. Edge budgets above 1 leave nearly every such draw
+    # feasible, so its edge mode draws c = 1 and at least 4 demands; the
+    # bottleneck draws cover edge mode at c = 2.
+    @pytest.mark.parametrize("smallest_k, congestions, draw", (
+        pytest.param(2, (1, 3), partial(search_heavy_instance, mode=VERTEX), id="vertex-2-3"),
+        pytest.param(4, (1, 1), partial(search_heavy_instance, mode=EDGE), id="edge-4-1"),
+        pytest.param(4, (2, 2), bottleneck_instance, id="edge-bottleneck-4-2"),
+    ))
+    def test_search_heavy_draws(self, smallest_k, congestions, draw):
         verdicts = Counter()
 
         @settings(max_examples=150, derandomize=True, deadline=None, database=None)
         @given(st.integers(0, 2**32), st.integers(smallest_k, 6), st.data())
         def check(seed, k, data):
-            c = data.draw(st.integers(1, min(k, largest_c)), label="congestion")
-            inst = search_heavy_instance(random.Random(seed), k, c, mode)
+            smallest_c, largest_c = congestions
+            c = data.draw(st.integers(smallest_c, min(k, largest_c)), label="congestion")
+            inst = draw(random.Random(seed), k, c)
             infeasible = brute_force_oracle(inst) is None
             routes = [solve_with_congestion(inst)]
-            if mode == "vertex":
+            if inst.mode == VERTEX:
                 routes += [self._reduced(inst), solve_kdspc(inst)]
             else:
                 routes += [solve_edsp(inst)]
