@@ -3,6 +3,10 @@
 Exit codes: 0 feasible/verified, 1 infeasible/refuted, 2 usage or input
 error or any other failure, recursion and memory errors included. Set
 DSPC_LOG to quiet, info, or debug to control stderr logging.
+
+Each call builds its parser afresh but adds arguments only to the command
+it invokes; the other commands are registered without them, so usage, help
+and error text are the same as with every command's arguments.
 """
 
 from __future__ import annotations
@@ -192,31 +196,24 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dspc",
-        description="Disjoint shortest paths with congestion on weighted DAGs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="solve an instance file")
+def _solve_args(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("-i", "--instance", required=True)
     solve.add_argument("-o", "--output", default=None)
     solve.add_argument("--algo", choices=("dnc", "kernel"), default="dnc")
     solve.add_argument("--mode", choices=(VERTEX, EDGE), default=None,
                        help="assert the instance mode")
-    solve.set_defaults(func=_cmd_solve)
 
-    verify = sub.add_parser("verify", help="check a solution file against its instance")
+
+def _verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("-i", "--instance", required=True)
     verify.add_argument("-s", "--solution", required=True)
-    verify.set_defaults(func=_cmd_verify)
 
-    oracle = sub.add_parser("oracle", help="solve by brute force (small instances only)")
+
+def _oracle_args(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument("-i", "--instance", required=True)
-    oracle.set_defaults(func=_cmd_oracle)
 
-    gen = sub.add_parser("gen", help="generate an instance file")
+
+def _gen_args(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("family", choices=("psi", "mcc", "random"))
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("-o", "--output", default=None)
@@ -230,20 +227,50 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--class-size", type=int, default=1, help="host class size (psi)")
     gen.add_argument("--plant", action=argparse.BooleanOptionalAction, default=True,
                      help="plant a witness (mcc, psi)")
-    gen.set_defaults(func=_cmd_gen)
 
-    bench = sub.add_parser("bench", help="run a built-in agreement suite")
+
+def _bench_args(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("--suite", choices=("dnc-oracle", "congestion", "kernel", "mcc"),
                        required=True)
     bench.add_argument("--count", type=int, default=50)
-    bench.set_defaults(func=_cmd_bench)
+
+
+#: Subcommand name -> (help, argument adder, handler), in usage order.
+COMMANDS = {
+    "solve": ("solve an instance file", _solve_args, _cmd_solve),
+    "verify": ("check a solution file against its instance", _verify_args, _cmd_verify),
+    "oracle": ("solve by brute force (small instances only)", _oracle_args, _cmd_oracle),
+    "gen": ("generate an instance file", _gen_args, _cmd_gen),
+    "bench": ("run a built-in agreement suite", _bench_args, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The dspc parser, with arguments only on ``command`` if it names a subcommand.
+
+    Every subcommand is registered either way, so a command line that starts
+    with ``command`` gets the same usage, help and error text as from the
+    parser with every command's arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dspc",
+        description="Disjoint shortest paths with congestion on weighted DAGs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in COMMANDS
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (DspcError, OSError) as exc:

@@ -88,7 +88,13 @@ class Dag:
 
     @cached_property
     def order(self) -> tuple[int, ...]:
-        """Topological order, smallest id first among ready vertices."""
+        """Topological order, smallest id first among ready vertices.
+
+        When every edge goes from a lower id to a higher one, that order is
+        1..n and the graph has no cycle, so the heap is skipped.
+        """
+        if all(tail < head for tail, head, _ in self.edges):
+            return tuple(range(1, self.vertex_count + 1))
         indegree = [0] * (self.vertex_count + 1)
         for _, head, _ in self.edges:
             indegree[head] += 1

@@ -41,16 +41,29 @@ def parse_instance(text: str) -> Instance:
     demands: list[tuple[int, int]] = []
     transformed = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         tag = fields[0]
-        if tag == "c":
+        # Arc lines are most of a file, so they are tested first.
+        if tag == "a" and header is not None:
+            if len(fields) != 4:
+                raise ParseError("arc line must read 'a tail head weight'", lineno)
+            try:
+                edges.append((int(fields[1]), int(fields[2]), int(fields[3])))
+            except ValueError:
+                raise ParseError("arc fields must be integers", lineno)
+        elif tag == "d" and header is not None:
+            if len(fields) != 3:
+                raise ParseError("demand line must read 'd source terminal'", lineno)
+            try:
+                demands.append((int(fields[1]), int(fields[2])))
+            except ValueError:
+                raise ParseError("demand fields must be integers", lineno)
+        elif tag == "c":
             if fields[1:] == ["transformed"]:
                 transformed = True
-            continue
-        if tag == "p":
+        elif tag == "p":
             if header is not None:
                 raise ParseError("duplicate problem line", lineno)
             if len(fields) != 7 or fields[1] != "dsp":
@@ -61,23 +74,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError("problem line counts must be integers", lineno)
             if header[4] not in MODES:
                 raise ParseError(f"mode must be one of {MODES}", lineno)
-            continue
-        if header is None:
+        elif header is None:
             raise ParseError("arc or demand line before the problem line", lineno)
-        if tag == "a":
-            if len(fields) != 4:
-                raise ParseError("arc line must read 'a tail head weight'", lineno)
-            try:
-                edges.append((int(fields[1]), int(fields[2]), int(fields[3])))
-            except ValueError:
-                raise ParseError("arc fields must be integers", lineno)
-        elif tag == "d":
-            if len(fields) != 3:
-                raise ParseError("demand line must read 'd source terminal'", lineno)
-            try:
-                demands.append((int(fields[1]), int(fields[2])))
-            except ValueError:
-                raise ParseError("demand fields must be integers", lineno)
         else:
             raise ParseError(f"unknown line tag {tag!r}", lineno)
     if header is None:

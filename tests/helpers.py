@@ -85,6 +85,22 @@ def all_topological_orders(dag: Dag) -> list[tuple[int, ...]]:
     return orders
 
 
+def kahn_order(n: int, edges) -> tuple[int, ...] | None:
+    """Smallest-id-first Kahn order of vertices 1..n, or None if the graph has a cycle."""
+    preds = {v: {u for u, h, _ in edges if h == v} for v in range(1, n + 1)}
+    order: list[int] = []
+    while len(order) < n:
+        ready = [v for v in preds if not preds[v]]
+        if not ready:
+            return None
+        v = min(ready)
+        order.append(v)
+        del preds[v]
+        for waiting in preds.values():
+            waiting.discard(v)
+    return tuple(order)
+
+
 def build_miss_gadget(
     rng: random.Random, hot_columns: int = 4, paths: int = 4, padding: bool = True
 ) -> tuple[Instance, Solution, tuple[int, ...]]:

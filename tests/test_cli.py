@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 import dspc
-from dspc.cli import main
+from dspc.cli import COMMANDS, build_parser, main
 from dspc import (
     Dag,
     Instance,
@@ -289,6 +289,43 @@ class TestUsage:
         monkeypatch.setenv("DSPC_LOG", "debug")
         assert run("solve", "-i", str(feasible_file),
                    "-o", str(tmp_path / "o.sol")) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([name, "--help"] for name in COMMANDS),
+        [],
+        ["frobnicate"],
+        ["solve"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_text_matches_parser_with_every_argument(self, argv, capsys):
+        # main adds only the invoked command's arguments; what it prints must
+        # not show it.
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as want:
+            build_parser().parse_args(argv)
+        assert (got.value.code, printed) == (want.value.code, capsys.readouterr())
+        assert printed.out or printed.err
+
+    def test_each_command_gets_only_its_arguments(self, capsys):
+        valid = {
+            "solve": ["solve", "-i", "x.dsp", "--algo", "kernel"],
+            "verify": ["verify", "-i", "x.dsp", "-s", "x.sol"],
+            "oracle": ["oracle", "-i", "x.dsp"],
+            "gen": ["gen", "psi", "--seed", "1", "--no-plant"],
+            "bench": ["bench", "--suite", "mcc"],
+        }
+        assert valid.keys() == COMMANDS.keys()
+        for command in COMMANDS:
+            parser = build_parser(command)
+            for name, argv in valid.items():
+                if name == command:
+                    assert parser.parse_args(argv) == build_parser().parse_args(argv)
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def in_fresh_interpreter(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -8,7 +8,7 @@ from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dspc import (
@@ -303,7 +303,9 @@ class TestNativeAgainstReductions:
     # No search_heavy_instance demand is pinned, so every draw reaches the
     # pebbling search. Edge budgets above 1 leave nearly every such draw
     # feasible, so its edge mode draws c = 1 and at least 4 demands; the
-    # bottleneck draws cover edge mode at c = 2.
+    # bottleneck draws cover edge mode at c = 2. The seed fixes the draws
+    # apart from the source of ``check``; they still depend on the
+    # hypothesis version, which CI pins.
     @pytest.mark.parametrize("smallest_k, congestions, draw", (
         pytest.param(2, (1, 3), partial(search_heavy_instance, mode=VERTEX), id="vertex-2-3"),
         pytest.param(4, (1, 1), partial(search_heavy_instance, mode=EDGE), id="edge-4-1"),
@@ -312,12 +314,13 @@ class TestNativeAgainstReductions:
     def test_search_heavy_draws(self, smallest_k, congestions, draw):
         verdicts = Counter()
 
-        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @seed(2020)
+        @settings(max_examples=150, deadline=None, database=None)
         @given(st.integers(0, 2**32), st.integers(smallest_k, 6), st.data())
-        def check(seed, k, data):
+        def check(rng_seed, k, data):
             smallest_c, largest_c = congestions
             c = data.draw(st.integers(smallest_c, min(k, largest_c)), label="congestion")
-            inst = draw(random.Random(seed), k, c)
+            inst = draw(random.Random(rng_seed), k, c)
             infeasible = brute_force_oracle(inst) is None
             routes = [solve_with_congestion(inst)]
             if inst.mode == VERTEX:

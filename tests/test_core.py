@@ -32,6 +32,7 @@ from helpers import (
     enumerate_all_paths,
     exhaustive_distance,
     is_shortest,
+    kahn_order,
 )
 
 
@@ -44,6 +45,27 @@ def dags(draw, max_n=8, max_weight=3):
             if draw(st.booleans()):
                 edges.append((u, v, draw(st.integers(1, max_weight))))
     return Dag(n, tuple(edges))
+
+
+def relabel(dag: Dag, label: list[int]) -> Dag:
+    """The same graph with vertex v renamed label[v - 1]."""
+    return Dag(dag.vertex_count, tuple((label[u - 1], label[v - 1], w) for u, v, w in dag.edges))
+
+
+@st.composite
+def relabelled_dags(draw, max_n=8):
+    """A drawn DAG under a random renaming, so edges may go from higher ids to lower."""
+    dag = draw(dags(max_n=max_n))
+    return relabel(dag, draw(st.permutations(range(1, dag.vertex_count + 1))))
+
+
+@st.composite
+def cyclic_graphs(draw, max_n=8):
+    """A drawn DAG plus the reverse of one of its edges, under a random renaming."""
+    dag = draw(dags(max_n=max_n).filter(lambda d: d.edges))
+    u, v, w = draw(st.sampled_from(dag.edges))
+    cyclic = Dag(dag.vertex_count, dag.edges + ((v, u, w),))
+    return relabel(cyclic, draw(st.permutations(range(1, dag.vertex_count + 1))))
 
 
 class TestDagInvariants:
@@ -96,6 +118,18 @@ class TestTopoOrder:
     @given(dags(max_n=6))
     def test_order_is_valid_and_lex_smallest(self, dag):
         assert topo_order(dag) == min(all_topological_orders(dag))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(dags(max_n=10), relabelled_dags(max_n=10)))
+    def test_order_matches_reference_kahn_order(self, dag):
+        assert dag.order == kahn_order(dag.vertex_count, dag.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_graphs(max_n=8))
+    def test_cycles_still_raise(self, dag):
+        assert kahn_order(dag.vertex_count, dag.edges) is None
+        with pytest.raises(CycleDetected):
+            dag.order
 
 
 class TestDistances:
