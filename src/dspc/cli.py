@@ -4,9 +4,10 @@ Exit codes: 0 feasible/verified, 1 infeasible/refuted, 2 usage or input
 error or any other failure, recursion and memory errors included. Set
 DSPC_LOG to quiet, info, or debug to control stderr logging.
 
-Each call builds its parser afresh but adds arguments only to the command
-it invokes; the other commands are registered without them, so usage, help
-and error text are the same as with every command's arguments.
+Each call builds its parser afresh but adds arguments, ``-h`` included,
+only to the command it invokes; the other commands are registered without
+them, so usage, help and error text are the same as with every command's
+arguments.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The dspc parser, with arguments only on ``command`` if it names a subcommand.
+    """The dspc parser, with arguments and help only on ``command`` if it names a subcommand.
 
     Every subcommand is registered either way, so a command line that starts
     with ``command`` gets the same usage, help and error text as from the
@@ -259,8 +260,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     every = command not in COMMANDS
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if every or name == command:
+        invoked = every or name == command
+        subparser = sub.add_parser(name, help=help_text, add_help=invoked)
+        if invoked:
             add_arguments(subparser)
         subparser.set_defaults(func=handler)
     return parser

@@ -4,10 +4,13 @@ All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads. Derived data
 (topological order, positions, adjacency) is computed lazily and cached on
 the graph; a racing first access at worst recomputes. Distances come from
-one O(n + m) sweep per demand: ``Dag.dist_from(s)`` forward from a source,
-``Dag.dist_to(t)`` backward to a terminal. No solve, verify or oracle route
-reads the all-pairs table ``Dag.distances`` (O(n(n + m)) time, n^2 memory);
-it stays because the benchmark's traced runs wrap it by name and read its
+one sweep of the topological order per demand: ``Dag.dist_from(s, t)``
+forward from a source, ``Dag.dist_to(t, s)`` backward to a terminal. Every
+s-t path lies between s and t in that order, so a sweep bounded by the
+other endpoint covers only that window, and each caller reads only the
+window's entries. No solve, verify or oracle route reads the all-pairs
+table ``Dag.distances`` (O(n(n + m)) time, n^2 memory); it stays because
+the benchmark's traced runs wrap it by name and read its
 ``DistanceMatrix.table``.
 """
 
@@ -57,11 +60,14 @@ class Dag:
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         seen = set()
         min_weight = 0 if self.transformed else 1
+        ascending = True
         for tail, head, weight in self.edges:
             if not (1 <= tail <= n and 1 <= head <= n):
                 raise InvariantViolation(f"edge ({tail},{head}) out of vertex range 1..{n}")
-            if tail == head:
-                raise InvariantViolation(f"self-loop at vertex {tail}")
+            if tail >= head:
+                if tail == head:
+                    raise InvariantViolation(f"self-loop at vertex {tail}")
+                ascending = False
             if (tail, head) in seen:
                 raise InvariantViolation(f"parallel edge ({tail},{head})")
             if weight < min_weight:
@@ -69,6 +75,8 @@ class Dag:
                     f"edge ({tail},{head}) has weight {weight}, minimum here is {min_weight}"
                 )
             seen.add((tail, head))
+        # read by ``order``; not a field, so equality and repr ignore it
+        object.__setattr__(self, "_ascending", ascending)
 
     @property
     def edge_count(self) -> int:
@@ -91,9 +99,10 @@ class Dag:
         """Topological order, smallest id first among ready vertices.
 
         When every edge goes from a lower id to a higher one, that order is
-        1..n and the graph has no cycle, so the heap is skipped.
+        1..n and the graph has no cycle, so the heap is skipped; validation
+        has already noted whether they do.
         """
-        if all(tail < head for tail, head, _ in self.edges):
+        if self._ascending:
             return tuple(range(1, self.vertex_count + 1))
         indegree = [0] * (self.vertex_count + 1)
         for _, head, _ in self.edges:
@@ -128,29 +137,45 @@ class Dag:
         """
         return DistanceMatrix(tuple(self.dist_from(s) for s in range(self.vertex_count + 1)))
 
-    def dist_from(self, source: int) -> tuple[float, ...]:
-        """Shortest distance from ``source`` to every vertex, by one forward sweep."""
+    def dist_from(self, source: int, last: int | None = None) -> tuple[float, ...]:
+        """Shortest distance from ``source`` to every vertex, by one forward sweep.
+
+        With ``last`` the sweep stops there: only the entries of the vertices
+        from ``source`` to ``last`` in topological order are exact, and no
+        caller may read the others.
+        """
         dist = [INFINITY] * (self.vertex_count + 1)
         if source == 0:
             return tuple(dist)
         dist[source] = 0
-        for v in self.order[self.position[source]:]:
+        pos = self.position
+        # Edges out of ``last`` reach only vertices after it, so it is not swept.
+        stop = None if last is None else pos[last]
+        out_edges = self.out_edges
+        for v in self.order[pos[source]:stop]:
             dv = dist[v]
             if dv == INFINITY:
                 continue
-            for _, head, weight in self.out_edges[v]:
+            for _, head, weight in out_edges[v]:
                 if dv + weight < dist[head]:
                     dist[head] = dv + weight
         return tuple(dist)
 
-    def dist_to(self, target: int) -> tuple[float, ...]:
-        """Shortest distance from every vertex to ``target``, by one backward sweep."""
+    def dist_to(self, target: int, first: int | None = None) -> tuple[float, ...]:
+        """Shortest distance from every vertex to ``target``, by one backward sweep.
+
+        With ``first`` the sweep stops there: only the entries of the
+        vertices from ``first`` to ``target`` in topological order, and of
+        those after ``target`` (which cannot reach it), are exact, and no
+        caller may read the others.
+        """
         dist = [INFINITY] * (self.vertex_count + 1)
         if target == 0:
             return tuple(dist)
         dist[target] = 0
+        pos = self.position
         out_edges = self.out_edges
-        for v in reversed(self.order[:self.position[target]]):
+        for v in reversed(self.order[0 if first is None else pos[first]:pos[target]]):
             best = INFINITY
             for _, head, weight in out_edges[v]:
                 if weight + dist[head] < best:
@@ -280,7 +305,7 @@ def topo_order(dag: Dag) -> tuple[int, ...]:
 
 
 def reachable(dag: Dag, s: int, t: int) -> bool:
-    return dag.dist_from(s)[t] < INFINITY
+    return dag.dist_from(s, t)[t] < INFINITY
 
 
 def congestion_profile(inst: Instance, sol: Solution) -> CongestionProfile:
@@ -302,23 +327,28 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
     """
     if len(sol.paths) != inst.k:
         raise ShapeMismatch(f"expected {inst.k} paths, got {len(sol.paths)}")
+    dag = inst.dag
+    n, out_edges = dag.vertex_count, dag.out_edges
     violations: list[Violation] = []
     for i, (path, (s, t)) in enumerate(zip(sol.paths, inst.demands)):
         intact = bool(path.vertices)
         length = 0
         for u, v in path.edge_seq():
-            w = inst.dag.weight_of.get((u, v))
-            if w is None:
+            # a tail out of range would index out_edges from the end, or past it
+            for _, head, weight in out_edges[u] if 1 <= u <= n else ():
+                if head == v:
+                    length += weight
+                    break
+            else:
                 intact = False
                 break
-            length += w
         if not intact or length != path.length:
             violations.append(Violation("structure", demand=i))
             continue
         if path.start != s or path.end != t:
             violations.append(Violation("endpoints", demand=i))
             continue
-        if path.length != inst.dag.dist_from(s)[t]:
+        if path.length != dag.dist_from(s, t)[t]:
             violations.append(Violation("not_shortest", demand=i))
     profile = congestion_profile(inst, sol)
     for subject in sorted(profile.counts):

@@ -8,7 +8,9 @@ along an edge (u, v, w) that is tight for its own demand:
 f[u] + w + b[v] = dist(s, t), with f = dist(s, .) and b = dist(., t). A
 pebble that reached u along tight edges has f[u] = dist(s, t) - b[u], so
 the test reads w + b[v] = b[u] and needs only one backward sweep per
-terminal. The walks of a pebble are then exactly the shortest s-to-t paths.
+terminal, which stops at the terminal's earliest source in topological
+order: no pebble is ever before its source. The walks of a pebble are then
+exactly the shortest s-to-t paths.
 
 After a move every unfinished pebble sits after u in the topological order,
 so no pebble comes back to u: all pebbles that ever visit a vertex are on
@@ -196,7 +198,13 @@ class DisjointShortestSolver:
             # more paths start or end at the vertex than it can carry
             return _infeasible("endpoint overload at vertex %d", over[0])
         terminals = tuple(t for _, t in pairs)
-        to_t = {t: self.dag.dist_to(t) for t in dict.fromkeys(terminals)}
+        # Each pebble stays between its source and terminal in topological
+        # order, so a terminal's sweep stops at the earliest of its sources.
+        pos = self.dag.position
+        first: dict[int, int] = {}
+        for s, t in pairs:
+            first[t] = min(s, first.get(t, s), key=pos.__getitem__)
+        to_t = {t: self.dag.dist_to(t, s) for t, s in first.items()}
         for i, (s, t) in enumerate(pairs):
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
@@ -348,7 +356,7 @@ def solve_disjoint_shortest(
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
     """Number of distinct shortest s-to-t paths (0 when t is unreachable)."""
-    f, b = dag.dist_from(s), dag.dist_to(t)
+    f, b = dag.dist_from(s, t), dag.dist_to(t, s)
     target = f[t]
     if target == INFINITY:
         return 0
@@ -371,7 +379,7 @@ def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
 
     Walks only edges (u, v) with dist(s,u) + w(u,v) + dist(v,t) = dist(s,t).
     """
-    f, b = dag.dist_from(s), dag.dist_to(t)
+    f, b = dag.dist_from(s, t), dag.dist_to(t, s)
     target = f[t]
     if target == INFINITY:
         return

@@ -41,7 +41,7 @@ def canonical_shortest_path(dag: Dag, s: int, t: int) -> Path:
     Greedy descent: from each vertex take the smallest successor that still
     lies on some shortest path to t.
     """
-    to_t = dag.dist_to(t)
+    to_t = dag.dist_to(t, s)
     if to_t[s] == INFINITY:
         raise InvariantViolation(f"no path from {s} to {t}")
     vertices = [s]

@@ -53,6 +53,11 @@ def is_shortest(dag: Dag, path: Path) -> bool:
     return path.length == dag.dist_from(path.start)[path.end]
 
 
+def relabel(dag: Dag, label: list[int]) -> Dag:
+    """The same graph with vertex v renamed label[v - 1]."""
+    return Dag(dag.vertex_count, tuple((label[u - 1], label[v - 1], w) for u, v, w in dag.edges))
+
+
 def exhaustive_distance(dag: Dag, s: int, t: int):
     paths = enumerate_all_paths(dag, s, t)
     return min((w for _, w in paths), default=inf)

@@ -21,8 +21,10 @@ from dspc import (
     Solution,
     brute_force_oracle,
     edge_split_transform,
+    emit_instance,
     expand_congestion,
     isolate_terminals,
+    parse_instance,
     project_solution,
     reachable,
     solve_disjoint_shortest,
@@ -36,7 +38,21 @@ from dspc.congestion import compose
 from dspc.edge_disjoint import project_edge_solution
 from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
-from helpers import chain, diamond, grid_dag
+from helpers import chain, diamond, grid_dag, relabel
+
+
+def relabelled_search_heavy_instance(rng: random.Random, k: int, congestion: int) -> Instance:
+    """A vertex-mode ``search_heavy_instance`` under a renaming drawn from ``rng``.
+
+    The renaming is drawn again until some edge goes from a higher id to a
+    lower one, so ``Dag.order`` is not 1..n and runs its heap.
+    """
+    inst = search_heavy_instance(rng, k, congestion, VERTEX)
+    label = list(range(1, inst.dag.vertex_count + 1))
+    while all(label[u - 1] < label[v - 1] for u, v, _ in inst.dag.edges):
+        rng.shuffle(label)
+    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
+    return Instance(relabel(inst.dag, label), demands, congestion, VERTEX)
 
 
 class TestIsolateTerminals:
@@ -303,11 +319,13 @@ class TestNativeAgainstReductions:
     # No search_heavy_instance demand is pinned, so every draw reaches the
     # pebbling search. Edge budgets above 1 leave nearly every such draw
     # feasible, so its edge mode draws c = 1 and at least 4 demands; the
-    # bottleneck draws cover edge mode at c = 2. The seed fixes the draws
-    # apart from the source of ``check``; they still depend on the
-    # hypothesis version, which CI pins.
+    # bottleneck draws cover edge mode at c = 2, and the relabelled case
+    # draws graphs with an edge from a higher id to a lower one. The seed
+    # fixes the draws apart from the source of ``check``; they still depend
+    # on the hypothesis version, which CI pins.
     @pytest.mark.parametrize("smallest_k, congestions, draw", (
         pytest.param(2, (1, 3), partial(search_heavy_instance, mode=VERTEX), id="vertex-2-3"),
+        pytest.param(2, (1, 3), relabelled_search_heavy_instance, id="vertex-relabelled"),
         pytest.param(4, (1, 1), partial(search_heavy_instance, mode=EDGE), id="edge-4-1"),
         pytest.param(4, (2, 2), bottleneck_instance, id="edge-bottleneck-4-2"),
     ))
@@ -321,6 +339,7 @@ class TestNativeAgainstReductions:
             smallest_c, largest_c = congestions
             c = data.draw(st.integers(smallest_c, min(k, largest_c)), label="congestion")
             inst = draw(random.Random(rng_seed), k, c)
+            assert parse_instance(emit_instance(inst)) == inst
             infeasible = brute_force_oracle(inst) is None
             routes = [solve_with_congestion(inst)]
             if inst.mode == VERTEX:

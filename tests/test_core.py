@@ -33,6 +33,7 @@ from helpers import (
     exhaustive_distance,
     is_shortest,
     kahn_order,
+    relabel,
 )
 
 
@@ -45,11 +46,6 @@ def dags(draw, max_n=8, max_weight=3):
             if draw(st.booleans()):
                 edges.append((u, v, draw(st.integers(1, max_weight))))
     return Dag(n, tuple(edges))
-
-
-def relabel(dag: Dag, label: list[int]) -> Dag:
-    """The same graph with vertex v renamed label[v - 1]."""
-    return Dag(dag.vertex_count, tuple((label[u - 1], label[v - 1], w) for u, v, w in dag.edges))
 
 
 @st.composite
@@ -162,6 +158,22 @@ class TestDistances:
                 for u in range(1, n + 1):
                     assert from_v[u] == exhaustive_distance(dag, v, u)
                     assert to_v[u] == exhaustive_distance(dag, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dags(), relabelled_dags()), st.data())
+    def test_windowed_sweeps_match_full_sweeps_inside_the_window(self, dag, data):
+        order = dag.order
+        i, j = (data.draw(st.integers(0, len(order) - 1)) for _ in range(2))
+        s, t = order[i], order[j]
+        from_s, to_t = dag.dist_from(s, t), dag.dist_to(t, s)
+        if j < i:
+            # an empty window: t lies before s, so neither reaches the other
+            assert from_s[t] == to_t[s] == INFINITY
+            return
+        full_from, full_to = dag.dist_from(s), dag.dist_to(t)
+        for v in order[i:j + 1]:
+            assert from_s[v] == full_from[v]
+            assert to_t[v] == full_to[v]
 
     def test_self_distance_zero_and_edge_triangle_inequality(self):
         for seed in range(20):
