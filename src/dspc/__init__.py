@@ -42,7 +42,7 @@ _EXPORTS = {
     "hardness": (
         "ColoredGraph", "HostGraph", "PatternGraph", "UndirectedGraph", "clique_to_mcc",
         "complete_bipartite_pattern", "expected_routing_from_witness", "find_colorful_clique",
-        "find_homomorphism", "make_certificate", "mcc_to_planar_edsp", "psi_to_dspc",
+        "find_homomorphism", "mcc_to_planar_edsp", "psi_to_dspc",
     ),
     "formats": ("emit_instance", "emit_solution", "parse_instance", "parse_solution"),
 }

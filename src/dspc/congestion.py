@@ -41,7 +41,6 @@ class TransformMap:
 
     source: Instance
     target: Instance
-    forward: Mapping[int, tuple[int, ...]]
     backward: Mapping[int, int | None]
     terminal_gadget: Mapping[int, tuple[int, int]]
 
@@ -50,17 +49,12 @@ def compose(first: TransformMap, second: TransformMap) -> TransformMap:
     """Chain two transform steps into a single source-to-final map."""
     if first.target != second.source:
         raise InvariantViolation("transform maps do not chain")
-    forward = {
-        v: tuple(c for mid in copies for c in second.forward[mid])
-        for v, copies in first.forward.items()
-    }
     backward = {}
     for w, mid in second.backward.items():
         backward[w] = None if mid is None else first.backward.get(mid)
     return TransformMap(
         source=first.source,
         target=second.target,
-        forward=forward,
         backward=backward,
         terminal_gadget=dict(second.terminal_gadget),
     )
@@ -79,7 +73,6 @@ def isolate_terminals(inst: Instance) -> tuple[Instance, TransformMap]:
     dag = inst.dag
     n = dag.vertex_count
     edges = list(dag.edges)
-    labels = dict(dag.labels)
     demands = []
     terminal_gadget = {}
     for i, (s, t) in enumerate(inst.demands):
@@ -87,16 +80,13 @@ def isolate_terminals(inst: Instance) -> tuple[Instance, TransformMap]:
         new_t = n + 2 * i + 2
         edges.append((new_s, s, 1))
         edges.append((t, new_t, 1))
-        labels[new_s] = f"demand-{i + 1}-source"
-        labels[new_t] = f"demand-{i + 1}-terminal"
         demands.append((new_s, new_t))
         terminal_gadget[i] = (new_s, new_t)
-    new_dag = Dag(n + 2 * inst.k, tuple(edges), labels, transformed=dag.transformed)
+    new_dag = Dag(n + 2 * inst.k, tuple(edges), transformed=dag.transformed)
     target = Instance(new_dag, tuple(demands), inst.congestion, VERTEX)
     tm = TransformMap(
         source=inst,
         target=target,
-        forward={v: (v,) for v in range(1, n + 1)},
         backward={v: (v if v <= n else None) for v in range(1, n + 2 * inst.k + 1)},
         terminal_gadget=terminal_gadget,
     )
@@ -123,39 +113,32 @@ def expand_congestion(inst: Instance) -> tuple[Instance, TransformMap]:
     c = inst.congestion
     terminals = {v for pair in inst.demands for v in pair}
 
-    forward: dict[int, tuple[int, ...]] = {}
+    copies_of: dict[int, range] = {}
     backward: dict[int, int | None] = {}
-    labels: dict[int, str] = {}
     next_id = 1
     for v in range(1, dag.vertex_count + 1):
-        copies = 1 if v in terminals else c
-        ids = tuple(range(next_id, next_id + copies))
-        next_id += copies
-        forward[v] = ids
-        base = dag.labels.get(v)
-        for idx, new_id in enumerate(ids):
+        copies = range(next_id, next_id + (1 if v in terminals else c))
+        next_id = copies.stop
+        copies_of[v] = copies
+        for new_id in copies:
             backward[new_id] = v
-            if base is not None:
-                labels[new_id] = base if copies == 1 else f"{base}.{idx + 1}"
 
     edges: dict[tuple[int, int], int] = {}
     for u, v, w in dag.edges:
-        for u_copy in forward[u]:
-            for v_copy in forward[v]:
+        for u_copy in copies_of[u]:
+            for v_copy in copies_of[v]:
                 edges.setdefault((u_copy, v_copy), w)
 
     new_dag = Dag(
         next_id - 1,
         tuple((u, v, w) for (u, v), w in edges.items()),
-        labels,
         transformed=True,
     )
-    demands = tuple((forward[s][0], forward[t][0]) for s, t in inst.demands)
+    demands = tuple((copies_of[s][0], copies_of[t][0]) for s, t in inst.demands)
     target = Instance(new_dag, demands, 1, VERTEX)
     tm = TransformMap(
         source=inst,
         target=target,
-        forward=forward,
         backward=backward,
         terminal_gadget={i: pair for i, pair in enumerate(demands)},
     )

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import CycleDetected, InvariantViolation, ShapeMismatch
 
@@ -50,7 +50,6 @@ class Dag:
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    labels: Mapping[int, str] = field(default_factory=dict)
     transformed: bool = False
 
     def __post_init__(self):
@@ -274,17 +273,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class CongestionProfile:
-    """Usage counts per vertex (vertex mode) or per edge (edge mode)."""
-
-    counts: Mapping
-    mode: str
-
-    def of(self, key) -> int:
-        return self.counts.get(key, 0)
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed feasibility check; ``subject`` is a vertex id or an edge pair."""
 
@@ -308,15 +296,15 @@ def reachable(dag: Dag, s: int, t: int) -> bool:
     return dag.dist_from(s, t)[t] < INFINITY
 
 
-def congestion_profile(inst: Instance, sol: Solution) -> CongestionProfile:
-    """Count how often each vertex (or edge, in edge mode) is used across all paths."""
+def congestion_profile(inst: Instance, sol: Solution) -> Counter:
+    """How many paths use each vertex (or each edge pair, in edge mode); unused keys read 0."""
     counts: Counter = Counter()
     for path in sol.paths:
         if inst.mode == VERTEX:
             counts.update(path.vertices)
         else:
             counts.update(path.edge_seq())
-    return CongestionProfile(dict(counts), inst.mode)
+    return counts
 
 
 def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
@@ -351,7 +339,7 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
         if path.length != dag.dist_from(s, t)[t]:
             violations.append(Violation("not_shortest", demand=i))
     profile = congestion_profile(inst, sol)
-    for subject in sorted(profile.counts):
-        if profile.counts[subject] > inst.congestion:
+    for subject in sorted(profile):
+        if profile[subject] > inst.congestion:
             violations.append(Violation("congestion", subject=subject))
     return VerifyReport(feasible=not violations, violations=tuple(violations))

@@ -31,7 +31,6 @@ class EdgeNodeMap:
     """Correspondence between G-edges (plus demand endpoints) and H-vertices."""
 
     source: Instance
-    target: Instance
     node_of_edge: Mapping[tuple[int, int], int]
     endpoint_node: Mapping[tuple[int, str], int]
 
@@ -48,14 +47,11 @@ def edge_split_transform(inst: Instance) -> tuple[Instance, EdgeNodeMap]:
         raise InvariantViolation("edge_split_transform applies to edge mode")
     dag = inst.dag
     node_of_edge = {(u, v): i + 1 for i, (u, v, _) in enumerate(dag.edges)}
-    labels = {i + 1: f"edge-{u}-{v}" for i, (u, v, _) in enumerate(dag.edges)}
     next_id = dag.edge_count + 1
     endpoint_node = {}
     for i in range(inst.k):
         endpoint_node[(i, SOURCE)] = next_id
-        labels[next_id] = f"demand-{i + 1}-source"
         endpoint_node[(i, TERMINAL)] = next_id + 1
-        labels[next_id + 1] = f"demand-{i + 1}-terminal"
         next_id += 2
 
     arcs: list[tuple[int, int, int]] = []
@@ -75,12 +71,12 @@ def edge_split_transform(inst: Instance) -> tuple[Instance, EdgeNodeMap]:
             if v == t:
                 arcs.append((node_of_edge[(u, v)], term, 0))
 
-    h_dag = Dag(next_id - 1, tuple(arcs), labels, transformed=True)
+    h_dag = Dag(next_id - 1, tuple(arcs), transformed=True)
     demands = tuple(
         (endpoint_node[(i, SOURCE)], endpoint_node[(i, TERMINAL)]) for i in range(inst.k)
     )
     target = Instance(h_dag, demands, inst.congestion, VERTEX)
-    return target, EdgeNodeMap(inst, target, node_of_edge, endpoint_node)
+    return target, EdgeNodeMap(inst, node_of_edge, endpoint_node)
 
 
 def project_edge_solution(sol: Solution, emap: EdgeNodeMap) -> Solution:

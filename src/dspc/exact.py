@@ -422,23 +422,25 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     budget = inst.congestion
     vertex_mode = inst.mode == VERTEX
     load: dict = {}
-    picked: list[Path] = []
-
-    def rec(i: int) -> bool:
-        if i == len(choices):
-            return True
-        for path in choices[i]:
-            keys = path.vertices if vertex_mode else tuple(path.edge_seq())
-            if any(load.get(x, 0) >= budget for x in keys):
-                continue
-            for x in keys:
-                load[x] = load.get(x, 0) + 1
-            picked.append(path)
-            if rec(i + 1):
-                return True
-            picked.pop()
-            for x in keys:
-                load[x] -= 1
-        return False
-
-    return Solution(tuple(picked)) if rec(0) else None
+    picked: list[tuple[Path, tuple]] = []  # each chosen path with the keys it loads
+    # Backtracking on an explicit stack, so the demand count is not bounded
+    # by the recursion limit: untried[i] iterates demand i's remaining paths.
+    untried = [iter(choices[0])]
+    while untried:
+        path = next(untried[-1], None)
+        if path is None:
+            untried.pop()
+            if picked:  # the demand before the exhausted one tries its next path
+                for x in picked.pop()[1]:
+                    load[x] -= 1
+            continue
+        keys = path.vertices if vertex_mode else tuple(path.edge_seq())
+        if any(load.get(x, 0) >= budget for x in keys):
+            continue
+        for x in keys:
+            load[x] = load.get(x, 0) + 1
+        picked.append((path, keys))
+        if len(picked) == len(choices):
+            return Solution(tuple(p for p, _ in picked))
+        untried.append(iter(choices[len(picked)]))
+    return None

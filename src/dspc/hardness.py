@@ -15,7 +15,10 @@ crossing-cell entry vertices kept separate.
 
 Both generators return the instance together with a layout object that maps
 construction coordinates to vertex ids; witnesses are turned into expected
-routings against those layouts.
+routings against those layouts. Each grid row and column (``_track``) and
+each block spine (``_spine``) is spelled once, and the generators chain
+their arcs along those same vertex sequences. The graphs carry nothing
+beyond their vertex count and edges.
 """
 
 from __future__ import annotations
@@ -171,14 +174,6 @@ class HostGraph:
         return ((a, b) if a[0] < b[0] else (b, a)) in self.adjacent
 
 
-@dataclass(frozen=True)
-class GenCertificate:
-    """A planted witness together with the routing it induces."""
-
-    witness: tuple
-    expected_solution: Solution
-
-
 # ---------------------------------------------------------------------------
 # Multi-colored clique via the split planar grid
 # ---------------------------------------------------------------------------
@@ -223,30 +218,38 @@ class GridLayout:
     demand_endpoints: Mapping[tuple[int, str], tuple[int, int]]  # (color, 'h'|'v')
     demand_index: Mapping[tuple[int, str], int]
     common_distance: int
-    vertex_count: int
-    edge_count: int
 
     def row_path_vertices(self, color: int, row: int) -> tuple[int, ...]:
         n = self.colored.graph.vertex_count
         s, t = self.demand_endpoints[(color, "h")]
-        rs, rt = self.row_boundary[row]
-        vertices = [s, rs]
-        for j in range(1, n + 1):
-            vertices.append(self.row_entry[(row, j)])
-            vertices.append(self.out_vertex[(row, j)])
-        vertices += [rt, t]
-        return tuple(vertices)
+        cells = [(row, j) for j in range(1, n + 1)]
+        return (s, *_track(self.row_boundary[row], self.row_entry, self.out_vertex, cells), t)
 
     def col_path_vertices(self, color: int, col: int) -> tuple[int, ...]:
         n = self.colored.graph.vertex_count
         s, t = self.demand_endpoints[(color, "v")]
-        cs, ct = self.col_boundary[col]
-        vertices = [s, cs]
-        for i in range(1, n + 1):
-            vertices.append(self.col_entry[(i, col)])
-            vertices.append(self.out_vertex[(i, col)])
-        vertices += [ct, t]
-        return tuple(vertices)
+        cells = [(i, col) for i in range(1, n + 1)]
+        return (s, *_track(self.col_boundary[col], self.col_entry, self.out_vertex, cells), t)
+
+
+def _track(
+    boundary: Sequence[int],
+    entry: Mapping[tuple[int, int], int],
+    out_vertex: Mapping[tuple[int, int], int],
+    cells: Sequence[tuple[int, int]],
+) -> tuple[int, ...]:
+    """One row or column of the grid: its entry, each cell's splitter and out vertex, its exit."""
+    vertices = [boundary[0]]
+    for cell in cells:
+        vertices += [entry[cell], out_vertex[cell]]
+    vertices.append(boundary[1])
+    return tuple(vertices)
+
+
+def _chain(edges: dict[tuple[int, int], int], vertices: Sequence[int]) -> None:
+    """Add a unit arc between each consecutive pair; an arc already added keeps its place."""
+    for u, v in zip(vertices, vertices[1:]):
+        edges.setdefault((u, v), 1)
 
 
 def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
@@ -258,7 +261,7 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
     underlying vertices differ in color and are adjacent. Per color there is
     one horizontal and one vertical demand; all 2k demands have the same
     shortest distance 2n + 3 under unit weights. Congestion is 1 in edge
-    mode. The layout records the planar embedding coordinates via labels.
+    mode. The layout maps grid coordinates to vertex ids.
     """
     if k != cg.color_count:
         raise InvariantViolation("color count disagrees with the colored graph")
@@ -269,27 +272,24 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
         if not cg.color_class(color):
             raise ColorMissing(f"color {color} has no vertices")
 
-    labels: dict[int, str] = {}
     next_id = 1
 
-    def fresh(label: str) -> int:
+    def fresh() -> int:
         nonlocal next_id
-        vid = next_id
-        labels[vid] = label
         next_id += 1
-        return vid
+        return next_id - 1
 
     demand_endpoints: dict[tuple[int, str], tuple[int, int]] = {}
     source_of = {}
     for color in range(1, k + 1):
-        source_of[(color, "h")] = fresh(f"h-source-{color}")
-        source_of[(color, "v")] = fresh(f"v-source-{color}")
+        source_of[(color, "h")] = fresh()
+        source_of[(color, "v")] = fresh()
     row_boundary: dict[int, list[int]] = {}
     col_boundary: dict[int, list[int]] = {}
     for i in range(1, n + 1):
-        row_boundary[i] = [fresh(f"row-{i}-entry")]
+        row_boundary[i] = [fresh()]
     for j in range(1, n + 1):
-        col_boundary[j] = [fresh(f"col-{j}-entry")]
+        col_boundary[j] = [fresh()]
 
     out_vertex: dict[tuple[int, int], int] = {}
     row_entry: dict[tuple[int, int], int] = {}
@@ -300,23 +300,23 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
             if i != j and not (
                 cg.color_of(i) != cg.color_of(j) and cg.graph.has_edge(i, j)
             ):
-                shared = fresh(f"in-{i}-{j}")
+                shared = fresh()
                 row_entry[(i, j)] = shared
                 col_entry[(i, j)] = shared
                 merged_cells.add((i, j))
             else:
-                row_entry[(i, j)] = fresh(f"in-{i}-{j}-row")
-                col_entry[(i, j)] = fresh(f"in-{i}-{j}-col")
-            out_vertex[(i, j)] = fresh(f"out-{i}-{j}")
+                row_entry[(i, j)] = fresh()
+                col_entry[(i, j)] = fresh()
+            out_vertex[(i, j)] = fresh()
 
     for i in range(1, n + 1):
-        row_boundary[i].append(fresh(f"row-{i}-exit"))
+        row_boundary[i].append(fresh())
     for j in range(1, n + 1):
-        col_boundary[j].append(fresh(f"col-{j}-exit"))
+        col_boundary[j].append(fresh())
     target_of = {}
     for color in range(1, k + 1):
-        target_of[(color, "h")] = fresh(f"h-target-{color}")
-        target_of[(color, "v")] = fresh(f"v-target-{color}")
+        target_of[(color, "h")] = fresh()
+        target_of[(color, "v")] = fresh()
 
     edges: dict[tuple[int, int], int] = {}
 
@@ -330,21 +330,13 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
         arc(row_boundary[i][1], target_of[(color, "h")])
         arc(col_boundary[i][1], target_of[(color, "v")])
     for i in range(1, n + 1):
-        arc(row_boundary[i][0], row_entry[(i, 1)])
-        for j in range(1, n + 1):
-            arc(row_entry[(i, j)], out_vertex[(i, j)])
-            if j < n:
-                arc(out_vertex[(i, j)], row_entry[(i, j + 1)])
-        arc(out_vertex[(i, n)], row_boundary[i][1])
+        _chain(edges, _track(row_boundary[i], row_entry, out_vertex,
+                             [(i, j) for j in range(1, n + 1)]))
     for j in range(1, n + 1):
-        arc(col_boundary[j][0], col_entry[(1, j)])
-        for i in range(1, n + 1):
-            arc(col_entry[(i, j)], out_vertex[(i, j)])
-            if i < n:
-                arc(out_vertex[(i, j)], col_entry[(i + 1, j)])
-        arc(out_vertex[(n, j)], col_boundary[j][1])
+        _chain(edges, _track(col_boundary[j], col_entry, out_vertex,
+                             [(i, j) for i in range(1, n + 1)]))
 
-    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()), labels)
+    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
     demands = []
     demand_index = {}
     for color in range(1, k + 1):
@@ -372,8 +364,6 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
         demand_endpoints=demand_endpoints,
         demand_index=demand_index,
         common_distance=2 * n + 3,
-        vertex_count=dag.vertex_count,
-        edge_count=dag.edge_count,
     )
     return instance, layout
 
@@ -420,23 +410,14 @@ class PsiLayout:
     edge_source: Mapping[int, int]  # pattern edge index (1-based) -> id
     edge_target: Mapping[int, int]
     demand_index: Mapping[tuple, int]  # ("upper", i, copy) / ("lower", i, copy) / ("cross", i) / ("edge", l)
-    vertex_count: int
-    edge_count: int
 
     def upper_spine(self, block: int) -> tuple[int, ...]:
-        return self._spine(block, self.upper_main, self.upper_sub)
+        return _spine(self.upper_main, self.upper_sub, block,
+                      self.host.class_sizes[block - 1], self.pattern.edge_count)
 
     def lower_spine(self, block: int) -> tuple[int, ...]:
-        return self._spine(block, self.lower_main, self.lower_sub)
-
-    def _spine(self, block, main, sub) -> tuple[int, ...]:
-        size = self.host.class_sizes[block - 1]
-        k = self.pattern.edge_count
-        vertices = [main[(block, 0)]]
-        for j in range(1, size + 1):
-            vertices += [sub[(block, j, l)] for l in range(1, k + 1)]
-            vertices.append(main[(block, j)])
-        return tuple(vertices)
+        return _spine(self.lower_main, self.lower_sub, block,
+                      self.host.class_sizes[block - 1], self.pattern.edge_count)
 
     def cross_path(self, block: int, window: int) -> tuple[int, ...]:
         """Upper spine up to the window, one drop, lower spine to the end."""
@@ -445,6 +426,21 @@ class PsiLayout:
         drop_from = upper.index(self.upper_main[(block, window - 1)])
         resume_at = lower.index(self.lower_main[(block, window)])
         return upper[:drop_from + 1] + lower[resume_at:]
+
+
+def _spine(
+    main: Mapping[tuple[int, int], int],
+    sub: Mapping[tuple[int, int, int], int],
+    block: int,
+    size: int,
+    k: int,
+) -> tuple[int, ...]:
+    """One tier of a block: main vertex 0, then per member j its k subdivisions and main vertex j."""
+    vertices = [main[(block, 0)]]
+    for j in range(1, size + 1):
+        vertices += [sub[(block, j, l)] for l in range(1, k + 1)]
+        vertices.append(main[(block, j)])
+    return tuple(vertices)
 
 
 def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instance, PsiLayout]:
@@ -462,17 +458,14 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
         raise InvariantViolation("host needs one class per pattern vertex")
     k = pattern.edge_count
 
-    labels: dict[int, str] = {}
     next_id = 1
 
-    def fresh(label: str) -> int:
+    def fresh() -> int:
         nonlocal next_id
-        vid = next_id
-        labels[vid] = label
         next_id += 1
-        return vid
+        return next_id - 1
 
-    edge_source = {l: fresh(f"link-{l}-source") for l in range(1, k + 1)}
+    edge_source = {l: fresh() for l in range(1, k + 1)}
 
     upper_main: dict[tuple[int, int], int] = {}
     upper_sub: dict[tuple[int, int, int], int] = {}
@@ -480,36 +473,24 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
     lower_sub: dict[tuple[int, int, int], int] = {}
     for i in range(1, h + 1):
         size = host.class_sizes[i - 1]
-        for tier, main, sub in (("upper", upper_main, upper_sub),
-                                ("lower", lower_main, lower_sub)):
-            main[(i, 0)] = fresh(f"{tier}-{i}-0")
+        for main, sub in ((upper_main, upper_sub), (lower_main, lower_sub)):
+            main[(i, 0)] = fresh()
             for j in range(1, size + 1):
                 for l in range(1, k + 1):
-                    sub[(i, j, l)] = fresh(f"{tier}-{i}-{j}-{l}")
-                main[(i, j)] = fresh(f"{tier}-{i}-{j}")
+                    sub[(i, j, l)] = fresh()
+                main[(i, j)] = fresh()
 
-    edge_target = {l: fresh(f"link-{l}-target") for l in range(1, k + 1)}
+    edge_target = {l: fresh() for l in range(1, k + 1)}
 
     edges: dict[tuple[int, int], int] = {}
 
     def arc(u: int, v: int) -> None:
         edges.setdefault((u, v), 1)
 
-    def chain(vertices: Sequence[int]) -> None:
-        for u, v in zip(vertices, vertices[1:]):
-            arc(u, v)
-
     for i in range(1, h + 1):
         size = host.class_sizes[i - 1]
-        spine_u = [upper_main[(i, 0)]]
-        spine_l = [lower_main[(i, 0)]]
-        for j in range(1, size + 1):
-            spine_u += [upper_sub[(i, j, l)] for l in range(1, k + 1)]
-            spine_u.append(upper_main[(i, j)])
-            spine_l += [lower_sub[(i, j, l)] for l in range(1, k + 1)]
-            spine_l.append(lower_main[(i, j)])
-        chain(spine_u)
-        chain(spine_l)
+        _chain(edges, _spine(upper_main, upper_sub, i, size, k))
+        _chain(edges, _spine(lower_main, lower_sub, i, size, k))
         for j in range(1, size + 1):
             arc(upper_main[(i, j - 1)], lower_main[(i, j)])
             for l in range(1, k + 1):
@@ -523,7 +504,7 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
             arc(lower_sub[(i1, ja, l)], upper_sub[(i2, jb, l)])
             arc(lower_sub[(i2, jb, l)], edge_target[l])
 
-    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()), labels)
+    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
     expected_vertices = sum(
         2 * (size + 1 + k * size) for size in host.class_sizes
     ) + 2 * k
@@ -559,8 +540,6 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
         edge_source=edge_source,
         edge_target=edge_target,
         demand_index=demand_index,
-        vertex_count=dag.vertex_count,
-        edge_count=dag.edge_count,
     )
     return instance, layout
 
@@ -608,11 +587,6 @@ def expected_routing_from_witness(layout, witness: tuple) -> Solution:
     if isinstance(layout, PsiLayout):
         return _block_routing(layout, witness)
     raise InvariantViolation(f"unknown layout type {type(layout).__name__}")
-
-
-def make_certificate(layout, witness: tuple) -> GenCertificate:
-    """Bundle a witness with its verified routing on the generated instance."""
-    return GenCertificate(witness, expected_routing_from_witness(layout, witness))
 
 
 def _grid_routing(layout: GridLayout, witness: tuple) -> Solution:

@@ -21,40 +21,29 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import (
-    INFINITY,
     Dag,
     Instance,
     Path,
     Solution,
     VERTEX,
     congestion_profile,
-    reachable,
     verify_solution,
 )
-from .errors import ContextInvalid, InvariantViolation, NoDonorFound
+from .errors import ContextInvalid, InvariantViolation, NoDonorFound, ProjectionInvalid
 from .congestion import solve_with_congestion
+from .exact import iter_shortest_paths
 
 
 def canonical_shortest_path(dag: Dag, s: int, t: int) -> Path:
     """The lexicographically smallest minimum-weight s-to-t vertex sequence.
 
-    Greedy descent: from each vertex take the smallest successor that still
-    lies on some shortest path to t.
+    It is the first path ``iter_shortest_paths`` yields; raises
+    InvariantViolation when t is unreachable from s.
     """
-    to_t = dag.dist_to(t, s)
-    if to_t[s] == INFINITY:
+    path = next(iter_shortest_paths(dag, s, t), None)
+    if path is None:
         raise InvariantViolation(f"no path from {s} to {t}")
-    vertices = [s]
-    u = s
-    while u != t:
-        best = None
-        for _, head, weight in dag.out_edges[u]:
-            if weight + to_t[head] == to_t[u]:
-                if best is None or head < best:
-                    best = head
-        vertices.append(best)
-        u = best
-    return Path(tuple(vertices), int(to_t[s]))
+    return path
 
 
 def extend_with_shortest(
@@ -76,22 +65,25 @@ def extend_with_shortest(
 def solve_kdspc(inst: Instance) -> Solution | None:
     """Solve a vertex-mode congested instance through the demand-core reduction.
 
-    Unreachable demands make the instance infeasible outright. When
-    k <= 3(k - c) the exact solver runs at budget c directly; otherwise the
+    When k <= 3(k - c) the exact solver runs at budget c directly.
+    Otherwise each demand's canonical shortest path is found once per call,
+    and a demand without one makes the instance infeasible outright; the
     subsets of 3(k - c) demands are tried in lexicographic order, each routed
-    at congestion 2(k - c), extended with canonical shortest paths (one per
-    demand, found once per call), and the first extension that verifies at
-    budget c wins. The exact solver's budgets hold per core solve, so this
-    route may spend C(k, 3(k - c)) times them before raising LimitExceeded.
+    at congestion 2(k - c), and the first core that routes is extended with
+    the canonical paths. The extension loads a vertex with at most
+    2(k - c) + (k - 3(k - c)) = c paths, so it must verify at budget c; a
+    failure raises ProjectionInvalid (it would mean a solver bug). The exact
+    solver's budgets hold per core solve, so this route may spend
+    C(k, 3(k - c)) times them before raising LimitExceeded.
     """
     if inst.mode != VERTEX:
         raise InvariantViolation("solve_kdspc applies to vertex mode")
-    if not all(reachable(inst.dag, s, t) for s, t in inst.demands):
-        return None
     d = inst.slack
     if inst.k <= 3 * d:
         return solve_with_congestion(inst)
-    shortest = [canonical_shortest_path(inst.dag, s, t) for s, t in inst.demands]
+    shortest = [next(iter_shortest_paths(inst.dag, s, t), None) for s, t in inst.demands]
+    if None in shortest:
+        return None
     for subset in combinations(range(inst.k), 3 * d):
         if subset:
             sub = Instance(
@@ -106,15 +98,16 @@ def solve_kdspc(inst: Instance) -> Solution | None:
         else:
             core = Solution(())
         candidate = extend_with_shortest(shortest, core, subset)
-        if verify_solution(inst, candidate).feasible:
-            return candidate
+        report = verify_solution(inst, candidate)
+        if not report.feasible:
+            raise ProjectionInvalid(f"core routing does not extend: {report.violations}")
+        return candidate
     return None
 
 
 def find_hot_vertices(inst: Instance, sol: Solution) -> tuple[int, ...]:
     """Vertices whose load equals the congestion budget, in topological order."""
-    profile = congestion_profile(inst, sol)
-    hot = [v for v, count in profile.counts.items() if count == inst.congestion]
+    hot = [v for v, count in congestion_profile(inst, sol).items() if count == inst.congestion]
     hot.sort(key=lambda v: inst.dag.position[v])
     return tuple(hot)
 

@@ -108,14 +108,14 @@ def test_criterion_4_swap_invariance(monkeypatch):
     for seed in range(total):
         rng = random.Random(seed)
         inst, sol, hot = build_miss_gadget(rng, hot_columns=rng.choice((4, 5, 6)))
-        before_profile = congestion_profile(inst, sol).counts
+        before_profile = congestion_profile(inst, sol)
         before_lengths = Counter(p.length for p in sol.paths)
         assert find_hot_vertices(inst, sol) == hot
         swap_calls = 0
         out, carrier = concentrate_congestion(inst, sol)
         ok &= swap_calls <= len(hot) - 2
         ok &= set(hot) <= set(out.paths[carrier].vertices)
-        ok &= congestion_profile(inst, out).counts == before_profile
+        ok &= congestion_profile(inst, out) == before_profile
         ok &= Counter(p.length for p in out.paths) == before_lengths
         ok &= verify_solution(inst, out).feasible
     report(4, ok, f"swap invariance and concentration on {total} constructed solutions")

@@ -125,10 +125,12 @@ class TestVerify:
         sol.write_text("s 1\np 1 2 1 3\n")  # not an edge sequence
         assert run("verify", "-i", str(feasible_file), "-s", str(sol)) == 1
 
-    def test_wrong_path_count_is_input_error(self, feasible_file, tmp_path):
-        sol = tmp_path / "short.sol"
-        sol.write_text("s 1\n")
-        assert run("verify", "-i", str(feasible_file), "-s", str(sol)) == 2
+    def test_wrong_path_count_is_input_error(self, feasible_file, tmp_path, capsys):
+        sol = tmp_path / "count.sol"
+        for paths, count in (("", 0), ("p 1 2 1 2 3\np 2 2 1 2 3\n", 2)):
+            sol.write_text(f"s 1\n{paths}")
+            assert run("verify", "-i", str(feasible_file), "-s", str(sol)) == 2
+            assert capsys.readouterr().err == f"error: expected 1 paths, got {count}\n"
 
     @pytest.mark.parametrize("vertices", ["0 2", "-1 2", "4 2", "1 0", "1 -1", "1 4", "1 2"])
     def test_path_off_the_graph_is_structure_violation(self, tmp_path, capsys, vertices):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -454,6 +455,15 @@ class TestBruteForceOracle:
 
     def test_unreachable_demand_absent(self):
         assert brute_force_oracle(Instance(chain(3), ((3, 1),), 1)) is None
+
+    def test_more_demands_than_the_recursion_limit(self):
+        # one single-edge demand per disjoint edge: each has one path, and
+        # the backtracking goes one level deeper per demand
+        k = sys.getrecursionlimit() + 200
+        dag = Dag(2 * k, tuple((2 * i - 1, 2 * i, 1) for i in range(1, k + 1)))
+        inst = Instance(dag, tuple((2 * i - 1, 2 * i) for i in range(1, k + 1)), 1)
+        sol = brute_force_oracle(inst)
+        assert [p.vertices for p in sol.paths] == [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
 
 
 class TestShortestPathHelpers:

@@ -94,7 +94,7 @@ class TestGridGenerator:
             # out cells + split vertices (merged cells share one) + row/col
             # boundary pairs + per-color endpoints
             expected = n * n + (2 * n * n - merged) + 4 * n + 4 * 2
-            assert inst.dag.vertex_count == expected == layout.vertex_count
+            assert inst.dag.vertex_count == expected
             assert inst.dag.vertex_count <= 3 * n * n + 4 * n + 8  # O(n^2 + k)
 
     def test_all_demand_distances_equal_2n_plus_3(self):
@@ -181,16 +181,6 @@ class TestGridGenerator:
         with pytest.raises(WitnessInvalid):
             expected_routing_from_witness(layout, ("clique", witness[:1]))
 
-    def test_certificate_bundles_verified_routing(self):
-        from dspc import make_certificate
-
-        rng = random.Random(9)
-        cg, witness = plant_colorful_clique(rng, random_colored_graph(rng, 4, 2))
-        inst, layout = mcc_to_planar_edsp(cg, 2)
-        cert = make_certificate(layout, ("clique", witness))
-        assert cert.witness == ("clique", witness)
-        assert verify_solution(inst, cert.expected_solution).feasible
-
 
 class TestPatternAndHost:
     def test_complete_bipartite_pattern_shape(self):
@@ -247,9 +237,9 @@ class TestBlockGenerator:
         for sizes in ((1,) * 6, (2,) * 6, (1, 2, 1, 2, 1, 2)):
             rng = random.Random(0)
             host, _ = random_host(rng, pattern, sizes, plant=True)
-            inst, layout = psi_to_dspc(pattern, host, 2)
+            inst, _ = psi_to_dspc(pattern, host, 2)
             expected = sum(2 * (s + 1 + 9 * s) for s in sizes) + 2 * 9
-            assert inst.dag.vertex_count == expected == layout.vertex_count
+            assert inst.dag.vertex_count == expected
 
     def test_generated_graph_is_acyclic(self):
         inst, _ = self._k33_unit_instance()

@@ -15,12 +15,19 @@ from dspc import (
     ParseError,
     Path,
     Solution,
+    complete_bipartite_pattern,
+    edge_split_transform,
     emit_instance,
     emit_solution,
+    expand_congestion,
+    isolate_terminals,
+    mcc_to_planar_edsp,
     parse_instance,
     parse_solution,
+    psi_to_dspc,
     solve_with_congestion,
 )
+from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 from dspc.randgen import random_instance
 
 from helpers import chain
@@ -49,17 +56,37 @@ def instances(draw):
     )
 
 
+def round_trip_cases():
+    """Random instances, both gadget families planted and not, and transform outputs."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        yield random_instance(rng, n=rng.randint(1, 8), k=rng.randint(1, 3),
+                              congestion=rng.randint(1, 3),
+                              mode=rng.choice(("vertex", "edge")))
+    pattern = complete_bipartite_pattern()
+    for seed in range(3):
+        rng = random.Random(seed)
+        cg = random_colored_graph(rng, 4, 2)
+        yield mcc_to_planar_edsp(cg, 2)[0]
+        yield mcc_to_planar_edsp(plant_colorful_clique(rng, cg)[0], 2)[0]
+        for plant in (False, True):
+            host, _ = random_host(rng, pattern, (1, 2) * 3, plant=plant)
+            yield psi_to_dspc(pattern, host, 2)[0]
+    for seed in range(10):
+        rng = random.Random(seed)
+        inst = random_instance(rng, n=rng.randint(2, 6), k=rng.randint(1, 3),
+                               congestion=rng.randint(1, 2))
+        isolated = isolate_terminals(inst)[0]
+        yield isolated
+        yield expand_congestion(isolated)[0]
+        yield edge_split_transform(Instance(inst.dag, inst.demands, inst.congestion, "edge"))[0]
+
+
 class TestInstanceFiles:
     @settings(max_examples=80, deadline=None)
     @given(instances())
     def test_parse_inverts_emit(self, inst):
-        again = parse_instance(emit_instance(inst))
-        assert (again.dag.vertex_count, again.dag.edges) == (
-            inst.dag.vertex_count, inst.dag.edges
-        )
-        assert (again.demands, again.congestion, again.mode) == (
-            inst.demands, inst.congestion, inst.mode
-        )
+        assert parse_instance(emit_instance(inst)) == inst
 
     def test_minimal_single_vertex_instance(self):
         inst = parse_instance("p dsp 1 0 1 1 vertex\nd 1 1\n")
@@ -67,18 +94,11 @@ class TestInstanceFiles:
         assert inst.demands == ((1, 1),)
 
     def test_round_trip_identity(self):
-        for seed in range(40):
-            rng = random.Random(seed)
-            inst = random_instance(rng, n=rng.randint(1, 8), k=rng.randint(1, 3),
-                                   congestion=rng.randint(1, 3),
-                                   mode=rng.choice(("vertex", "edge")))
+        for inst in round_trip_cases():
             text = emit_instance(inst)
             again = parse_instance(text)
-            assert again.dag.vertex_count == inst.dag.vertex_count
-            assert again.dag.edges == inst.dag.edges
-            assert again.demands == inst.demands
-            assert again.congestion == inst.congestion
-            assert again.mode == inst.mode
+            assert again == inst
+            assert hash(again) == hash(inst)
             assert emit_instance(again) == text
 
     def test_comments_survive_emission_byte_stably(self):

@@ -14,6 +14,7 @@ from dspc import (
     InvariantViolation,
     NoDonorFound,
     Path,
+    ProjectionInvalid,
     Solution,
     SwapContext,
     brute_force_oracle,
@@ -29,6 +30,7 @@ from dspc import (
     verify_solution,
 )
 from dspc import kernel
+from dspc.core import VerifyReport, Violation
 from dspc.randgen import random_dag, random_instance
 
 from helpers import build_miss_gadget, chain, diamond, enumerate_all_paths
@@ -105,16 +107,17 @@ class TestExtendWithShortest:
         assert combined.paths[1].vertices == (2, 3, 4)
 
     def test_each_canonical_path_is_found_once_per_call(self, monkeypatch):
-        # on the subset route every demand's path is found once, up front,
-        # however many subsets are tried
+        # every demand's path is walked once, up front, however many subsets
+        # are tried; counting the walker the kernel calls keeps the test from
+        # passing on a route that finds no path at all
         calls = Counter()
-        canonical = kernel.canonical_shortest_path
+        walker = kernel.iter_shortest_paths
 
         def counting(dag, s, t):
             calls["paths"] += 1
-            return canonical(dag, s, t)
+            return walker(dag, s, t)
 
-        monkeypatch.setattr(kernel, "canonical_shortest_path", counting)
+        monkeypatch.setattr(kernel, "iter_shortest_paths", counting)
         cores = kernel.solve_with_congestion
         monkeypatch.setattr(kernel, "solve_with_congestion",
                             lambda sub: calls.update(["cores"]) or cores(sub))
@@ -125,9 +128,19 @@ class TestExtendWithShortest:
             inst = random_instance(rng, n=rng.randint(3, 8), k=k, congestion=k - 1)
             calls.clear()
             kernel.solve_kdspc(inst)
-            assert calls["paths"] in (0, k), seed
+            assert calls["paths"] == k, seed
             several += calls["cores"] > 1
         assert several >= 5
+
+    def test_extension_that_fails_verification_raises(self, monkeypatch):
+        # a core routed at 2d always extends to budget c, so a failed check
+        # is a bug to report, not a reason to try the next subset
+        inst = Instance(diamond(), ((1, 4), (1, 4), (2, 4), (1, 2)), 3)
+        assert solve_kdspc(inst) is not None
+        refuted = VerifyReport(False, (Violation("congestion", subject=4),))
+        monkeypatch.setattr(kernel, "verify_solution", lambda inst, sol: refuted)
+        with pytest.raises(ProjectionInvalid):
+            solve_kdspc(inst)
 
     def test_combined_congestion_within_budget(self):
         # whenever the core verifies at 2d, the extension verifies at c
@@ -139,7 +152,7 @@ class TestExtendWithShortest:
             if sol is None:
                 continue
             profile = congestion_profile(inst, sol)
-            assert max(profile.counts.values()) <= inst.congestion
+            assert max(profile.values()) <= inst.congestion
 
 
 class TestFindHotVertices:
@@ -161,7 +174,7 @@ class TestFindHotVertices:
             inst, sol, _ = build_miss_gadget(rng, hot_columns=rng.choice((4, 5)))
             profile = congestion_profile(inst, sol)
             expected = sorted(
-                (v for v, n in profile.counts.items() if n == inst.congestion),
+                (v for v, n in profile.items() if n == inst.congestion),
                 key=lambda v: inst.dag.position[v],
             )
             assert list(find_hot_vertices(inst, sol)) == expected
@@ -218,11 +231,11 @@ class TestSwapSubpaths:
         hot = find_hot_vertices(inst, sol)
         assert hot == (2, 4, 6)
         ctx = SwapContext(dag, hot, 0, 1, pivot=4, window=(2, 6))
-        before = congestion_profile(inst, sol).counts
+        before = congestion_profile(inst, sol)
         swapped = swap_subpaths(sol, ctx)
         assert 4 in swapped.paths[0].vertices
         assert swapped.paths[1].vertices == (8, 2, 3, 6, 9)
-        assert congestion_profile(inst, swapped).counts == before
+        assert congestion_profile(inst, swapped) == before
         assert sorted(p.length for p in swapped.paths) == sorted(p.length for p in sol.paths)
         assert verify_solution(inst, swapped).feasible
 
@@ -245,8 +258,7 @@ class TestSwapSubpaths:
                       if {lo, pivot, hi} <= set(p.vertices)]
             ctx = SwapContext(inst.dag, hot, carrier, donors[0], pivot, (lo, hi))
             swapped = swap_subpaths(sol, ctx)
-            assert congestion_profile(inst, swapped).counts == \
-                congestion_profile(inst, sol).counts
+            assert congestion_profile(inst, swapped) == congestion_profile(inst, sol)
             assert Counter(p.length for p in swapped.paths) == \
                 Counter(p.length for p in sol.paths)
             assert verify_solution(inst, swapped).feasible
@@ -318,11 +330,11 @@ class TestConcentrateCongestion:
         for seed in range(60):
             rng = random.Random(seed)
             inst, sol, hot = build_miss_gadget(rng, hot_columns=rng.choice((4, 5, 6)))
-            before = congestion_profile(inst, sol).counts
+            before = congestion_profile(inst, sol)
             out, carrier = concentrate_congestion(inst, sol)
             assert find_hot_vertices(inst, out) == hot
             assert set(hot) <= set(out.paths[carrier].vertices)
-            assert congestion_profile(inst, out).counts == before
+            assert congestion_profile(inst, out) == before
             assert verify_solution(inst, out).feasible
 
     def test_small_slack_guard(self):
