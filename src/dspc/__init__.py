@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "INFINITY", "EDGE", "VERTEX", "Dag", "Instance", "Path", "Solution",
-        "congestion_profile", "reachable", "topo_order", "verify_solution",
+        "congestion_profile", "reachable", "verify_solution",
     ),
     "errors": (
         "ColorMissing", "ContextInvalid", "CycleDetected", "DspcError", "InvariantViolation",
@@ -35,8 +35,8 @@ _EXPORTS = {
         "expand_congestion", "isolate_terminals", "project_solution", "solve_with_congestion",
     ),
     "kernel": (
-        "SwapContext", "canonical_shortest_path", "concentrate_congestion",
-        "extend_with_shortest", "find_hot_vertices", "solve_kdspc", "swap_subpaths",
+        "SwapContext", "concentrate_congestion", "extend_with_shortest", "find_hot_vertices",
+        "solve_kdspc", "swap_subpaths",
     ),
     "edge_disjoint": ("edge_split_transform", "solve_edsp"),
     "hardness": (

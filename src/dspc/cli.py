@@ -150,47 +150,34 @@ def _cmd_bench(args) -> int:
     from .kernel import solve_kdspc
     from .randgen import random_instance
 
+    # Each suite draws one case from its rng and answers it by two routes.
+    def dnc_oracle(rng):
+        inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3), congestion=1)
+        return solve_disjoint_shortest(inst.dag, inst.demands), brute_force_oracle(inst)
+
+    def congestion(rng):
+        inst = random_instance(
+            rng, n=rng.randint(2, 6), k=rng.randint(1, 3), congestion=rng.randint(1, 2)
+        )
+        return solve_with_congestion(inst), brute_force_oracle(inst)
+
+    def kernel(rng):
+        k = rng.choice((4, 5))
+        inst = random_instance(rng, n=rng.randint(3, 8), k=k, congestion=k - 1)
+        return solve_kdspc(inst), solve_with_congestion(inst)
+
+    def mcc(rng):
+        cg = random_colored_graph(rng, n=rng.randint(2, 5), k=2)
+        inst, _layout = mcc_to_planar_edsp(cg, 2)
+        return solve_with_congestion(inst), find_colorful_clique(cg, 2)
+
+    suites = {"dnc-oracle": dnc_oracle, "congestion": congestion, "kernel": kernel, "mcc": mcc}
     started = time.monotonic()
-    if args.suite == "dnc-oracle":
-        agree = 0
-        for seed in range(args.count):
-            rng = random.Random(seed)
-            inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3), congestion=1)
-            got = solve_disjoint_shortest(inst.dag, inst.demands)
-            want = brute_force_oracle(inst)
-            agree += (got is None) == (want is None)
-        print(f"dnc-oracle agreement {agree}/{args.count}")
-    elif args.suite == "congestion":
-        agree = 0
-        for seed in range(args.count):
-            rng = random.Random(seed)
-            inst = random_instance(
-                rng, n=rng.randint(2, 6), k=rng.randint(1, 3), congestion=rng.randint(1, 2)
-            )
-            got = solve_with_congestion(inst)
-            want = brute_force_oracle(inst)
-            agree += (got is None) == (want is None)
-        print(f"congestion agreement {agree}/{args.count}")
-    elif args.suite == "kernel":
-        agree = 0
-        for seed in range(args.count):
-            rng = random.Random(seed)
-            k = rng.choice((4, 5))
-            inst = random_instance(rng, n=rng.randint(3, 8), k=k, congestion=k - 1)
-            got = solve_kdspc(inst)
-            want = solve_with_congestion(inst)
-            agree += (got is None) == (want is None)
-        print(f"kernel agreement {agree}/{args.count}")
-    else:  # mcc
-        agree = 0
-        for seed in range(args.count):
-            rng = random.Random(seed)
-            cg = random_colored_graph(rng, n=rng.randint(2, 5), k=2)
-            inst, _layout = mcc_to_planar_edsp(cg, 2)
-            routed = solve_with_congestion(inst)
-            clique = find_colorful_clique(cg, 2)
-            agree += (routed is None) == (clique is None)
-        print(f"mcc agreement {agree}/{args.count}")
+    agree = 0
+    for seed in range(args.count):
+        got, want = suites[args.suite](random.Random(seed))
+        agree += (got is None) == (want is None)
+    print(f"{args.suite} agreement {agree}/{args.count}")
     log.info("suite %s finished in %.2fs", args.suite, time.monotonic() - started)
     return 0
 

@@ -12,6 +12,9 @@ window's entries. No solve, verify or oracle route reads the all-pairs
 table ``Dag.distances`` (O(n(n + m)) time, n^2 memory); it stays because
 the benchmark's traced runs wrap it by name and read its
 ``DistanceMatrix.table``.
+
+``backtrack`` is the one backtracking loop of the routes that cross-check
+the solver: the oracle and the clique and homomorphism searches.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CycleDetected, InvariantViolation, ShapeMismatch
 
@@ -80,10 +83,6 @@ class Dag:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def weight_of(self) -> dict[tuple[int, int], int]:
-        return {(t, h): w for t, h, w in self.edges}
 
     @cached_property
     def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
@@ -206,12 +205,16 @@ class Path:
         vertices = tuple(vertices)
         if not vertices:
             raise InvariantViolation("a path needs at least one vertex")
+        n, out_edges = dag.vertex_count, dag.out_edges
         length = 0
         for u, v in zip(vertices, vertices[1:]):
-            w = dag.weight_of.get((u, v))
-            if w is None:
+            # a tail out of range would index out_edges from the end, or past it
+            for _, head, weight in out_edges[u] if 1 <= u <= n else ():
+                if head == v:
+                    length += weight
+                    break
+            else:
                 raise InvariantViolation(f"({u},{v}) is not an edge")
-            length += w
         return cls(vertices, length)
 
     @property
@@ -287,13 +290,43 @@ class VerifyReport:
     violations: tuple[Violation, ...]
 
 
-def topo_order(dag: Dag) -> tuple[int, ...]:
-    """Topological order of the graph; smallest vertex id first among candidates."""
-    return dag.order
-
-
 def reachable(dag: Dag, s: int, t: int) -> bool:
     return dag.dist_from(s, t)[t] < INFINITY
+
+
+def backtrack(
+    slots: Sequence[Iterable],
+    fits: Callable[[list, object], bool],
+    pick: Callable[[object], object] | None = None,
+    undo: Callable[[object], object] | None = None,
+) -> list | None:
+    """The lexicographically first pick of one option per slot where each fits the picks before it.
+
+    ``fits(chosen, option)`` tests an option for slot ``len(chosen)``; the
+    callbacks ``pick(option)`` and ``undo(option)`` follow each pick and
+    each undo, so the caller can keep the state ``fits`` reads. The untried
+    options sit on an explicit stack, clear of the recursion limit.
+    """
+    chosen: list = []
+    untried = [iter(slots[0])] if slots else []
+    while len(chosen) < len(slots):
+        for option in untried[-1]:
+            if fits(chosen, option):
+                chosen.append(option)
+                if pick is not None:
+                    pick(option)
+                if len(chosen) < len(slots):
+                    untried.append(iter(slots[len(chosen)]))
+                break
+        else:
+            # the slot is out of options: the one before tries its next
+            untried.pop()
+            if not untried:
+                return None
+            option = chosen.pop()
+            if undo is not None:
+                undo(option)
+    return chosen
 
 
 def congestion_profile(inst: Instance, sol: Solution) -> Counter:

@@ -31,7 +31,7 @@ class ParseError(DspcError):
 
 
 class LimitExceeded(DspcError):
-    """The exact solver used up its budget of dead states or of moves checked without deciding."""
+    """A budget ran out: a solve's dead states or moves checked, or a header's vertex count."""
 
 
 class OracleTooLarge(DspcError):

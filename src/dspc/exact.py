@@ -48,6 +48,9 @@ is m at most c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` an infeasible solve logs its
 reason on the ``dspc.exact`` logger.
+
+The brute-force oracle shares no search code with the solver; its path
+helpers use the same tightness test, so each reads one backward sweep.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .core import (
     Path,
     Solution,
     VERTEX,
+    backtrack,
 )
 from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 
@@ -77,6 +81,9 @@ from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 MAX_DEAD_STATES = 2**19
 #: Moves (``merge_check`` calls) a solve may check before LimitExceeded; 5-15 µs each.
 MAX_MOVES_CHECKED = 2**20
+#: Vertices a file's header may declare before LimitExceeded; ``dspc solve`` peaks at
+#: about 170 MB on a chain of this many.
+MAX_VERTICES = 2**18
 
 #: One vertex per pebble, in demand order.
 State = tuple[int, ...]
@@ -355,21 +362,18 @@ def solve_disjoint_shortest(
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
-    """Number of distinct shortest s-to-t paths (0 when t is unreachable)."""
-    f, b = dag.dist_from(s, t), dag.dist_to(t, s)
-    target = f[t]
-    if target == INFINITY:
+    """Number of distinct shortest s-to-t paths, along the tight edges from s (0 if none)."""
+    b = dag.dist_to(t, s)
+    if b[s] == INFINITY:
         return 0
-    if s == t:
-        return 1
     ways = [0] * (dag.vertex_count + 1)
     ways[s] = 1
     pos = dag.position
-    for v in dag.order[pos[s]:pos[t] + 1]:
+    for v in dag.order[pos[s]:pos[t]]:
         if not ways[v]:
             continue
         for _, head, weight in dag.out_edges[v]:
-            if f[v] + weight + b[head] == target:
+            if weight + b[head] == b[v]:
                 ways[head] += ways[v]
     return ways[t]
 
@@ -377,10 +381,10 @@ def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
 def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
     """All shortest s-to-t paths, in lexicographic order of their vertex sequences.
 
-    Walks only edges (u, v) with dist(s,u) + w(u,v) + dist(v,t) = dist(s,t).
+    Walks from s only the tight edges (u, v, w): w + b[v] = b[u], b = dist(., t).
     """
-    f, b = dag.dist_from(s, t), dag.dist_to(t, s)
-    target = f[t]
+    b = dag.dist_to(t, s)
+    target = b[s]
     if target == INFINITY:
         return
     # Depth-first with an explicit stack, so long paths stay clear of the
@@ -397,8 +401,7 @@ def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
         else:
             path.append(v)
             pending.append(iter(sorted(
-                head for _, head, weight in dag.out_edges[v]
-                if f[v] + weight + b[head] == target
+                head for _, head, weight in dag.out_edges[v] if weight + b[head] == b[v]
             )))
 
 
@@ -406,10 +409,10 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     """Independent exhaustive solver: try every combination of shortest paths.
 
     Enumerates, per demand, all shortest paths between its endpoints and
-    backtracks over combinations, respecting the congestion budget in the
-    instance's mode. Returns the lexicographically first feasible
-    combination, or None. Raises OracleTooLarge when the product of
-    per-demand shortest-path counts exceeds ``limit``.
+    backtracks over combinations (``core.backtrack``), respecting the
+    congestion budget in the instance's mode. Returns the lexicographically
+    first feasible combination, or None. Raises OracleTooLarge when the
+    product of per-demand shortest-path counts exceeds ``limit``.
     """
     dag = inst.dag
     counts = [count_shortest_paths(dag, s, t) for s, t in inst.demands]
@@ -418,29 +421,19 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     if prod(counts) > limit:
         raise OracleTooLarge(f"{prod(counts)} path combinations exceed the bound of {limit}")
 
-    choices = [list(iter_shortest_paths(dag, s, t)) for s, t in inst.demands]
-    budget = inst.congestion
     vertex_mode = inst.mode == VERTEX
-    load: dict = {}
-    picked: list[tuple[Path, tuple]] = []  # each chosen path with the keys it loads
-    # Backtracking on an explicit stack, so the demand count is not bounded
-    # by the recursion limit: untried[i] iterates demand i's remaining paths.
-    untried = [iter(choices[0])]
-    while untried:
-        path = next(untried[-1], None)
-        if path is None:
-            untried.pop()
-            if picked:  # the demand before the exhausted one tries its next path
-                for x in picked.pop()[1]:
-                    load[x] -= 1
-            continue
-        keys = path.vertices if vertex_mode else tuple(path.edge_seq())
-        if any(load.get(x, 0) >= budget for x in keys):
-            continue
-        for x in keys:
-            load[x] = load.get(x, 0) + 1
-        picked.append((path, keys))
-        if len(picked) == len(choices):
-            return Solution(tuple(p for p, _ in picked))
-        untried.append(iter(choices[len(picked)]))
-    return None
+    # each demand's paths, each with the elements it loads
+    choices = [
+        [(path, path.vertices if vertex_mode else tuple(path.edge_seq()))
+         for path in iter_shortest_paths(dag, s, t)]
+        for s, t in inst.demands
+    ]
+    budget = inst.congestion
+    load: Counter = Counter()
+    picked = backtrack(
+        choices,
+        lambda chosen, option: all(load[x] < budget for x in option[1]),
+        pick=lambda option: load.update(option[1]),
+        undo=lambda option: load.subtract(option[1]),
+    )
+    return None if picked is None else Solution(tuple(path for path, _ in picked))

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Dag, Instance, MODES, Path, Solution
-from .errors import ParseError
+from .errors import LimitExceeded, ParseError
+from .exact import MAX_VERTICES
 
 
 def emit_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
@@ -35,7 +36,7 @@ def emit_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file; counts must match the header exactly."""
+    """Parse an instance file; counts must match the header, and n may not pass MAX_VERTICES."""
     header = None
     edges: list[tuple[int, int, int]] = []
     demands: list[tuple[int, int]] = []
@@ -74,6 +75,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError("problem line counts must be integers", lineno)
             if header[4] not in MODES:
                 raise ParseError(f"mode must be one of {MODES}", lineno)
+            if header[0] > MAX_VERTICES:  # before any per-vertex table is built
+                raise LimitExceeded(
+                    f"header declares {header[0]} vertices, more than the bound of {MAX_VERTICES}")
         elif header is None:
             raise ParseError("arc or demand line before the problem line", lineno)
         else:

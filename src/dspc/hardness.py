@@ -19,6 +19,10 @@ routings against those layouts. Each grid row and column (``_track``) and
 each block spine (``_spine``) is spelled once, and the generators chain
 their arcs along those same vertex sequences. The graphs carry nothing
 beyond their vertex count and edges.
+
+``find_colorful_clique`` and ``find_homomorphism`` decide the source
+problems apart from any routing, each through ``core.backtrack``, so no
+color count or pattern size reaches the recursion limit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     Path,
     Solution,
     VERTEX,
+    backtrack,
     verify_solution,
 )
 from .errors import (
@@ -369,25 +374,13 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
 
 
 def find_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
-    """Brute-force search for one vertex per color, pairwise adjacent."""
+    """The lexicographically first pick of one vertex per color, pairwise adjacent, or None."""
     classes = [cg.color_class(color) for color in range(1, k + 1)]
     if any(not cls for cls in classes):
         return None
-
-    chosen: list[int] = []
-
-    def rec(color: int) -> bool:
-        if color == k:
-            return True
-        for v in classes[color]:
-            if all(cg.graph.has_edge(u, v) for u in chosen):
-                chosen.append(v)
-                if rec(color + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if rec(0) else None
+    has_edge = cg.graph.has_edge
+    chosen = backtrack(classes, lambda chosen, v: all(has_edge(u, v) for u in chosen))
+    return None if chosen is None else tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -545,28 +538,18 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
 
 
 def find_homomorphism(pattern: PatternGraph, host: HostGraph) -> tuple[int, ...] | None:
-    """Brute-force search for one host member per class realizing every pattern edge."""
+    """The lexicographically first host member per class realizing every pattern edge, or None."""
     h = pattern.vertex_count
-    incident = {i: [] for i in range(1, h + 1)}
+    incident: list[list[int]] = [[] for _ in range(h + 1)]
     for a, b in pattern.edges:
-        incident[b].append(a)  # side B comes after side A in any assignment order
+        incident[b].append(a)  # side B comes after side A in the class order
 
-    chosen: list[int] = []
+    def fits(chosen: list[int], j: int) -> bool:
+        i = len(chosen) + 1
+        return all(host.has_edge((a, chosen[a - 1]), (i, j)) for a in incident[i])
 
-    def rec(i: int) -> bool:
-        if i > h:
-            return True
-        for j in range(1, host.class_sizes[i - 1] + 1):
-            if all(
-                host.has_edge((a, chosen[a - 1]), (i, j)) for a in incident[i]
-            ):
-                chosen.append(j)
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if rec(1) else None
+    chosen = backtrack([range(1, host.class_sizes[i] + 1) for i in range(h)], fits)
+    return None if chosen is None else tuple(chosen)
 
 
 # ---------------------------------------------------------------------------

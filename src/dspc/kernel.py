@@ -34,18 +34,6 @@ from .congestion import solve_with_congestion
 from .exact import iter_shortest_paths
 
 
-def canonical_shortest_path(dag: Dag, s: int, t: int) -> Path:
-    """The lexicographically smallest minimum-weight s-to-t vertex sequence.
-
-    It is the first path ``iter_shortest_paths`` yields; raises
-    InvariantViolation when t is unreachable from s.
-    """
-    path = next(iter_shortest_paths(dag, s, t), None)
-    if path is None:
-        raise InvariantViolation(f"no path from {s} to {t}")
-    return path
-
-
 def extend_with_shortest(
     shortest: Sequence[Path], core_solution: Solution, core_subset: Sequence[int]
 ) -> Solution:
@@ -66,7 +54,8 @@ def solve_kdspc(inst: Instance) -> Solution | None:
     """Solve a vertex-mode congested instance through the demand-core reduction.
 
     When k <= 3(k - c) the exact solver runs at budget c directly.
-    Otherwise each demand's canonical shortest path is found once per call,
+    Otherwise each demand's canonical shortest path (the first one
+    ``iter_shortest_paths`` yields) is found once per call,
     and a demand without one makes the instance infeasible outright; the
     subsets of 3(k - c) demands are tried in lexicographic order, each routed
     at congestion 2(k - c), and the first core that routes is extended with

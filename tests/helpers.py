@@ -9,10 +9,10 @@ against these.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import inf
 
-from dspc import Dag, Instance, Path, Solution
+from dspc import ColoredGraph, Dag, Instance, Path, Solution
 from dspc.randgen import grid
 
 
@@ -104,6 +104,15 @@ def kahn_order(n: int, edges) -> tuple[int, ...] | None:
         for waiting in preds.values():
             waiting.discard(v)
     return tuple(order)
+
+
+def brute_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
+    """The first pairwise-adjacent one-per-color combination in ``product`` order, or None."""
+    classes = [cg.color_class(color) for color in range(1, k + 1)]
+    for combo in product(*classes):
+        if all(cg.graph.has_edge(u, v) for u, v in combinations(combo, 2)):
+            return combo
+    return None
 
 
 def build_miss_gadget(

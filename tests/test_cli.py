@@ -111,6 +111,18 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: search gave up after 1 moves checked\n"
 
+    def test_vertex_bound_is_error_exit(self, tmp_path, capsys):
+        # the header's count is checked before any per-vertex table exists
+        path = tmp_path / "huge.dsp"
+        path.write_text("p dsp 300000000 0 1 1 vertex\nd 1 2\n")
+        assert run("solve", "-i", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: header declares 300000000 vertices, more than the bound of "
+            f"{exact.MAX_VERTICES}\n"
+        )
+
     def test_solution_files_are_deterministic(self, feasible_file, tmp_path):
         first = tmp_path / "a.sol"
         second = tmp_path / "b.sol"
@@ -382,7 +394,8 @@ class TestLoading:
             "    for name in names:\n"
             "        exec(f'from dspc import {name} as value')\n"
             "        assert value is getattr(importlib.import_module('dspc.' + module), name)\n"
-            "for name in ('no_such_name', 'DistanceMatrix', 'VerifyReport', 'TransformMap'):\n"
+            "for name in ('no_such_name', 'DistanceMatrix', 'VerifyReport', 'TransformMap',\n"
+            "             'topo_order', 'canonical_shortest_path'):\n"
             "    assert not hasattr(dspc, name), name\n"
             "from dspc import kernel\n"
             "assert kernel is sys.modules['dspc.kernel']\n"

@@ -31,7 +31,6 @@ from dspc import (
     solve_edsp,
     solve_kdspc,
     solve_with_congestion,
-    topo_order,
     verify_solution,
 )
 from dspc.congestion import compose
@@ -134,7 +133,7 @@ class TestExpandCongestion:
                                    congestion=rng.randint(1, 3))
             isolated, iso_map = isolate_terminals(inst)
             expanded, _ = expand_congestion(isolated)
-            topo_order(expanded.dag)  # raises on a cycle
+            expanded.dag.order  # raises on a cycle
             c, n, m, k = inst.congestion, inst.dag.vertex_count, inst.dag.edge_count, inst.k
             assert expanded.dag.vertex_count <= c * n + 2 * k
             assert expanded.dag.edge_count <= c * c * m + 2 * c * k

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,9 @@ from dspc import (
     Solution,
     congestion_profile,
     reachable,
-    topo_order,
     verify_solution,
 )
+from dspc.core import backtrack
 from dspc.randgen import random_dag, random_instance
 
 from helpers import (
@@ -88,32 +89,32 @@ class TestDagInvariants:
     def test_cycle_detected_on_order(self):
         dag = Dag(2, ((1, 2, 1), (2, 1, 1)))
         with pytest.raises(CycleDetected):
-            topo_order(dag)
+            dag.order
 
 
 class TestTopoOrder:
     def test_single_vertex(self):
-        assert topo_order(Dag(1, ())) == (1,)
+        assert Dag(1, ()).order == (1,)
 
     def test_chain_is_forced(self):
-        assert topo_order(chain(3)) == (1, 2, 3)
+        assert chain(3).order == (1, 2, 3)
 
     def test_diamond_breaks_ties_by_smallest_id(self):
         # Derived: of all valid orders, ours must be the lexicographically least.
         orders = all_topological_orders(diamond())
-        assert topo_order(diamond()) == min(orders) == (1, 2, 3, 4)
+        assert diamond().order == min(orders) == (1, 2, 3, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(dags(max_n=6))
     def test_tails_precede_heads(self, dag):
-        rank = {v: i for i, v in enumerate(topo_order(dag))}
+        rank = {v: i for i, v in enumerate(dag.order)}
         for u, v, _ in dag.edges:
             assert rank[u] < rank[v]
 
     @settings(max_examples=30, deadline=None)
     @given(dags(max_n=6))
     def test_order_is_valid_and_lex_smallest(self, dag):
-        assert topo_order(dag) == min(all_topological_orders(dag))
+        assert dag.order == min(all_topological_orders(dag))
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(dags(max_n=10), relabelled_dags(max_n=10)))
@@ -331,6 +332,25 @@ class TestCongestionProfile:
             assert sum(profile.values()) == sum(len(p.vertices) for p in sol.paths)
 
 
+class TestBacktrack:
+    def test_first_fitting_pick_in_product_order(self):
+        # picks of pairwise distinct values; the callbacks keep the set that
+        # fits reads, so it must always equal the picks standing
+        rng = random.Random(5)
+        for _ in range(200):
+            slots = [rng.sample(range(1, 6), rng.randint(0, 4)) for _ in range(rng.randint(0, 5))]
+            taken: set = set()
+
+            def fits(chosen, x):
+                assert taken == set(chosen)
+                return x not in taken
+
+            got = backtrack(slots, fits, pick=taken.add, undo=taken.remove)
+            want = next((list(c) for c in product(*slots) if len(set(c)) == len(c)), None)
+            assert got == want
+            assert taken == set(got or ())
+
+
 class TestReachable:
     def test_chain_directions(self):
         dag = chain(3)
@@ -356,7 +376,7 @@ class TestConcurrentSharing:
         results = []
 
         def worker():
-            results.append((topo_order(dag), dag.distances.dist(1, n), dag.dist_from(1)[n]))
+            results.append((dag.order, dag.distances.dist(1, n), dag.dist_from(1)[n]))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:

@@ -13,7 +13,6 @@ from dspc import (
     brute_force_oracle,
     edge_split_transform,
     solve_edsp,
-    topo_order,
     verify_solution,
 )
 from dspc.randgen import random_instance
@@ -56,7 +55,7 @@ class TestEdgeSplitTransform:
             inst = random_instance(rng, n=rng.randint(1, 6), k=rng.randint(1, 2),
                                    congestion=1, mode="edge")
             h_inst, _ = edge_split_transform(inst)
-            topo_order(h_inst.dag)
+            h_inst.dag.order
 
     def test_feasibility_equivalence_against_oracles(self):
         for seed in range(60):

@@ -465,6 +465,27 @@ class TestBruteForceOracle:
         sol = brute_force_oracle(inst)
         assert [p.vertices for p in sol.paths] == [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
 
+    def test_one_backward_sweep_per_demand_and_pass(self, monkeypatch):
+        # counting a demand's paths and listing them each sweep back from its
+        # terminal once, and neither sweeps forward from its source
+        calls = Counter()
+
+        def counting(name):
+            sweep = getattr(Dag, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return sweep(self, *args)
+
+            return counted
+
+        for name in ("dist_from", "dist_to"):
+            monkeypatch.setattr(Dag, name, counting(name))
+        inst = Instance(diamond(), ((1, 4), (1, 4), (2, 2)), 2)
+        sol = brute_force_oracle(inst)
+        assert [p.vertices for p in sol.paths] == [(1, 2, 4), (1, 3, 4), (2,)]
+        assert calls == {"dist_to": 2 * inst.k}
+
 
 class TestShortestPathHelpers:
     def test_count_matches_enumeration(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -25,20 +26,12 @@ from dspc import (
     mcc_to_planar_edsp,
     psi_to_dspc,
     solve_edsp,
-    topo_order,
     verify_solution,
 )
 from dspc.exact import count_shortest_paths
 from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 
-
-def brute_colorful_clique(cg: ColoredGraph, k: int):
-    """Independent exhaustive search over all one-per-color combinations."""
-    classes = [cg.color_class(color) for color in range(1, k + 1)]
-    for combo in product(*classes):
-        if all(cg.graph.has_edge(u, v) for u, v in combinations(combo, 2)):
-            return combo
-    return None
+from helpers import brute_colorful_clique
 
 
 class TestCliqueToMcc:
@@ -79,6 +72,34 @@ class TestCliqueToMcc:
                 assert (find_colorful_clique(lifted, k) is not None) == has_clique
 
 
+class TestFindColorfulClique:
+    def test_first_clique_in_lexicographic_order(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = rng.randint(2, 4)
+            cg = random_colored_graph(rng, rng.randint(k, 9), k, rng.choice((0.5, 0.7, 0.9)))
+            if rng.random() < 0.5:
+                cg, _ = plant_colorful_clique(rng, cg)
+            assert find_colorful_clique(cg, k) == brute_colorful_clique(cg, k), seed
+
+    def test_more_colors_than_the_recursion_limit(self):
+        # one vertex per color, so the search goes one level deeper per color
+        low = 250
+        k = low + 200
+        complete = UndirectedGraph(k, tuple(combinations(range(1, k + 1), 2)))
+        colors = tuple(range(1, k + 1))
+        one_missing = UndirectedGraph(k, complete.edges[1:])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(low)
+        try:
+            found = find_colorful_clique(ColoredGraph(complete, colors, k), k)
+            missing = find_colorful_clique(ColoredGraph(one_missing, colors, k), k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == colors
+        assert missing is None
+
+
 class TestGridGenerator:
     def test_vertex_count_matches_recount(self):
         for seed in range(20):
@@ -110,7 +131,7 @@ class TestGridGenerator:
         rng = random.Random(3)
         cg = random_colored_graph(rng, 5, 2)
         inst, _ = mcc_to_planar_edsp(cg, 2)
-        topo_order(inst.dag)
+        inst.dag.order
 
     def test_missing_color_rejected(self):
         cg = ColoredGraph(UndirectedGraph(2, ()), (1, 1), 2)
@@ -243,7 +264,7 @@ class TestBlockGenerator:
 
     def test_generated_graph_is_acyclic(self):
         inst, _ = self._k33_unit_instance()
-        topo_order(inst.dag)
+        inst.dag.order
 
     def test_planted_witness_routing_verifies(self):
         pattern = complete_bipartite_pattern()
@@ -303,8 +324,16 @@ class TestBlockGenerator:
                        for a, b in pattern.edges):
                     brute = combo
                     break
-            got = find_homomorphism(pattern, host)
-            assert (got is None) == (brute is None)
-            if got is not None:
-                for a, b in pattern.edges:
-                    assert host.has_edge((a, got[a - 1]), (b, got[b - 1]))
+            assert find_homomorphism(pattern, host) == brute, seed
+
+    def test_find_homomorphism_past_the_recursion_limit(self):
+        # the cyclic cubic pattern a_i -> b_i, b_{i+1}, b_{i+2} with one host
+        # member per class: the search goes one level deeper per class
+        half = (sys.getrecursionlimit() + 201) // 2
+        edges = tuple(
+            (a, half + (a - 1 + step) % half + 1) for a in range(1, half + 1) for step in range(3)
+        )
+        pattern = PatternGraph(2 * half, edges)
+        host = HostGraph((1,) * (2 * half), tuple(((a, 1), (b, 1)) for a, b in edges))
+        assert find_homomorphism(pattern, host) == (1,) * (2 * half)
+        assert find_homomorphism(pattern, HostGraph(host.class_sizes, host.edges[1:])) is None

@@ -12,6 +12,7 @@ from dspc import (
     CycleDetected,
     Instance,
     InvariantViolation,
+    LimitExceeded,
     ParseError,
     Path,
     Solution,
@@ -27,6 +28,7 @@ from dspc import (
     psi_to_dspc,
     solve_with_congestion,
 )
+from dspc.exact import MAX_VERTICES
 from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 from dspc.randgen import random_instance
 
@@ -140,6 +142,12 @@ class TestInstanceFiles:
     def test_bad_mode_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("p dsp 1 0 1 1 mixed\nd 1 1\n")
+
+    def test_vertex_count_over_bound_rejected(self):
+        at_bound = parse_instance(f"p dsp {MAX_VERTICES} 0 1 1 vertex\nd 1 2\n")
+        assert at_bound.dag.vertex_count == MAX_VERTICES
+        with pytest.raises(LimitExceeded, match=f"{MAX_VERTICES + 1} vertices"):
+            parse_instance(f"p dsp {MAX_VERTICES + 1} 0 1 1 vertex\nd 1 2\n")
 
     def test_cyclic_file_rejected(self):
         text = "p dsp 2 2 1 1 vertex\na 1 2 1\na 2 1 1\nd 1 2\n"
