@@ -192,6 +192,21 @@ class DistanceMatrix:
         return self.table[u][v]
 
 
+def _walk_length(dag: Dag, vertices: Sequence[int]) -> int:
+    """Total weight of the walk through ``vertices``; InvariantViolation at a step off the graph."""
+    n, out_edges = dag.vertex_count, dag.out_edges
+    length = 0
+    for u, v in zip(vertices, vertices[1:]):
+        # a tail out of range would index out_edges from the end, or past it
+        for _, head, weight in out_edges[u] if 1 <= u <= n else ():
+            if head == v:
+                length += weight
+                break
+        else:
+            raise InvariantViolation(f"({u},{v}) is not an edge")
+    return length
+
+
 @dataclass(frozen=True)
 class Path:
     """A directed walk given as a vertex sequence plus its total edge weight."""
@@ -205,17 +220,7 @@ class Path:
         vertices = tuple(vertices)
         if not vertices:
             raise InvariantViolation("a path needs at least one vertex")
-        n, out_edges = dag.vertex_count, dag.out_edges
-        length = 0
-        for u, v in zip(vertices, vertices[1:]):
-            # a tail out of range would index out_edges from the end, or past it
-            for _, head, weight in out_edges[u] if 1 <= u <= n else ():
-                if head == v:
-                    length += weight
-                    break
-            else:
-                raise InvariantViolation(f"({u},{v}) is not an edge")
-        return cls(vertices, length)
+        return cls(vertices, _walk_length(dag, vertices))
 
     @property
     def start(self) -> int:
@@ -349,21 +354,13 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
     if len(sol.paths) != inst.k:
         raise ShapeMismatch(f"expected {inst.k} paths, got {len(sol.paths)}")
     dag = inst.dag
-    n, out_edges = dag.vertex_count, dag.out_edges
     violations: list[Violation] = []
     for i, (path, (s, t)) in enumerate(zip(sol.paths, inst.demands)):
-        intact = bool(path.vertices)
-        length = 0
-        for u, v in path.edge_seq():
-            # a tail out of range would index out_edges from the end, or past it
-            for _, head, weight in out_edges[u] if 1 <= u <= n else ():
-                if head == v:
-                    length += weight
-                    break
-            else:
-                intact = False
-                break
-        if not intact or length != path.length:
+        try:
+            intact = bool(path.vertices) and _walk_length(dag, path.vertices) == path.length
+        except InvariantViolation:
+            intact = False
+        if not intact:
             violations.append(Violation("structure", demand=i))
             continue
         if path.start != s or path.end != t:
@@ -372,7 +369,6 @@ def verify_solution(inst: Instance, sol: Solution) -> VerifyReport:
         if path.length != dag.dist_from(s, t)[t]:
             violations.append(Violation("not_shortest", demand=i))
     profile = congestion_profile(inst, sol)
-    for subject in sorted(profile):
-        if profile[subject] > inst.congestion:
-            violations.append(Violation("congestion", subject=subject))
+    for subject in sorted(x for x, count in profile.items() if count > inst.congestion):
+        violations.append(Violation("congestion", subject=subject))
     return VerifyReport(feasible=not violations, violations=tuple(violations))

@@ -15,13 +15,20 @@ exactly the shortest s-to-t paths.
 After a move every unfinished pebble sits after u in the topological order,
 so no pebble comes back to u: all pebbles that ever visit a vertex are on
 it at the same time, and an edge is only taken in the one move that leaves
-its tail. ``merge_check`` therefore counts loads exactly, move by move: in
-vertex mode the pebbles on each head after the move, resting and finished
-ones included, and in edge mode the movers that take each edge. No move
-checks a source, so in vertex mode ``solve`` first rejects any vertex at
-which more than c demands start or end. In edge mode it rejects a vertex
-at which more demands start than c per out-edge, or end than c per
-in-edge. Congestion 1 is the disjoint case of either mode.
+its tail. Loads are therefore counted exactly, move by move: in vertex mode
+the pebbles on each head after the move, resting and finished ones
+included, and in edge mode the movers that take each edge. ``fitting_moves``
+enumerates a state's moves depth first over the movers, keeps a running
+load per element and cuts a prefix of the movers' picks as soon as an
+element would pass c. It yields exactly the moves that ``merge_check``,
+the check of one whole move and the tests' reference, accepts, in
+lexicographic order, except that movers bound for one terminal are
+interchangeable and take their edges in non-decreasing order only: 30 such
+pebbles on a fork make 31 moves, not 2^30. No move checks a source, so in
+vertex mode ``solve`` first rejects any vertex at which more than c demands
+start or end. In edge mode it rejects a vertex at which more demands start
+than c per out-edge, or end than c per in-edge. Congestion 1 is the
+disjoint case of either mode.
 
 Before the search, ``solve`` pins every demand whose route is forced and
 takes its load off the budget. A walk from s along tight edges that never
@@ -30,7 +37,7 @@ other demands are counted again, up to 2 shortest paths, skipping every
 element (vertex or edge) that the pinned paths already fill to c: a demand
 with one path left is pinned too, one with none makes the instance
 infeasible, and the count repeats until nothing changes. The pinned loads
-form a ``fixed`` map that ``merge_check`` adds to every count, so the
+form a ``fixed`` map that every load count adds, so the
 search moves only the free pebbles. Every pinned route is the same in every
 feasible routing, so the routing found is the one the search would find
 carrying every pebble. In vertex mode a pinned path may run through the
@@ -42,9 +49,13 @@ depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
 Two budgets bound a solve, and running out of either raises LimitExceeded:
 the memo holds at most ``MAX_DEAD_STATES`` states, and the search checks at
-most ``MAX_MOVES_CHECKED`` moves. The memo alone does not bound time: the m
-movers on a vertex have up to out-degree^m moves, and only in vertex mode
-is m at most c. No demand count is refused up front. The search keeps its
+most ``MAX_MOVES_CHECKED`` moves, counting one per move that fits and one
+per cut prefix. That is never more than the moves ``itertools.product``
+over the movers' edges would make, and the count of the latest solve is
+``DisjointShortestSolver.checked``. The memo alone does not bound time: the
+m movers on a vertex can have up to out-degree^m prefixes to try (when more
+movers than edges meet at c = 1, say), and only in vertex mode is m at most
+c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` an infeasible solve logs its
 reason on the ``dspc.exact`` logger.
@@ -58,10 +69,9 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
 from math import prod
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     INFINITY,
@@ -79,7 +89,7 @@ from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 
 #: Dead states a solve may record before LimitExceeded; about 117 MB at 27 pebbles.
 MAX_DEAD_STATES = 2**19
-#: Moves (``merge_check`` calls) a solve may check before LimitExceeded; 5-15 µs each.
+#: Moves a solve may check before LimitExceeded, one per fitting move or cut prefix.
 MAX_MOVES_CHECKED = 2**20
 #: Vertices a file's header may declare before LimitExceeded; ``dspc solve`` peaks at
 #: about 170 MB on a chain of this many.
@@ -128,6 +138,17 @@ class _TightEdges(dict):
         edges = self[key] = [e for e in self.out_edges[u] if e[2] + b[e[1]] == b[u]]
         return edges
 
+    def only(self, u: int, t: int) -> Edge | None:
+        """The one tight edge of u for t, or None unless there is exactly one; caches nothing."""
+        b = self.to_t[t]
+        found = None
+        for edge in self.out_edges[u]:
+            if edge[2] + b[edge[1]] == b[u]:
+                if found is not None:
+                    return None
+                found = edge
+        return found
+
 
 def merge_check(
     state: State,
@@ -161,12 +182,87 @@ def merge_check(
     return None if over else tuple(nxt)
 
 
+def fitting_moves(
+    state: State,
+    movers: Sequence[int],
+    terminals: State,
+    options: Sequence[Sequence[Edge]],
+    congestion: int = 1,
+    mode: str = VERTEX,
+    fixed: Load = NO_LOAD,
+) -> Iterator[State | None]:
+    """The moves of ``movers`` that fit, depth first: each next state, and None per cut prefix.
+
+    Mover ``movers[j]`` takes one edge of ``options[j]``. The picks come in
+    ``product(*options)`` order and are exactly those ``merge_check``
+    accepts, except that movers sharing a terminal take option indices in
+    non-decreasing order only: such pebbles are interchangeable, and the
+    sorted pick is the lexicographically first of its permutations, fits
+    whenever any of them does and leads to an equivalent state. A running
+    load per element (the head in vertex mode, resting pebbles and
+    ``fixed`` included; the edge in edge mode) cuts a prefix as soon as an
+    element would pass ``congestion``, and None is yielded for it once.
+    """
+    vertex_mode, pinned = mode == VERTEX, fixed.get
+    last = len(movers) - 1
+    if not last:
+        # one mover, the common move: no prefix to cut and no group to order
+        i, nxt = movers[0], list(state)
+        for edge in options[0]:
+            head = edge[1]
+            held = state.count(head) + pinned(head, 0) if vertex_mode else pinned(edge, 0)
+            if held < congestion:
+                nxt[i] = head
+                yield tuple(nxt)
+            else:
+                yield None
+        return
+    # floor[j]: the mover before j with j's terminal, whose option index j may not undercut
+    floor, latest = [-1] * (last + 1), {}
+    for j, i in enumerate(movers):
+        floor[j] = latest.get(terminals[i], -1)
+        latest[terminals[i]] = j
+    # load: the picks of the movers before j, on top of the resting and pinned load
+    load: dict[object, int] = {}
+    taken, keys = [0] * (last + 1), [None] * (last + 1)
+    nxt = list(state)
+    j = 0
+    while True:
+        opts, k = options[j], taken[j]
+        if k == len(opts):
+            # mover j is out of options: the one before it tries its next
+            if j == 0:
+                return
+            j -= 1
+            load[keys[j]] -= 1
+            taken[j] += 1
+            continue
+        edge = opts[k]
+        key = edge[1] if vertex_mode else edge
+        if key in load:
+            count = load[key] + 1
+        else:
+            count = (state.count(key) if vertex_mode else 0) + pinned(key, 0) + 1
+        if count > congestion:
+            taken[j] = k + 1
+            yield None
+            continue
+        nxt[movers[j]] = edge[1]
+        if j == last:
+            taken[j] = k + 1
+            yield tuple(nxt)
+            continue
+        load[key], keys[j] = count, key
+        j += 1
+        taken[j] = taken[floor[j]] if floor[j] >= 0 else 0
+
+
 class DisjointShortestSolver:
     """Pebbling search routing at congestion c per vertex or edge of one DAG.
 
-    ``memo`` holds the dead states and ``pinned`` the indices of the demands
-    pinned before the search, both of the latest solve() call; neither is
-    mutated once that call returns.
+    ``memo`` holds the dead states, ``pinned`` the indices of the demands
+    pinned before the search and ``checked`` the moves the search checked,
+    all of the latest solve() call; none is mutated once that call returns.
     """
 
     def __init__(self, dag: Dag, congestion: int = 1, mode: str = VERTEX):
@@ -179,6 +275,7 @@ class DisjointShortestSolver:
         self.mode = mode
         self.memo = MemoStore()
         self.pinned: tuple[int, ...] = ()
+        self.checked = 0
 
     def solve(self, pairs: Sequence[Demand]) -> Solution | None:
         pairs = tuple((int(s), int(t)) for s, t in pairs)
@@ -190,6 +287,7 @@ class DisjointShortestSolver:
                 raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
         self.memo = MemoStore()
         self.pinned = ()
+        self.checked = 0
         c, out = self.congestion, self.dag.out_edges
         if self.mode == VERTEX:
             load = Counter(s for s, _ in pairs) + Counter(t for s, t in pairs if t != s)
@@ -243,21 +341,26 @@ class DisjointShortestSolver:
 
         # Every tight edge out of a vertex reached from s leads on to t, so a
         # walk that never forks is the demand's only shortest path.
-        loads = []
+        fixed: dict[object, int] = {}
+        pinned = fixed.get
+
+        def pin(i: int, walk: tuple[int, ...], edges: Iterable[Edge]) -> None:
+            walks[i] = walk
+            for x in walk if vertex_mode else edges:
+                fixed[x] = pinned(x, 0) + 1
+
         for i, (s, t) in enumerate(pairs):
             taken, u = [], s
             while u != t:
-                edges = tight[u, t]
-                if len(edges) != 1:
+                edge = tight.only(u, t)
+                if edge is None:
                     break
-                taken.append(edges[0])
-                u = edges[0][1]
+                taken.append(edge)
+                u = edge[1]
             else:
-                walks[i] = (s, *(head for _, head, _ in taken))
-                loads.append(walks[i] if vertex_mode else taken)
+                pin(i, (s, *(head for _, head, _ in taken)), taken)
         if not walks:
             return NO_LOAD
-        fixed = Counter(chain.from_iterable(loads))
         over = [x for x, load in fixed.items() if load > c]
         if over:
             return _infeasible("pinned paths overload %s %s", self.mode, over[0])
@@ -270,15 +373,16 @@ class DisjointShortestSolver:
             for i, (s, t) in enumerate(pairs):
                 if i in walks:
                     continue
-                ways = {} if vertex_mode and fixed[s] >= c else {s: 1}
+                ways = {} if vertex_mode and pinned(s, 0) >= c else {s: 1}
                 last: dict[int, Edge] = {}
                 for u in order[pos[s]:pos[t]]:
                     if u not in ways:
                         continue
                     for edge in tight[u, t]:
                         head = edge[1]
-                        if fixed[head if vertex_mode else edge] < c:
-                            ways[head] = min(2, ways.get(head, 0) + ways[u])
+                        if pinned(head if vertex_mode else edge, 0) < c:
+                            # path counts stop at 2: more than one is all that matters
+                            ways[head] = 2 if head in ways else ways[u]
                             last[head] = edge
                 count = ways.get(t, 0)
                 if count == 0:
@@ -288,14 +392,13 @@ class DisjointShortestSolver:
                     walk = [t]
                     while walk[-1] != s:
                         walk.append(last[walk[-1]][0])
-                    walks[i] = tuple(reversed(walk))
-                    fixed.update(walks[i] if vertex_mode else (last[v] for v in walk[:-1]))
+                    pin(i, tuple(reversed(walk)), (last[v] for v in walk[:-1]))
                     changed = True
 
         if vertex_mode:
             starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
             for s, count in starts.items():
-                if fixed[s] + count > c:
+                if pinned(s, 0) + count > c:
                     return _infeasible("pinned paths overload vertex %d", s)
         return fixed
 
@@ -307,37 +410,38 @@ class DisjointShortestSolver:
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        pos = self.dag.position
-        c, mode, dead = self.congestion, self.mode, self.memo.entries
-        checked = 0
+        pos, order = self.dag.position, self.dag.order
+        c, mode, dead, put = self.congestion, self.mode, self.memo.entries, self.memo.put
 
-        def moves(state: State) -> Iterator[State]:
-            nonlocal checked
-            u = min((v for v, t in zip(state, terminals) if v != t), key=pos.__getitem__)
+        def moves(state: State) -> Iterator[State | None]:
+            u = order[min([pos[v] for v, t in zip(state, terminals) if v != t])]
             movers = [i for i, v in enumerate(state) if v == u != terminals[i]]
             options = [tight[u, terminals[i]] for i in movers]
-            for pick in product(*options):
-                checked += 1
-                if checked > MAX_MOVES_CHECKED:
-                    raise LimitExceeded(f"search gave up after {MAX_MOVES_CHECKED} moves checked")
-                nxt = merge_check(state, movers, pick, c, mode, fixed)
-                if nxt is not None and nxt not in dead:
-                    yield nxt
+            return fitting_moves(state, movers, terminals, options, c, mode, fixed)
 
         if start == terminals:
             return [start]
+        checked, done = 0, object()
         path, frames = [start], [moves(start)]
-        while frames:
-            nxt = next(frames[-1], None)
-            if nxt is None:
-                frames.pop()
-                self.memo.put(path.pop())
-            else:
+        try:
+            while frames:
+                nxt = next(frames[-1], done)
+                if nxt is done:
+                    frames.pop()
+                    put(path.pop())
+                    continue
+                if checked >= MAX_MOVES_CHECKED:
+                    raise LimitExceeded(f"search gave up after {MAX_MOVES_CHECKED} moves checked")
+                checked += 1
+                if nxt is None or nxt in dead:
+                    continue
                 path.append(nxt)
                 if nxt == terminals:
                     return path
                 frames.append(moves(nxt))
-        return None
+            return None
+        finally:
+            self.checked = checked
 
 
 def _infeasible(reason: str, *args: object) -> None:
@@ -361,9 +465,12 @@ def solve_disjoint_shortest(
     return DisjointShortestSolver(dag, congestion=congestion, mode=mode).solve(pairs)
 
 
-def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
-    """Number of distinct shortest s-to-t paths, along the tight edges from s (0 if none)."""
-    b = dag.dist_to(t, s)
+def count_shortest_paths(dag: Dag, s: int, t: int, to_t: Sequence[float] | None = None) -> int:
+    """Number of distinct shortest s-to-t paths, along the tight edges from s (0 if none).
+
+    ``to_t`` is ``dag.dist_to(t, s)`` when the caller has already swept it.
+    """
+    b = dag.dist_to(t, s) if to_t is None else to_t
     if b[s] == INFINITY:
         return 0
     ways = [0] * (dag.vertex_count + 1)
@@ -378,12 +485,15 @@ def count_shortest_paths(dag: Dag, s: int, t: int) -> int:
     return ways[t]
 
 
-def iter_shortest_paths(dag: Dag, s: int, t: int) -> Iterator[Path]:
+def iter_shortest_paths(
+    dag: Dag, s: int, t: int, to_t: Sequence[float] | None = None
+) -> Iterator[Path]:
     """All shortest s-to-t paths, in lexicographic order of their vertex sequences.
 
     Walks from s only the tight edges (u, v, w): w + b[v] = b[u], b = dist(., t).
+    ``to_t`` is ``dag.dist_to(t, s)`` when the caller has already swept it.
     """
-    b = dag.dist_to(t, s)
+    b = dag.dist_to(t, s) if to_t is None else to_t
     target = b[s]
     if target == INFINITY:
         return
@@ -415,7 +525,8 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     product of per-demand shortest-path counts exceeds ``limit``.
     """
     dag = inst.dag
-    counts = [count_shortest_paths(dag, s, t) for s, t in inst.demands]
+    sweeps = [dag.dist_to(t, s) for s, t in inst.demands]
+    counts = [count_shortest_paths(dag, s, t, b) for (s, t), b in zip(inst.demands, sweeps)]
     if 0 in counts:
         return None  # some terminal is unreachable
     if prod(counts) > limit:
@@ -425,8 +536,8 @@ def brute_force_oracle(inst: Instance, limit: int = 10**6) -> Solution | None:
     # each demand's paths, each with the elements it loads
     choices = [
         [(path, path.vertices if vertex_mode else tuple(path.edge_seq()))
-         for path in iter_shortest_paths(dag, s, t)]
-        for s, t in inst.demands
+         for path in iter_shortest_paths(dag, s, t, b)]
+        for (s, t), b in zip(inst.demands, sweeps)
     ]
     budget = inst.congestion
     load: Counter = Counter()

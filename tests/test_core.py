@@ -22,7 +22,7 @@ from dspc import (
     reachable,
     verify_solution,
 )
-from dspc.core import backtrack
+from dspc.core import Violation, backtrack
 from dspc.randgen import random_dag, random_instance
 
 from helpers import (
@@ -264,6 +264,24 @@ class TestVerifySolution:
         inst = Instance(dag, ((1, 3),), 1)
         report = verify_solution(inst, Solution((Path((1, 3), 2),)))
         assert any(v.kind == "structure" for v in report.violations)
+
+    def test_violations_in_demand_then_subject_order(self):
+        # structure defects (a missing edge, a tail that is no vertex, a wrong
+        # length) come per demand; then every overloaded element, sorted
+        dag = diamond()
+        paths = (Path((1, 4), 1), Path((9, 4), 1), Path((1, 2, 4), 3), Path.trace(dag, (1, 3, 4)))
+        paths += (Path.trace(dag, (1, 2, 4)),) * 2
+        report = verify_solution(Instance(dag, ((1, 4),) * 6, 1), Solution(paths))
+        assert report.violations == tuple(
+            [Violation("structure", demand=i) for i in range(3)]
+            + [Violation("congestion", subject=v) for v in (1, 2, 4)]
+        )
+        report = verify_solution(Instance(dag, ((1, 4),) * 6, 1, "edge"), Solution(paths))
+        assert report.violations[3:] == tuple(
+            Violation("congestion", subject=e) for e in ((1, 2), (2, 4))
+        )
+        inst = Instance(dag, ((1, 4),) * 3, 2, "edge")
+        assert verify_solution(inst, Solution(paths[3:])).feasible
 
     def test_shape_mismatch_raises(self):
         dag = chain(3)

@@ -7,8 +7,12 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspc import (
     Dag,
@@ -26,7 +30,7 @@ from dspc import (
     verify_solution,
 )
 from dspc import exact
-from dspc.exact import count_shortest_paths
+from dspc.exact import count_shortest_paths, fitting_moves
 from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
 from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest
@@ -42,20 +46,21 @@ class TestMergeCheck:
 
     def test_detour_is_never_a_candidate(self, monkeypatch):
         # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
-        # never offers it and merge_check needs no length test; the second
+        # never offers it and no move check needs a length test; the second
         # route 1-5-3-4 keeps the demand from being pinned before the search
         dag = Dag(5, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1)))
         offered = []
 
-        def recording(state, movers, edges, *args):
-            offered.extend(edges)
-            return merge_check(state, movers, edges, *args)
+        def recording(state, movers, terminals, options, *args):
+            offered.extend(edge for edges in options for edge in edges)
+            return fitting_moves(state, movers, terminals, options, *args)
 
-        monkeypatch.setattr(exact, "merge_check", recording)
-        sol = solve_disjoint_shortest(dag, [(1, 4)])
+        monkeypatch.setattr(exact, "fitting_moves", recording)
+        solver = DisjointShortestSolver(dag)
+        sol = solver.solve([(1, 4)])
         assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
         assert sol.paths[0].length == 3
-        assert offered and (2, 4, 5) not in offered
+        assert solver.checked == 3 and len(offered) == 4 and (2, 4, 5) not in offered
 
     def test_ends_must_meet_the_cut_edge(self):
         # every mover must sit on the tail of the edge it takes
@@ -115,6 +120,92 @@ class TestMergeCheck:
             sol = solve_disjoint_shortest(inst.dag, inst.demands)
             if sol is not None:
                 assert verify_solution(inst, sol).feasible
+
+
+@st.composite
+def joint_moves(draw):
+    """Pebbles on vertex 1 that move together, the pebbles resting elsewhere, and a budget.
+
+    Movers with the same terminal share one option list, as they share the
+    search's tight edges; the heads in a list are distinct, so each pick
+    leads to its own state.
+    """
+    mode = draw(st.sampled_from(("vertex", "edge")))
+    congestion = draw(st.integers(1, 3))
+    heads = st.integers(2, 6)
+    options = {t: [(1, h, 1) for h in draw(st.lists(heads, min_size=1, max_size=4, unique=True))]
+               for t in (7, 8)}
+    pebbles = [(1, t) for t in draw(st.lists(st.sampled_from((7, 8)), min_size=1, max_size=4))]
+    pebbles += draw(st.lists(st.tuples(st.integers(2, 8), st.sampled_from((7, 8))), max_size=3))
+    pebbles = draw(st.permutations(pebbles))
+    state, terminals = tuple(v for v, _ in pebbles), tuple(t for _, t in pebbles)
+    movers = [i for i, v in enumerate(state) if v == 1]
+    keys = heads if mode == "vertex" else st.builds(lambda h: (1, h, 1), heads)
+    fixed = draw(st.dictionaries(keys, st.integers(0, congestion)))
+    lists = [options[terminals[i]] for i in movers]
+    return state, movers, terminals, lists, congestion, mode, fixed
+
+
+class TestFittingMoves:
+    """The search's depth-first enumeration of the joint moves that fit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(joint_moves())
+    def test_same_picks_as_product_and_merge_check(self, case):
+        # the reference: every pick of product(*options) whose option indices
+        # do not decrease among the movers of one terminal, checked whole
+        state, movers, terminals, options, c, mode, fixed = case
+        want = []
+        for pick in product(*(range(len(edges)) for edges in options)):
+            taken: dict[int, int] = {}
+            ordered = True
+            for i, k in zip(movers, pick):
+                ordered = ordered and taken.get(terminals[i], 0) <= k
+                taken[terminals[i]] = k
+            picked = [edges[k] for edges, k in zip(options, pick)]
+            nxt = merge_check(state, movers, picked, c, mode, fixed)
+            if ordered and nxt is not None:
+                want.append(nxt)
+        checked = list(fitting_moves(*case))
+        assert [nxt for nxt in checked if nxt is not None] == want
+        # one check per fitting pick or cut prefix, never more than product made
+        assert len(checked) <= prod(len(edges) for edges in options)
+
+    @pytest.mark.parametrize("k", [12, 20, 30])
+    def test_edge_funnel_decided(self, k):
+        # edge mode, c = 1: k pebbles meet at one vertex with two out-edges,
+        # so at most two of them can leave it; product made 2^k picks there
+        u, a, b = k + 1, k + 2, k + 3
+        edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, a, 1), (u, b, 1)]
+        edges += [(x, b + i, 1) for i in range(1, k + 1) for x in (a, b)]
+        dag, demands = Dag(b + k, tuple(edges)), tuple((i, b + i) for i in range(1, k + 1))
+        solver = DisjointShortestSolver(dag, mode="edge")
+        assert solver.solve(demands) is None
+        # one move onto u per pebble, then six cut prefixes: the third mover
+        # meets both edges full, twice, and the second one once per edge
+        assert solver.checked == k + 6 and len(solver.memo.entries) == k + 1
+        if 2**k <= 10**6:
+            assert brute_force_oracle(Instance(dag, demands, 1, "edge")) is None
+
+    def test_equal_pebbles_take_edges_in_order(self):
+        # 30 pebbles bound for one terminal are interchangeable: on one
+        # vertex with two tight edges their picks are the 31 sorted ones,
+        # not 2^30
+        arms = [(1, 2, 1), (1, 3, 1)]
+        moves = list(fitting_moves((1,) * 30, range(30), (4,) * 30, [arms] * 30, 30))
+        assert len(moves) == 31 and moves[0] == (2,) * 30 and moves[-1] == (3,) * 30
+        # two stacked diamonds in edge mode at c = 15: each fork splits the
+        # pebbles in half, with the first pick that fits, which is sorted
+        dag = Dag(7, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1),
+                      (4, 5, 1), (4, 6, 1), (5, 7, 1), (6, 7, 1)))
+        demands = ((1, 7),) * 30
+        solver = DisjointShortestSolver(dag, congestion=15, mode="edge")
+        sol = solver.solve(demands)
+        assert [p.vertices for p in sol.paths] == [(1, 2, 4, 5, 7)] * 15 + [(1, 3, 4, 6, 7)] * 15
+        assert verify_solution(Instance(dag, demands, 15, "edge"), sol).feasible
+        # per fork one cut prefix (a 16th pebble on the first edge) and one
+        # pick; one pick for each vertex after a fork
+        assert solver.checked == 8
 
 
 class TestSolveDisjointShortest:
@@ -374,32 +465,30 @@ class TestMemoStore:
         assert len(solver.memo.entries) == dead - 1
 
     def test_budget_of_moves_checked(self, monkeypatch):
-        # edge mode, c = 1: twelve pebbles from twelve sources meet at one
-        # vertex with two out-edges, and none of the 2^12 moves from there
-        # fits; the memo stays small, so only the move budget bounds the work
-        k = 12
-        u, a, b = k + 1, k + 2, k + 3
-        edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, a, 1), (u, b, 1)]
-        edges += [(x, b + i, 1) for i in range(1, k + 1) for x in (a, b)]
-        dag, demands = Dag(b + k, tuple(edges)), [(i, b + i) for i in range(1, k + 1)]
+        # edge mode, c = 1: seven pebbles from seven sources meet at one vertex
+        # with six out-edges, so no move from there fits. The enumeration still
+        # visits every way to put a prefix of the movers on distinct edges,
+        # while the memo stays small: only the move budget bounds the work.
+        d = 6
+        k, u = d + 1, d + 2
+        edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, u + j, 1) for j in range(1, d + 1)]
+        terminals = range(u + d + 1, u + d + k + 1)
+        edges += [(u + j, t, 1) for j in range(1, d + 1) for t in terminals]
+        dag, demands = Dag(u + d + k, tuple(edges)), list(zip(range(1, k + 1), terminals))
         solver = DisjointShortestSolver(dag, mode="edge")
-        checked = []
-        real = exact.merge_check
-
-        def counting(*args):
-            checked.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(exact, "merge_check", counting)
         assert solver.solve(demands) is None
         assert brute_force_oracle(Instance(dag, tuple(demands), 1, "edge")) is None
-        assert len(checked) == k + 2**k
+        # one move onto u per pebble; then, with j movers placed on distinct
+        # edges in d!/(d-j)! ways, the next mover meets j full edges
+        cut = sum(factorial(d) // factorial(d - j) * j for j in range(d + 1))
+        assert solver.checked == k + cut == 9793
         assert len(solver.memo.entries) == k + 1
-        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + 2**k)
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", solver.checked)
         assert solver.solve(demands) is None
-        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + 2**k - 1)
-        with pytest.raises(LimitExceeded, match=f"after {k + 2**k - 1} moves checked"):
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + cut - 1)
+        with pytest.raises(LimitExceeded, match=f"after {k + cut - 1} moves checked"):
             solver.solve(demands)
+        assert solver.checked == k + cut - 1
 
     def test_dead_states_are_infeasible(self):
         # a dead state, restated as demands (position, terminal) at the same
@@ -466,8 +555,9 @@ class TestBruteForceOracle:
         assert [p.vertices for p in sol.paths] == [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
 
     def test_one_backward_sweep_per_demand_and_pass(self, monkeypatch):
-        # counting a demand's paths and listing them each sweep back from its
-        # terminal once, and neither sweeps forward from its source
+        # the oracle sweeps back from each demand's terminal once and hands
+        # the sweep to both the count and the listing of its paths; nothing
+        # sweeps forward from a source
         calls = Counter()
 
         def counting(name):
@@ -484,7 +574,7 @@ class TestBruteForceOracle:
         inst = Instance(diamond(), ((1, 4), (1, 4), (2, 2)), 2)
         sol = brute_force_oracle(inst)
         assert [p.vertices for p in sol.paths] == [(1, 2, 4), (1, 3, 4), (2,)]
-        assert calls == {"dist_to": 2 * inst.k}
+        assert calls == {"dist_to": inst.k}
 
 
 class TestShortestPathHelpers:
