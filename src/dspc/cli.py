@@ -1,7 +1,8 @@
 """Command-line interface: solve, verify, generate, oracle, and bench.
 
-Exit codes: 0 feasible/verified, 1 infeasible/refuted, 2 usage or input
-error or any other failure, recursion and memory errors included. Set
+Exit codes: 0 feasible/verified, 1 infeasible/refuted (for bench: a case
+on which its two routes disagree), 2 usage or input error or any other
+failure, recursion and memory errors included. Set
 DSPC_LOG to quiet, info, or debug to control stderr logging.
 
 Each call builds its parser afresh but adds arguments, ``-h`` included,
@@ -179,7 +180,7 @@ def _cmd_bench(args) -> int:
         agree += (got is None) == (want is None)
     print(f"{args.suite} agreement {agree}/{args.count}")
     log.info("suite %s finished in %.2fs", args.suite, time.monotonic() - started)
-    return 0
+    return 0 if agree == args.count else 1
 
 
 def _solve_args(solve: argparse.ArgumentParser) -> None:

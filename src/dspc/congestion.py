@@ -11,6 +11,9 @@ copied graph collapses back (by merging copies) to a routing with vertex
 congestion at most c, and conversely a congested routing lifts by handing
 the paths through each vertex distinct copies of it. Distances are
 unchanged up to the two unit-weight gadget edges added per demand.
+
+``TransformMap``, ``compose`` and ``project_solution`` serve all three of
+the paper's reductions: these two and the edge split of ``edge_disjoint``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Mapping
 
 from .core import (
     Dag,
+    EDGE,
     Instance,
     Path,
     Solution,
@@ -34,14 +38,15 @@ from .exact import solve_disjoint_shortest
 class TransformMap:
     """Bookkeeping for one transform step (or a composition of steps).
 
-    ``backward`` maps every target vertex to its source vertex, or to None
-    for gadget vertices that projection must strip. ``terminal_gadget``
+    ``backward`` maps every target vertex to its source vertex, or to the
+    source edge ``(u, v)`` when the source is in edge mode, or to None for
+    gadget vertices that projection must strip. ``terminal_gadget``
     records, per demand index, the demand endpoints in target ids.
     """
 
     source: Instance
     target: Instance
-    backward: Mapping[int, int | None]
+    backward: Mapping[int, int | tuple[int, int] | None]
     terminal_gadget: Mapping[int, tuple[int, int]]
 
 
@@ -82,7 +87,7 @@ def isolate_terminals(inst: Instance) -> tuple[Instance, TransformMap]:
         edges.append((t, new_t, 1))
         demands.append((new_s, new_t))
         terminal_gadget[i] = (new_s, new_t)
-    new_dag = Dag(n + 2 * inst.k, tuple(edges), transformed=dag.transformed)
+    new_dag = Dag(n + 2 * inst.k, tuple(edges))
     target = Instance(new_dag, tuple(demands), inst.congestion, VERTEX)
     tm = TransformMap(
         source=inst,
@@ -129,11 +134,7 @@ def expand_congestion(inst: Instance) -> tuple[Instance, TransformMap]:
             for v_copy in copies_of[v]:
                 edges.setdefault((u_copy, v_copy), w)
 
-    new_dag = Dag(
-        next_id - 1,
-        tuple((u, v, w) for (u, v), w in edges.items()),
-        transformed=True,
-    )
+    new_dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
     demands = tuple((copies_of[s][0], copies_of[t][0]) for s, t in inst.demands)
     target = Instance(new_dag, demands, 1, VERTEX)
     tm = TransformMap(
@@ -167,8 +168,10 @@ def project_solution(sol: Solution, tm: TransformMap) -> Solution:
     """Map a transformed-instance solution back to the original instance.
 
     Copies collapse to their originals and gadget endpoints are stripped;
-    the result is re-verified against the original instance and a failure
-    raises ProjectionInvalid (it would mean a transform bug).
+    when the source is in edge mode, the edges left are chained into a walk
+    of G, and a path with no edges is its demand's s = t. The result is
+    re-verified against the original instance and a failure raises
+    ProjectionInvalid (it would mean a transform bug).
     """
     original = tm.source
     projected: list[Path] = []
@@ -176,15 +179,18 @@ def project_solution(sol: Solution, tm: TransformMap) -> Solution:
         expected = tm.terminal_gadget.get(i)
         if expected is not None and (path.start, path.end) != expected:
             raise ProjectionInvalid(f"path {i} does not run between its gadget endpoints")
-        mapped = [tm.backward[v] for v in path.vertices]
+        kept = [tm.backward[v] for v in path.vertices]
         # Gadget vertices map to None and may only sit at the two ends.
-        kept = list(mapped)
-        if kept and kept[0] is None:
-            kept = kept[1:]
-        if kept and kept[-1] is None:
-            kept = kept[:-1]
-        if any(v is None for v in kept):
+        while kept and kept[-1] is None:
+            kept.pop()
+        while kept and kept[0] is None:
+            kept.pop(0)
+        if None in kept:
             raise ProjectionInvalid(f"path {i} visits a foreign gadget vertex")
+        if original.mode == EDGE:
+            if any(a[1] != b[0] for a, b in zip(kept, kept[1:])):
+                raise ProjectionInvalid(f"path {i} visits edges that do not chain")
+            kept = [kept[0][0]] + [v for _, v in kept] if kept else [original.demands[i][0]]
         try:
             projected.append(Path.trace(original.dag, kept))
         except InvariantViolation as exc:

@@ -45,15 +45,13 @@ Demand = tuple[int, int]
 class Dag:
     """A weighted directed acyclic graph on vertices 1..vertex_count.
 
-    Self-loops and parallel edges are rejected. Weights must be >= 1 unless
-    ``transformed`` is set, in which case zero-weight edges are allowed
-    (internal reductions produce them; shortest paths stay well defined).
-    Acyclicity is checked the first time an ordering is requested.
+    Self-loops and parallel edges are rejected, and every weight must be at
+    least 1; the paper's reductions produce no other weights. Acyclicity is
+    checked the first time an ordering is requested.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    transformed: bool = False
 
     def __post_init__(self):
         n = self.vertex_count
@@ -61,7 +59,6 @@ class Dag:
             raise InvariantViolation(f"vertex count must be positive, got {n}")
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         seen = set()
-        min_weight = 0 if self.transformed else 1
         ascending = True
         for tail, head, weight in self.edges:
             if not (1 <= tail <= n and 1 <= head <= n):
@@ -72,10 +69,8 @@ class Dag:
                 ascending = False
             if (tail, head) in seen:
                 raise InvariantViolation(f"parallel edge ({tail},{head})")
-            if weight < min_weight:
-                raise InvariantViolation(
-                    f"edge ({tail},{head}) has weight {weight}, minimum here is {min_weight}"
-                )
+            if weight < 1:
+                raise InvariantViolation(f"edge ({tail},{head}) has weight {weight}, minimum is 1")
             seen.add((tail, head))
         # read by ``order``; not a field, so equality and repr ignore it
         object.__setattr__(self, "_ascending", ascending)

@@ -47,7 +47,7 @@ class NoDonorFound(DspcError):
 
 
 class ProjectionInvalid(DspcError):
-    """A solution projected back from a transformed instance failed re-verification."""
+    """A solution projected back through a reduction's transform map failed re-verification."""
 
 
 class WitnessInvalid(DspcError):

@@ -7,10 +7,10 @@ Instance files follow a DIMACS-flavored line layout with 1-indexed ids:
     a <tail> <head> <weight>     (m lines, in order)
     d <source> <terminal>        (k lines, in order)
 
-A ``c transformed`` comment marks graphs produced by internal reductions,
-whose edges may carry weight 0. Solution files start with ``s 1`` or
-``s 0``; a feasible file continues with one ``p <i> <len> <v1> ... <vL>``
-line per demand, in demand order.
+Every weight is at least 1; the output of each reduction is an ordinary
+file. Solution files start with ``s 1`` or ``s 0``; a feasible file
+continues with one ``p <i> <len> <v1> ... <vL>`` line per demand, in
+demand order.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .exact import MAX_VERTICES
 
 def emit_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
     lines = [f"c {text}" if text else "c" for text in comments]
-    if inst.dag.transformed:
-        lines.append("c transformed")
     lines.append(
         f"p dsp {inst.dag.vertex_count} {inst.dag.edge_count} "
         f"{inst.k} {inst.congestion} {inst.mode}"
@@ -40,7 +38,6 @@ def parse_instance(text: str) -> Instance:
     header = None
     edges: list[tuple[int, int, int]] = []
     demands: list[tuple[int, int]] = []
-    transformed = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -62,8 +59,7 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise ParseError("demand fields must be integers", lineno)
         elif tag == "c":
-            if fields[1:] == ["transformed"]:
-                transformed = True
+            pass
         elif tag == "p":
             if header is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -89,8 +85,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"header promises {m} arcs, file has {len(edges)}")
     if len(demands) != k:
         raise ParseError(f"header promises {k} demands, file has {len(demands)}")
-    dag = Dag(n, tuple(edges), transformed=transformed)
-    return Instance(dag, tuple(demands), c, mode)
+    return Instance(Dag(n, tuple(edges)), tuple(demands), c, mode)
 
 
 def emit_solution(sol: Solution | None) -> str:

@@ -90,6 +90,16 @@ class TestSolve:
         path.write_text("hello\n")
         assert run("solve", "-i", str(path)) == 2
 
+    def test_zero_weight_is_input_error(self, tmp_path, capsys):
+        # a "c transformed" comment is an ordinary comment and allows nothing
+        path = tmp_path / "zero.dsp"
+        for comment in ("", "c transformed\n"):
+            path.write_text(comment + "p dsp 2 1 1 1 vertex\na 1 2 0\nd 1 2\n")
+            assert run("solve", "-i", str(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: edge (1,2) has weight 0, minimum is 1\n"
+
     def test_dead_state_budget_is_error_exit(self, tmp_path, monkeypatch, capsys):
         # the 3x3 grid whose search records a handful of dead states
         path = tmp_path / "grid.dsp"
@@ -304,6 +314,13 @@ class TestBench:
         for suite in ("dnc-oracle", "congestion", "kernel", "mcc"):
             assert run("bench", "--suite", suite, "--count", "5") == 0
             assert "agreement 5/5" in capsys.readouterr().out
+
+    def test_disagreement_is_refuted(self, monkeypatch, capsys):
+        # an oracle that calls every case infeasible disagrees on the feasible ones
+        monkeypatch.setattr("dspc.cli.brute_force_oracle", lambda inst: None)
+        assert run("bench", "--suite", "congestion", "--count", "5") == 1
+        agree = int(capsys.readouterr().out.split()[-1].split("/")[0])
+        assert agree < 5
 
 
 class TestUsage:

@@ -34,7 +34,6 @@ from dspc import (
     verify_solution,
 )
 from dspc.congestion import compose
-from dspc.edge_disjoint import project_edge_solution
 from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
 from helpers import chain, diamond, grid_dag, relabel
@@ -101,7 +100,6 @@ class TestExpandCongestion:
         isolated, _ = isolate_terminals(inst)
         expanded, tm = expand_congestion(isolated)
         assert expanded.congestion == 1
-        assert expanded.dag.transformed
         # 3 interior vertices doubled + 4 terminals kept single
         assert expanded.dag.vertex_count == 2 * 3 + 4
         sol = solve_disjoint_shortest(expanded.dag, expanded.demands)
@@ -271,19 +269,23 @@ class TestNativeAgainstReductions:
     """The native solver, the paper's reduction pipeline and the oracle agree.
 
     No solve route runs the reductions, so this is where they stay checked
-    end to end: isolate terminals, copy vertices c times, solve at
-    congestion 1 and project back (after the edge split in edge mode, which
-    ``solve_edsp`` also checks on its own).
+    end to end: split edges in edge mode, isolate terminals, copy vertices
+    c times, solve at congestion 1 and project back once through the
+    composed map (``solve_edsp`` also checks the split on its own).
     """
 
     @staticmethod
     def _reduced(inst):
+        split = None
+        if inst.mode == EDGE:
+            inst, split = edge_split_transform(inst)
         isolated, iso_map = isolate_terminals(inst)
         expanded, exp_map = expand_congestion(isolated)
         routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
         if routed is None:
             return None
-        return project_solution(routed, compose(iso_map, exp_map))
+        tm = compose(iso_map, exp_map)
+        return project_solution(routed, tm if split is None else compose(split, tm))
 
     @staticmethod
     def _instances(mode):
@@ -306,10 +308,7 @@ class TestNativeAgainstReductions:
         for inst in self._instances("edge"):
             got = solve_with_congestion(inst)
             split = solve_edsp(inst)
-            h_inst, emap = edge_split_transform(inst)
-            reduced = self._reduced(h_inst)
-            if reduced is not None:
-                reduced = project_edge_solution(reduced, emap)
+            reduced = self._reduced(inst)
             want = brute_force_oracle(inst)
             assert (got is None) == (split is None) == (reduced is None) == (want is None)
             if got is not None:
@@ -340,11 +339,8 @@ class TestNativeAgainstReductions:
             inst = draw(random.Random(rng_seed), k, c)
             assert parse_instance(emit_instance(inst)) == inst
             infeasible = brute_force_oracle(inst) is None
-            routes = [solve_with_congestion(inst)]
-            if inst.mode == VERTEX:
-                routes += [self._reduced(inst), solve_kdspc(inst)]
-            else:
-                routes += [solve_edsp(inst)]
+            routes = [solve_with_congestion(inst), self._reduced(inst)]
+            routes += [solve_kdspc(inst) if inst.mode == VERTEX else solve_edsp(inst)]
             for routed in routes:
                 assert (routed is None) == infeasible
                 assert routed is None or verify_solution(inst, routed).feasible

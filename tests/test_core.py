@@ -82,10 +82,6 @@ class TestDagInvariants:
         with pytest.raises(InvariantViolation):
             Dag(2, ((1, 2, 0),))
 
-    def test_allows_zero_weight_when_transformed(self):
-        dag = Dag(2, ((1, 2, 0),), transformed=True)
-        assert dag.dist_from(1)[2] == 0
-
     def test_cycle_detected_on_order(self):
         dag = Dag(2, ((1, 2, 1), (2, 1, 1)))
         with pytest.raises(CycleDetected):

@@ -10,8 +10,12 @@ from dspc import (
     Dag,
     Instance,
     InvariantViolation,
+    Path,
+    ProjectionInvalid,
+    Solution,
     brute_force_oracle,
     edge_split_transform,
+    project_solution,
     solve_edsp,
     verify_solution,
 )
@@ -23,11 +27,24 @@ from helpers import chain, grid_dag
 class TestEdgeSplitTransform:
     def test_chain_becomes_four_vertex_chain(self):
         inst = Instance(chain(3), ((1, 3),), 1, "edge")
-        h_inst, emap = edge_split_transform(inst)
+        h_inst, tm = edge_split_transform(inst)
         assert h_inst.dag.vertex_count == 4
         assert h_inst.mode == "vertex"
         s, t = h_inst.demands[0]
-        assert h_inst.dag.dist_from(s)[t] == 2
+        assert h_inst.dag.dist_from(s)[t] == 3  # G distance 2, plus the arc into t
+        assert tm.backward == {1: (1, 2), 2: (2, 3), 3: None, 4: None}
+        assert tm.terminal_gadget == {0: (3, 4)}
+
+    def test_projection_chains_edges(self):
+        # edge nodes 1..4 are (1,2), (2,3), (3,4), (2,4); the demand's nodes are 5 and 6
+        dag = Dag(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 2)))
+        _, tm = edge_split_transform(Instance(dag, ((1, 4),), 1, "edge"))
+        routed = Solution((Path((5, 1, 2, 3, 6), 4),))
+        assert project_solution(routed, tm).paths[0].vertices == (1, 2, 3, 4)
+        # (1,2) then (3,4) would read as the walk 1, 2, 4, a shortest path of G
+        skipped = Solution((Path((5, 1, 3, 6), 4),))
+        with pytest.raises(ProjectionInvalid, match="do not chain"):
+            project_solution(skipped, tm)
 
     def test_requires_edge_mode(self):
         with pytest.raises(InvariantViolation):
@@ -41,13 +58,14 @@ class TestEdgeSplitTransform:
         assert brute_force_oracle(inst) is None
 
     def test_lengths_preserved_per_demand(self):
+        # up to the one unit-weight arc every H path takes into its terminal node
         for seed in range(40):
             rng = random.Random(seed)
             inst = random_instance(rng, n=rng.randint(1, 6), k=rng.randint(1, 2),
                                    congestion=1, mode="edge")
             h_inst, _ = edge_split_transform(inst)
             for (s, t), (hs, ht) in zip(inst.demands, h_inst.demands):
-                assert h_inst.dag.dist_from(hs)[ht] == inst.dag.dist_from(s)[t]
+                assert h_inst.dag.dist_from(hs)[ht] == inst.dag.dist_from(s)[t] + 1
 
     def test_transformed_graph_is_acyclic(self):
         for seed in range(20):

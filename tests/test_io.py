@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dspc import (
     CycleDetected,
     Instance,
-    InvariantViolation,
     LimitExceeded,
     ParseError,
     Path,
@@ -74,14 +73,21 @@ def round_trip_cases():
         for plant in (False, True):
             host, _ = random_host(rng, pattern, (1, 2) * 3, plant=plant)
             yield psi_to_dspc(pattern, host, 2)[0]
+    yield from reduction_targets()
+
+
+def reduction_targets():
+    """The isolate, copy, split and composed split -> isolate -> copy targets of random draws."""
     for seed in range(10):
         rng = random.Random(seed)
         inst = random_instance(rng, n=rng.randint(2, 6), k=rng.randint(1, 3),
                                congestion=rng.randint(1, 2))
         isolated = isolate_terminals(inst)[0]
+        split = edge_split_transform(Instance(inst.dag, inst.demands, inst.congestion, "edge"))[0]
         yield isolated
         yield expand_congestion(isolated)[0]
-        yield edge_split_transform(Instance(inst.dag, inst.demands, inst.congestion, "edge"))[0]
+        yield split
+        yield expand_congestion(isolate_terminals(split)[0])[0]
 
 
 class TestInstanceFiles:
@@ -109,14 +115,12 @@ class TestInstanceFiles:
         assert text.startswith("c family=demo seed=1\nc\np dsp")
         assert emit_instance(parse_instance(text)) == emit_instance(inst)
 
-    def test_transformed_flag_round_trip(self):
-        from dspc import Dag
-
-        dag = Dag(2, ((1, 2, 0),), transformed=True)
-        inst = Instance(dag, ((1, 2),), 1)
-        text = emit_instance(inst)
-        assert "c transformed" in text
-        assert parse_instance(text).dag.transformed
+    def test_reduction_outputs_are_ordinary_files(self):
+        for target in reduction_targets():
+            text = emit_instance(target)
+            assert not text.startswith("c")  # comments lead, so no "c transformed" line
+            assert all(w >= 1 for _, _, w in target.dag.edges)
+            assert parse_instance(text) == target
 
     def test_arc_count_mismatch(self):
         with pytest.raises(ParseError):
@@ -153,12 +157,6 @@ class TestInstanceFiles:
         text = "p dsp 2 2 1 1 vertex\na 1 2 1\na 2 1 1\nd 1 2\n"
         with pytest.raises(CycleDetected):
             parse_instance(text)
-
-    def test_zero_weight_needs_transformed_comment(self):
-        text = "p dsp 2 1 1 1 vertex\na 1 2 0\nd 1 2\n"
-        with pytest.raises(InvariantViolation):
-            parse_instance(text)
-        parse_instance("c transformed\n" + text)
 
 
 class TestSolutionFiles:
