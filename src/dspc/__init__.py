@@ -41,8 +41,8 @@ _EXPORTS = {
     "edge_disjoint": ("edge_split_transform", "solve_edsp"),
     "hardness": (
         "ColoredGraph", "HostGraph", "PatternGraph", "UndirectedGraph", "clique_to_mcc",
-        "complete_bipartite_pattern", "expected_routing_from_witness", "find_colorful_clique",
-        "find_homomorphism", "mcc_to_planar_edsp", "psi_to_dspc",
+        "complete_bipartite_pattern", "find_colorful_clique", "find_homomorphism",
+        "mcc_to_planar_edsp", "psi_to_dspc",
     ),
     "formats": ("emit_instance", "emit_solution", "parse_instance", "parse_solution"),
 }

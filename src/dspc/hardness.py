@@ -13,12 +13,15 @@ an orthogonal row/column pair is compatible exactly when the two underlying
 vertices are adjacent and differently colored, because only then were their
 crossing-cell entry vertices kept separate.
 
-Both generators return the instance together with a layout object that maps
-construction coordinates to vertex ids; witnesses are turned into expected
-routings against those layouts. Each grid row and column (``_track``) and
-each block spine (``_spine``) is spelled once, and the generators chain
-their arcs along those same vertex sequences. The graphs carry nothing
-beyond their vertex count and edges.
+Both generators take vertex ids and unit arcs from one builder
+(``_Builder``), and return the instance together with a layout object that
+maps construction coordinates to vertex ids. Each layout routes a planted
+witness itself (``GridLayout.routing``, ``PsiLayout.routing``) and verifies
+the routing before returning it. Each grid row and column is stored as its
+vertex tuple, built while ids are handed out, and each block tier takes
+consecutive ids along its spine; the generators chain their arcs along
+those same vertex sequences. The graphs carry nothing beyond their vertex
+count and edges.
 
 ``find_colorful_clique`` and ``find_homomorphism`` decide the source
 problems apart from any routing, each through ``core.backtrack``, so no
@@ -210,51 +213,74 @@ def clique_to_mcc(g: UndirectedGraph, k: int) -> ColoredGraph:
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Id maps and structural facts for one generated grid instance."""
+    """The rows and columns of one generated grid instance, and its demand order."""
 
     instance: Instance
     colored: ColoredGraph
-    out_vertex: Mapping[tuple[int, int], int]
-    row_entry: Mapping[tuple[int, int], int]  # splitter a row path uses into cell (i, j)
-    col_entry: Mapping[tuple[int, int], int]  # splitter a column path uses into cell (i, j)
+    # row i (column j): its entry, each cell's splitter and out vertex, its exit
+    rows: Mapping[int, tuple[int, ...]]
+    cols: Mapping[int, tuple[int, ...]]
     merged_cells: frozenset
-    row_boundary: Mapping[int, tuple[int, int]]  # row i -> (entry, exit) boundary ids
-    col_boundary: Mapping[int, tuple[int, int]]
-    demand_endpoints: Mapping[tuple[int, str], tuple[int, int]]  # (color, 'h'|'v')
-    demand_index: Mapping[tuple[int, str], int]
-    common_distance: int
+    demand_index: Mapping[tuple[int, str], int]  # (color, 'h'|'v')
 
     def row_path_vertices(self, color: int, row: int) -> tuple[int, ...]:
-        n = self.colored.graph.vertex_count
-        s, t = self.demand_endpoints[(color, "h")]
-        cells = [(row, j) for j in range(1, n + 1)]
-        return (s, *_track(self.row_boundary[row], self.row_entry, self.out_vertex, cells), t)
+        s, t = self.instance.demands[self.demand_index[(color, "h")]]
+        return (s, *self.rows[row], t)
 
     def col_path_vertices(self, color: int, col: int) -> tuple[int, ...]:
-        n = self.colored.graph.vertex_count
-        s, t = self.demand_endpoints[(color, "v")]
-        cells = [(i, col) for i in range(1, n + 1)]
-        return (s, *_track(self.col_boundary[col], self.col_entry, self.out_vertex, cells), t)
+        s, t = self.instance.demands[self.demand_index[(color, "v")]]
+        return (s, *self.cols[col], t)
+
+    def routing(self, clique: Sequence[int]) -> Solution:
+        """Route color i's two demands along row and column ``clique[i - 1]``.
+
+        The clique must pick one vertex per color, in color order, pairwise
+        adjacent; otherwise WitnessInvalid.
+        """
+        cg = self.colored
+        if len(clique) != cg.color_count:
+            raise WitnessInvalid("expected a clique witness with one vertex per color")
+        for position, v in enumerate(clique, start=1):
+            if not (1 <= v <= cg.graph.vertex_count) or cg.color_of(v) != position:
+                raise WitnessInvalid(f"witness vertex {v} does not carry color {position}")
+        for u, v in combinations(clique, 2):
+            if not cg.graph.has_edge(u, v):
+                raise WitnessInvalid(f"witness vertices {u} and {v} are not adjacent")
+        walks = []
+        for color, direction in self.demand_index:
+            v = clique[color - 1]
+            walks.append(self.row_path_vertices(color, v) if direction == "h"
+                         else self.col_path_vertices(color, v))
+        return _verified(self.instance, walks)
 
 
-def _track(
-    boundary: Sequence[int],
-    entry: Mapping[tuple[int, int], int],
-    out_vertex: Mapping[tuple[int, int], int],
-    cells: Sequence[tuple[int, int]],
-) -> tuple[int, ...]:
-    """One row or column of the grid: its entry, each cell's splitter and out vertex, its exit."""
-    vertices = [boundary[0]]
-    for cell in cells:
-        vertices += [entry[cell], out_vertex[cell]]
-    vertices.append(boundary[1])
-    return tuple(vertices)
+class _Builder:
+    """Hands out vertex ids 1, 2, ... and collects unit arcs in first-added order."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.arcs: dict[tuple[int, int], None] = {}
+
+    def fresh(self) -> int:
+        self.count += 1
+        return self.count
+
+    def chain(self, *vertices: int) -> None:
+        """Add an arc between each consecutive pair; an arc already added keeps its place."""
+        arcs = self.arcs
+        for arc in zip(vertices, vertices[1:]):
+            arcs[arc] = None
+
+    def dag(self) -> Dag:
+        return Dag(self.count, tuple((u, v, 1) for u, v in self.arcs))
 
 
-def _chain(edges: dict[tuple[int, int], int], vertices: Sequence[int]) -> None:
-    """Add a unit arc between each consecutive pair; an arc already added keeps its place."""
-    for u, v in zip(vertices, vertices[1:]):
-        edges.setdefault((u, v), 1)
+def _verified(instance: Instance, walks: Sequence[Sequence[int]]) -> Solution:
+    """The routing along one vertex walk per demand, verified against the instance."""
+    solution = Solution(tuple(Path.trace(instance.dag, walk) for walk in walks))
+    report = verify_solution(instance, solution)
+    assert report.feasible, f"planted witness routing must verify: {report.violations}"
+    return solution
 
 
 def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
@@ -277,98 +303,49 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
         if not cg.color_class(color):
             raise ColorMissing(f"color {color} has no vertices")
 
-    next_id = 1
-
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    demand_endpoints: dict[tuple[int, str], tuple[int, int]] = {}
-    source_of = {}
-    for color in range(1, k + 1):
-        source_of[(color, "h")] = fresh()
-        source_of[(color, "v")] = fresh()
-    row_boundary: dict[int, list[int]] = {}
-    col_boundary: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        row_boundary[i] = [fresh()]
-    for j in range(1, n + 1):
-        col_boundary[j] = [fresh()]
-
-    out_vertex: dict[tuple[int, int], int] = {}
-    row_entry: dict[tuple[int, int], int] = {}
-    col_entry: dict[tuple[int, int], int] = {}
+    b = _Builder()
+    sources = {(color, direction): b.fresh() for color in range(1, k + 1) for direction in "hv"}
+    rows = {i: [b.fresh()] for i in range(1, n + 1)}
+    cols = {j: [b.fresh()] for j in range(1, n + 1)}
     merged_cells = set()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j and not (
-                cg.color_of(i) != cg.color_of(j) and cg.graph.has_edge(i, j)
-            ):
-                shared = fresh()
-                row_entry[(i, j)] = shared
-                col_entry[(i, j)] = shared
-                merged_cells.add((i, j))
+            entry = b.fresh()
+            if i != j and not (cg.color_of(i) != cg.color_of(j) and cg.graph.has_edge(i, j)):
+                merged_cells.add((i, j))  # the row and the column share one splitter
+                cols[j].append(entry)
             else:
-                row_entry[(i, j)] = fresh()
-                col_entry[(i, j)] = fresh()
-            out_vertex[(i, j)] = fresh()
-
-    for i in range(1, n + 1):
-        row_boundary[i].append(fresh())
-    for j in range(1, n + 1):
-        col_boundary[j].append(fresh())
-    target_of = {}
-    for color in range(1, k + 1):
-        target_of[(color, "h")] = fresh()
-        target_of[(color, "v")] = fresh()
-
-    edges: dict[tuple[int, int], int] = {}
-
-    def arc(u: int, v: int) -> None:
-        edges.setdefault((u, v), 1)
+                cols[j].append(b.fresh())
+            rows[i].append(entry)
+            out = b.fresh()
+            rows[i].append(out)
+            cols[j].append(out)
+    for track in (*rows.values(), *cols.values()):
+        track.append(b.fresh())
+    targets = {key: b.fresh() for key in sources}
 
     for i in range(1, n + 1):
         color = cg.color_of(i)
-        arc(source_of[(color, "h")], row_boundary[i][0])
-        arc(source_of[(color, "v")], col_boundary[i][0])
-        arc(row_boundary[i][1], target_of[(color, "h")])
-        arc(col_boundary[i][1], target_of[(color, "v")])
-    for i in range(1, n + 1):
-        _chain(edges, _track(row_boundary[i], row_entry, out_vertex,
-                             [(i, j) for j in range(1, n + 1)]))
-    for j in range(1, n + 1):
-        _chain(edges, _track(col_boundary[j], col_entry, out_vertex,
-                             [(i, j) for i in range(1, n + 1)]))
+        b.chain(sources[(color, "h")], rows[i][0])
+        b.chain(sources[(color, "v")], cols[i][0])
+        b.chain(rows[i][-1], targets[(color, "h")])
+        b.chain(cols[i][-1], targets[(color, "v")])
+    for track in (*rows.values(), *cols.values()):
+        b.chain(*track)
 
-    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
-    demands = []
-    demand_index = {}
-    for color in range(1, k + 1):
-        for direction in ("h", "v"):
-            demand_endpoints[(color, direction)] = (
-                source_of[(color, direction)],
-                target_of[(color, direction)],
-            )
-            demand_index[(color, direction)] = len(demands)
-            demands.append(demand_endpoints[(color, direction)])
-    instance = Instance(dag, tuple(demands), 1, EDGE)
-
+    dag = b.dag()
+    demands = tuple((sources[key], targets[key]) for key in sources)
+    instance = Instance(dag, demands, 1, EDGE)
     distances = {dag.dist_from(s, t)[t] for s, t in demands}
     assert distances == {2 * n + 3}, "demand distances drifted from 2n + 3"
 
     layout = GridLayout(
         instance=instance,
         colored=cg,
-        out_vertex=out_vertex,
-        row_entry=row_entry,
-        col_entry=col_entry,
+        rows={i: tuple(track) for i, track in rows.items()},
+        cols={j: tuple(track) for j, track in cols.items()},
         merged_cells=frozenset(merged_cells),
-        row_boundary={i: tuple(v) for i, v in row_boundary.items()},
-        col_boundary={j: tuple(v) for j, v in col_boundary.items()},
-        demand_endpoints=demand_endpoints,
-        demand_index=demand_index,
-        common_distance=2 * n + 3,
+        demand_index={key: index for index, key in enumerate(sources)},
     )
     return instance, layout
 
@@ -388,52 +365,68 @@ def find_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 
+_TIERS = ("upper", "lower")
+
+
 @dataclass(frozen=True)
 class PsiLayout:
-    """Id maps and demand bookkeeping for one generated block instance."""
+    """Id maps and demand order for one generated block instance."""
 
     instance: Instance
     pattern: PatternGraph
     host: HostGraph
-    congestion: int
-    upper_main: Mapping[tuple[int, int], int]  # (block, j) for j in 0..n_i
-    upper_sub: Mapping[tuple[int, int, int], int]  # (block, j, l)
-    lower_main: Mapping[tuple[int, int], int]
-    lower_sub: Mapping[tuple[int, int, int], int]
+    main: Mapping[tuple[str, int, int], int]  # (tier, block, j) for j in 0..n_i
+    sub: Mapping[tuple[str, int, int, int], int]  # (tier, block, j, l)
     edge_source: Mapping[int, int]  # pattern edge index (1-based) -> id
     edge_target: Mapping[int, int]
-    demand_index: Mapping[tuple, int]  # ("upper", i, copy) / ("lower", i, copy) / ("cross", i) / ("edge", l)
+    demand_index: Mapping[tuple, int]  # (tier, i, copy) / ("cross", i) / ("edge", l)
 
-    def upper_spine(self, block: int) -> tuple[int, ...]:
-        return _spine(self.upper_main, self.upper_sub, block,
-                      self.host.class_sizes[block - 1], self.pattern.edge_count)
+    def spine(self, tier: str, block: int) -> tuple[int, ...]:
+        """Main vertex 0, then per member j its subdivisions 1..k and main vertex j.
 
-    def lower_spine(self, block: int) -> tuple[int, ...]:
-        return _spine(self.lower_main, self.lower_sub, block,
-                      self.host.class_sizes[block - 1], self.pattern.edge_count)
+        A tier's ids are handed out consecutively in this order, so its
+        spine is the id range from main vertex 0 to the last main vertex.
+        """
+        size = self.host.class_sizes[block - 1]
+        return tuple(range(self.main[(tier, block, 0)], self.main[(tier, block, size)] + 1))
 
-    def cross_path(self, block: int, window: int) -> tuple[int, ...]:
-        """Upper spine up to the window, one drop, lower spine to the end."""
-        upper = self.upper_spine(block)
-        lower = self.lower_spine(block)
-        drop_from = upper.index(self.upper_main[(block, window - 1)])
-        resume_at = lower.index(self.lower_main[(block, window)])
-        return upper[:drop_from + 1] + lower[resume_at:]
+    def routing(self, members: Sequence[int]) -> Solution:
+        """Route every demand through host member ``members[i - 1]`` of each class i.
 
+        Blocking demands take their spine, a cross demand drops from the
+        upper to the lower spine at its member's window, and a linking
+        demand threads the subdivisions of its two members. The members
+        must realize every pattern edge in the host; otherwise WitnessInvalid.
+        """
+        pattern, host = self.pattern, self.host
+        if len(members) != pattern.vertex_count:
+            raise WitnessInvalid("expected a homomorphism witness with one member per class")
+        for i, j in enumerate(members, start=1):
+            if not (1 <= j <= host.class_sizes[i - 1]):
+                raise WitnessInvalid(f"witness member ({i},{j}) out of range")
+        for i1, i2 in pattern.edges:
+            if not host.has_edge((i1, members[i1 - 1]), (i2, members[i2 - 1])):
+                raise WitnessInvalid(
+                    f"witness does not realize pattern edge ({i1},{i2}) in the host"
+                )
 
-def _spine(
-    main: Mapping[tuple[int, int], int],
-    sub: Mapping[tuple[int, int, int], int],
-    block: int,
-    size: int,
-    k: int,
-) -> tuple[int, ...]:
-    """One tier of a block: main vertex 0, then per member j its k subdivisions and main vertex j."""
-    vertices = [main[(block, 0)]]
-    for j in range(1, size + 1):
-        vertices += [sub[(block, j, l)] for l in range(1, k + 1)]
-        vertices.append(main[(block, j)])
-    return tuple(vertices)
+        step = pattern.edge_count + 1  # main vertex j sits at spine position j * step
+        walks = []
+        for kind, index, *_ in self.demand_index:
+            if kind == "edge":
+                walks.append((
+                    self.edge_source[index],
+                    *(self.sub[(tier, i, members[i - 1], index)]
+                      for i in pattern.edges[index - 1] for tier in _TIERS),
+                    self.edge_target[index],
+                ))
+            elif kind == "cross":
+                window = members[index - 1]
+                walks.append(self.spine("upper", index)[:(window - 1) * step + 1]
+                             + self.spine("lower", index)[window * step:])
+            else:
+                walks.append(self.spine(kind, index))
+        return _verified(self.instance, walks)
 
 
 def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instance, PsiLayout]:
@@ -451,53 +444,33 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
         raise InvariantViolation("host needs one class per pattern vertex")
     k = pattern.edge_count
 
-    next_id = 1
-
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    edge_source = {l: fresh() for l in range(1, k + 1)}
-
-    upper_main: dict[tuple[int, int], int] = {}
-    upper_sub: dict[tuple[int, int, int], int] = {}
-    lower_main: dict[tuple[int, int], int] = {}
-    lower_sub: dict[tuple[int, int, int], int] = {}
+    b = _Builder()
+    edge_source = {l: b.fresh() for l in range(1, k + 1)}
+    main: dict[tuple[str, int, int], int] = {}
+    sub: dict[tuple[str, int, int, int], int] = {}
     for i in range(1, h + 1):
         size = host.class_sizes[i - 1]
-        for main, sub in ((upper_main, upper_sub), (lower_main, lower_sub)):
-            main[(i, 0)] = fresh()
+        for tier in _TIERS:
+            main[(tier, i, 0)] = b.fresh()
             for j in range(1, size + 1):
                 for l in range(1, k + 1):
-                    sub[(i, j, l)] = fresh()
-                main[(i, j)] = fresh()
-
-    edge_target = {l: fresh() for l in range(1, k + 1)}
-
-    edges: dict[tuple[int, int], int] = {}
-
-    def arc(u: int, v: int) -> None:
-        edges.setdefault((u, v), 1)
-
-    for i in range(1, h + 1):
-        size = host.class_sizes[i - 1]
-        _chain(edges, _spine(upper_main, upper_sub, i, size, k))
-        _chain(edges, _spine(lower_main, lower_sub, i, size, k))
+                    sub[(tier, i, j, l)] = b.fresh()
+                main[(tier, i, j)] = b.fresh()
+            b.chain(*range(main[(tier, i, 0)], b.count + 1))  # its ids run along the spine
         for j in range(1, size + 1):
-            arc(upper_main[(i, j - 1)], lower_main[(i, j)])
+            b.chain(main[("upper", i, j - 1)], main[("lower", i, j)])
             for l in range(1, k + 1):
-                arc(upper_sub[(i, j, l)], lower_sub[(i, j, l)])
+                b.chain(sub[("upper", i, j, l)], sub[("lower", i, j, l)])
+    edge_target = {l: b.fresh() for l in range(1, k + 1)}
 
     for l, (i1, i2) in enumerate(pattern.edges, start=1):
         for (ca, ja), (cb, jb) in host.edges:
-            if (ca, cb) != (i1, i2):
-                continue
-            arc(edge_source[l], upper_sub[(i1, ja, l)])
-            arc(lower_sub[(i1, ja, l)], upper_sub[(i2, jb, l)])
-            arc(lower_sub[(i2, jb, l)], edge_target[l])
+            if (ca, cb) == (i1, i2):
+                b.chain(edge_source[l], sub[("upper", i1, ja, l)])
+                b.chain(sub[("lower", i1, ja, l)], sub[("upper", i2, jb, l)])
+                b.chain(sub[("lower", i2, jb, l)], edge_target[l])
 
-    dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
+    dag = b.dag()
     expected_vertices = sum(
         2 * (size + 1 + k * size) for size in host.class_sizes
     ) + 2 * k
@@ -507,14 +480,12 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
     demand_index: dict[tuple, int] = {}
     for i in range(1, h + 1):
         size = host.class_sizes[i - 1]
-        for copy in range(c - 1):
-            demand_index[("upper", i, copy)] = len(demands)
-            demands.append((upper_main[(i, 0)], upper_main[(i, size)]))
-        for copy in range(c - 1):
-            demand_index[("lower", i, copy)] = len(demands)
-            demands.append((lower_main[(i, 0)], lower_main[(i, size)]))
+        for tier in _TIERS:
+            for copy in range(c - 1):
+                demand_index[(tier, i, copy)] = len(demands)
+                demands.append((main[(tier, i, 0)], main[(tier, i, size)]))
         demand_index[("cross", i)] = len(demands)
-        demands.append((upper_main[(i, 0)], lower_main[(i, size)]))
+        demands.append((main[("upper", i, 0)], main[("lower", i, size)]))
     for l in range(1, k + 1):
         demand_index[("edge", l)] = len(demands)
         demands.append((edge_source[l], edge_target[l]))
@@ -525,11 +496,8 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
         instance=instance,
         pattern=pattern,
         host=host,
-        congestion=c,
-        upper_main=upper_main,
-        upper_sub=upper_sub,
-        lower_main=lower_main,
-        lower_sub=lower_sub,
+        main=main,
+        sub=sub,
         edge_source=edge_source,
         edge_target=edge_target,
         demand_index=demand_index,
@@ -550,93 +518,6 @@ def find_homomorphism(pattern: PatternGraph, host: HostGraph) -> tuple[int, ...]
 
     chosen = backtrack([range(1, host.class_sizes[i] + 1) for i in range(h)], fits)
     return None if chosen is None else tuple(chosen)
-
-
-# ---------------------------------------------------------------------------
-# Witness-driven routings
-# ---------------------------------------------------------------------------
-
-
-def expected_routing_from_witness(layout, witness: tuple) -> Solution:
-    """Route all demands of a generated instance along a planted witness.
-
-    For a grid layout the witness is ("clique", vertices); for a block
-    layout it is ("homomorphism", members). The routing is verified against
-    the generated instance before being returned; an invalid witness raises
-    WitnessInvalid.
-    """
-    if isinstance(layout, GridLayout):
-        return _grid_routing(layout, witness)
-    if isinstance(layout, PsiLayout):
-        return _block_routing(layout, witness)
-    raise InvariantViolation(f"unknown layout type {type(layout).__name__}")
-
-
-def _grid_routing(layout: GridLayout, witness: tuple) -> Solution:
-    kind, vertices = witness
-    cg = layout.colored
-    k = cg.color_count
-    if kind != "clique" or len(vertices) != k:
-        raise WitnessInvalid("expected a clique witness with one vertex per color")
-    for position, v in enumerate(vertices, start=1):
-        if not (1 <= v <= cg.graph.vertex_count) or cg.color_of(v) != position:
-            raise WitnessInvalid(f"witness vertex {v} does not carry color {position}")
-    for u, v in combinations(vertices, 2):
-        if not cg.graph.has_edge(u, v):
-            raise WitnessInvalid(f"witness vertices {u} and {v} are not adjacent")
-
-    dag = layout.instance.dag
-    paths: list[Path | None] = [None] * layout.instance.k
-    for color, v in enumerate(vertices, start=1):
-        row = Path.trace(dag, layout.row_path_vertices(color, v))
-        col = Path.trace(dag, layout.col_path_vertices(color, v))
-        paths[layout.demand_index[(color, "h")]] = row
-        paths[layout.demand_index[(color, "v")]] = col
-    solution = Solution(tuple(paths))
-    report = verify_solution(layout.instance, solution)
-    assert report.feasible, f"planted clique routing must verify: {report.violations}"
-    return solution
-
-
-def _block_routing(layout: PsiLayout, witness: tuple) -> Solution:
-    kind, members = witness
-    pattern, host = layout.pattern, layout.host
-    if kind != "homomorphism" or len(members) != pattern.vertex_count:
-        raise WitnessInvalid("expected a homomorphism witness with one member per class")
-    for i, j in enumerate(members, start=1):
-        if not (1 <= j <= host.class_sizes[i - 1]):
-            raise WitnessInvalid(f"witness member ({i},{j}) out of range")
-    for i1, i2 in pattern.edges:
-        if not host.has_edge((i1, members[i1 - 1]), (i2, members[i2 - 1])):
-            raise WitnessInvalid(
-                f"witness does not realize pattern edge ({i1},{i2}) in the host"
-            )
-
-    dag = layout.instance.dag
-    paths: list[Path | None] = [None] * layout.instance.k
-    for i in range(1, pattern.vertex_count + 1):
-        upper = Path.trace(dag, layout.upper_spine(i))
-        lower = Path.trace(dag, layout.lower_spine(i))
-        for copy in range(layout.congestion - 1):
-            paths[layout.demand_index[("upper", i, copy)]] = upper
-            paths[layout.demand_index[("lower", i, copy)]] = lower
-        cross = Path.trace(dag, layout.cross_path(i, members[i - 1]))
-        paths[layout.demand_index[("cross", i)]] = cross
-    for l, (i1, i2) in enumerate(pattern.edges, start=1):
-        j1, j2 = members[i1 - 1], members[i2 - 1]
-        vertices = (
-            layout.edge_source[l],
-            layout.upper_sub[(i1, j1, l)],
-            layout.lower_sub[(i1, j1, l)],
-            layout.upper_sub[(i2, j2, l)],
-            layout.lower_sub[(i2, j2, l)],
-            layout.edge_target[l],
-        )
-        paths[layout.demand_index[("edge", l)]] = Path.trace(dag, vertices)
-    solution = Solution(tuple(paths))
-    report = verify_solution(layout.instance, solution)
-    assert report.feasible, f"planted homomorphism routing must verify: {report.violations}"
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +571,8 @@ def random_host(
     random member per class is wired to realize every pattern edge.
     """
     class_sizes = tuple(class_sizes)
+    if any(size < 1 for size in class_sizes):
+        raise InvariantViolation("every host class needs at least one member")
     edges = set()
     for i1, i2 in pattern.edges:
         for j1 in range(1, class_sizes[i1 - 1] + 1):

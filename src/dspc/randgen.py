@@ -6,10 +6,13 @@ import random
 from collections import Counter
 
 from .core import EDGE, Dag, Instance, VERTEX
+from .errors import InvariantViolation
 
 
 def random_dag(rng: random.Random, n: int, edge_prob: float = 0.5, max_weight: int = 2) -> Dag:
     """A random DAG on n vertices; edges point from lower to higher ids."""
+    if max_weight < 1:
+        raise InvariantViolation(f"max weight must be at least 1, got {max_weight}")
     edges = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):

@@ -28,6 +28,7 @@ COMMAND_LINES = [
     ["solve", "--algo", "bad", "-i", "x"],
     ["gen"],
     ["bench", "extra", "--suite", "mcc"],
+    ["bench", "--suite", "mcc", "--count", "0"],
     ["solve", "--", "-i", "x"],
 ]
 

@@ -28,6 +28,7 @@ from dspc import exact
 from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 from dspc.randgen import grid
 
+import gen_golden
 from cli_text import COMMAND_LINES, check
 
 
@@ -262,6 +263,20 @@ class TestGen:
         assert parsed.mode == "edge"
         assert run("solve", "-i", str(inst), "-o", str(tmp_path / "mcc.sol")) in (0, 1)
 
+    @pytest.mark.parametrize("line", list(gen_golden.GOLDEN))
+    def test_output_matches_recorded_digest(self, line):
+        gen_golden.check(line)
+
+    @pytest.mark.parametrize("argv", [("psi", "--class-size", "0"),
+                                      ("random", "--max-weight", "0")])
+    def test_bad_generator_input_is_error_exit(self, argv, capsys):
+        # checked before anything is drawn, not left to the random module to reject
+        assert run("gen", *argv, "--seed", "1") == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        assert "ValueError" not in lines[0] and "InvariantViolation" not in lines[0]
+
     def test_provenance_comments_present(self, tmp_path):
         inst = tmp_path / "psi.dsp"
         run("gen", "psi", "--seed", "3", "-o", str(inst))
@@ -321,6 +336,15 @@ class TestBench:
         assert run("bench", "--suite", "congestion", "--count", "5") == 1
         agree = int(capsys.readouterr().out.split()[-1].split("/")[0])
         assert agree < 5
+
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("bench", "--suite", "mcc", "--count", count)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --count" in captured.err
 
 
 class TestUsage:

@@ -20,7 +20,6 @@ from dspc import (
     brute_force_oracle,
     clique_to_mcc,
     complete_bipartite_pattern,
-    expected_routing_from_witness,
     find_colorful_clique,
     find_homomorphism,
     mcc_to_planar_edsp,
@@ -123,9 +122,9 @@ class TestGridGenerator:
             rng = random.Random(seed)
             n = rng.randint(2, 5)
             cg = random_colored_graph(rng, n, 2)
-            inst, layout = mcc_to_planar_edsp(cg, 2)
+            inst, _ = mcc_to_planar_edsp(cg, 2)
             dists = {inst.dag.dist_from(s)[t] for s, t in inst.demands}
-            assert dists == {2 * n + 3} and layout.common_distance == 2 * n + 3
+            assert dists == {2 * n + 3}
 
     def test_generated_graph_is_acyclic(self):
         rng = random.Random(3)
@@ -168,7 +167,7 @@ class TestGridGenerator:
             cg = random_colored_graph(rng, rng.randint(2, 5), 2)
             cg, witness = plant_colorful_clique(rng, cg)
             inst, layout = mcc_to_planar_edsp(cg, 2)
-            sol = expected_routing_from_witness(layout, ("clique", witness))
+            sol = layout.routing(witness)
             assert verify_solution(inst, sol).feasible
 
     def test_cliqueless_instances_are_infeasible(self):
@@ -198,9 +197,9 @@ class TestGridGenerator:
         cg, witness = plant_colorful_clique(rng, cg)
         inst, layout = mcc_to_planar_edsp(cg, 2)
         with pytest.raises(WitnessInvalid):
-            expected_routing_from_witness(layout, ("clique", witness[::-1]))
+            layout.routing(witness[::-1])
         with pytest.raises(WitnessInvalid):
-            expected_routing_from_witness(layout, ("clique", witness[:1]))
+            layout.routing(witness[:1])
 
 
 class TestPatternAndHost:
@@ -274,7 +273,7 @@ class TestBlockGenerator:
             host, witness = random_host(rng, pattern, sizes, plant=True)
             for c in (1, 2, 3):
                 inst, layout = psi_to_dspc(pattern, host, c)
-                sol = expected_routing_from_witness(layout, ("homomorphism", witness))
+                sol = layout.routing(witness)
                 assert verify_solution(inst, sol).feasible
 
     def test_cross_demand_shortest_paths_encode_window_choices(self):
@@ -308,9 +307,9 @@ class TestBlockGenerator:
         inst, layout = psi_to_dspc(pattern, host, 2)
         wrong = tuple(3 - j for j in witness)  # flip every member choice
         with pytest.raises(WitnessInvalid):
-            expected_routing_from_witness(layout, ("homomorphism", wrong))
+            layout.routing(wrong)
         with pytest.raises(WitnessInvalid):
-            expected_routing_from_witness(layout, ("homomorphism", witness[:3]))
+            layout.routing(witness[:3])
 
     def test_find_homomorphism_against_brute_force(self):
         pattern = complete_bipartite_pattern()
