@@ -153,7 +153,7 @@ def _cmd_bench(args) -> int:
     # Each suite draws one case from its rng and answers it by two routes.
     def dnc_oracle(rng):
         inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3), congestion=1)
-        return solve_disjoint_shortest(inst.dag, inst.demands), brute_force_oracle(inst)
+        return solve_disjoint_shortest(inst), brute_force_oracle(inst)
 
     def congestion(rng):
         inst = random_instance(

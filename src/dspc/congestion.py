@@ -14,6 +14,9 @@ unchanged up to the two unit-weight gadget edges added per demand.
 
 ``TransformMap``, ``compose`` and ``project_solution`` serve all three of
 the paper's reductions: these two and the edge split of ``edge_disjoint``.
+A map holds the source instance, the target instance and the backward map
+of vertex ids; demand i of the target is demand i of the source in target
+ids, so the target's own demand list says where each path must run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .core import (
     VERTEX,
     verify_solution,
 )
-from .errors import InvariantViolation, ProjectionInvalid
+from .errors import InvariantViolation, ProjectionInvalid, ShapeMismatch
 from .exact import solve_disjoint_shortest
 
 
@@ -40,14 +43,13 @@ class TransformMap:
 
     ``backward`` maps every target vertex to its source vertex, or to the
     source edge ``(u, v)`` when the source is in edge mode, or to None for
-    gadget vertices that projection must strip. ``terminal_gadget``
-    records, per demand index, the demand endpoints in target ids.
+    gadget vertices that projection must strip. Demand i of ``target`` is
+    demand i of ``source``, in target ids.
     """
 
     source: Instance
     target: Instance
     backward: Mapping[int, int | tuple[int, int] | None]
-    terminal_gadget: Mapping[int, tuple[int, int]]
 
 
 def compose(first: TransformMap, second: TransformMap) -> TransformMap:
@@ -57,12 +59,7 @@ def compose(first: TransformMap, second: TransformMap) -> TransformMap:
     backward = {}
     for w, mid in second.backward.items():
         backward[w] = None if mid is None else first.backward.get(mid)
-    return TransformMap(
-        source=first.source,
-        target=second.target,
-        backward=backward,
-        terminal_gadget=dict(second.terminal_gadget),
-    )
+    return TransformMap(source=first.source, target=second.target, backward=backward)
 
 
 def isolate_terminals(inst: Instance) -> tuple[Instance, TransformMap]:
@@ -79,21 +76,18 @@ def isolate_terminals(inst: Instance) -> tuple[Instance, TransformMap]:
     n = dag.vertex_count
     edges = list(dag.edges)
     demands = []
-    terminal_gadget = {}
     for i, (s, t) in enumerate(inst.demands):
         new_s = n + 2 * i + 1
         new_t = n + 2 * i + 2
         edges.append((new_s, s, 1))
         edges.append((t, new_t, 1))
         demands.append((new_s, new_t))
-        terminal_gadget[i] = (new_s, new_t)
     new_dag = Dag(n + 2 * inst.k, tuple(edges))
     target = Instance(new_dag, tuple(demands), inst.congestion, VERTEX)
     tm = TransformMap(
         source=inst,
         target=target,
         backward={v: (v if v <= n else None) for v in range(1, n + 2 * inst.k + 1)},
-        terminal_gadget=terminal_gadget,
     )
     return target, tm
 
@@ -137,13 +131,7 @@ def expand_congestion(inst: Instance) -> tuple[Instance, TransformMap]:
     new_dag = Dag(next_id - 1, tuple((u, v, w) for (u, v), w in edges.items()))
     demands = tuple((copies_of[s][0], copies_of[t][0]) for s, t in inst.demands)
     target = Instance(new_dag, demands, 1, VERTEX)
-    tm = TransformMap(
-        source=inst,
-        target=target,
-        backward=backward,
-        terminal_gadget={i: pair for i, pair in enumerate(demands)},
-    )
-    return target, tm
+    return target, TransformMap(source=inst, target=target, backward=backward)
 
 
 def _require_isolated(inst: Instance) -> None:
@@ -167,17 +155,20 @@ def _require_isolated(inst: Instance) -> None:
 def project_solution(sol: Solution, tm: TransformMap) -> Solution:
     """Map a transformed-instance solution back to the original instance.
 
-    Copies collapse to their originals and gadget endpoints are stripped;
+    Each path must run between its demand's endpoints in the target;
+    copies collapse to their originals and gadget endpoints are stripped;
     when the source is in edge mode, the edges left are chained into a walk
     of G, and a path with no edges is its demand's s = t. The result is
     re-verified against the original instance and a failure raises
-    ProjectionInvalid (it would mean a transform bug).
+    ProjectionInvalid (it would mean a transform bug). A solution with
+    other than one path per demand raises ShapeMismatch.
     """
-    original = tm.source
+    original, demands = tm.source, tm.target.demands
+    if len(sol.paths) != len(demands):
+        raise ShapeMismatch(f"expected {len(demands)} paths, got {len(sol.paths)}")
     projected: list[Path] = []
-    for i, path in enumerate(sol.paths):
-        expected = tm.terminal_gadget.get(i)
-        if expected is not None and (path.start, path.end) != expected:
+    for i, (path, ends) in enumerate(zip(sol.paths, demands)):
+        if (path.start, path.end) != ends:
             raise ProjectionInvalid(f"path {i} does not run between its gadget endpoints")
         kept = [tm.backward[v] for v in path.vertices]
         # Gadget vertices map to None and may only sit at the two ends.
@@ -210,7 +201,7 @@ def solve_with_congestion(inst: Instance) -> Solution | None:
     ProjectionInvalid (it would mean a solver bug). Returns None exactly
     when the instance is infeasible.
     """
-    routed = solve_disjoint_shortest(inst.dag, inst.demands, inst.congestion, inst.mode)
+    routed = solve_disjoint_shortest(inst)
     if routed is None:
         return None
     report = verify_solution(inst, routed)

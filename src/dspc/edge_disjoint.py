@@ -11,7 +11,9 @@ therefore edge-congestion routing on G.
 
 The transform returns the ``congestion.TransformMap`` the other two
 reductions use, so ``congestion.project_solution`` projects it, alone or
-composed with them. Edge-mode instances are solved by
+composed with them. Demand i of its target runs from demand i's own
+source node to its own terminal node, and projection checks each path's
+endpoints against that pair. Edge-mode instances are solved by
 ``congestion.solve_with_congestion``, which counts edge loads in the search
 directly. The transform and ``solve_edsp`` (split, solve H, project back)
 are kept as a tested reproduction that no solve takes.
@@ -44,9 +46,10 @@ def edge_split_transform(inst: Instance) -> tuple[Instance, TransformMap]:
         for u, v, _ in dag.edges
         for _, head, weight in dag.out_edges[v]
     ]
-    terminal_gadget = {}
+    demands = []
     for i, (s, t) in enumerate(inst.demands):
-        src, term = terminal_gadget[i] = (m + 2 * i + 1, m + 2 * i + 2)
+        src, term = m + 2 * i + 1, m + 2 * i + 2
+        demands.append((src, term))
         if s == t:
             arcs.append((src, term, 1))
             continue
@@ -56,8 +59,8 @@ def edge_split_transform(inst: Instance) -> tuple[Instance, TransformMap]:
     backward = {node: edge for edge, node in node_of_edge.items()}
     backward.update(dict.fromkeys(range(m + 1, m + 2 * inst.k + 1)))
     h_dag = Dag(m + 2 * inst.k, tuple(arcs))
-    target = Instance(h_dag, tuple(terminal_gadget.values()), inst.congestion, VERTEX)
-    return target, TransformMap(inst, target, backward, terminal_gadget)
+    target = Instance(h_dag, tuple(demands), inst.congestion, VERTEX)
+    return target, TransformMap(inst, target, backward)
 
 
 def project_edge_solution(sol: Solution, tm: TransformMap) -> Solution:

@@ -1,7 +1,8 @@
 """Exact shortest-path routing with vertex or edge congestion c on DAGs, plus a brute-force oracle.
 
 The solver is a pebbling search in the manner of Fortune, Hopcroft and
-Wyllie (TCS 10, 1980). One pebble per demand (s, t) starts on s and is
+Wyllie (TCS 10, 1980), and it decides one ``Instance``: its demands, its
+budget c and its mode. One pebble per demand (s, t) starts on s and is
 finished once it rests on t. A move takes the unfinished pebbles on the
 topologically first vertex u that holds any, and advances each of them
 along an edge (u, v, w) that is tight for its own demand:
@@ -32,7 +33,8 @@ disjoint case of either mode.
 
 Before the search, ``solve`` pins every demand whose route is forced and
 takes its load off the budget. A walk from s along tight edges that never
-forks is the demand's only shortest path. When such walks were pinned, the
+forks is the demand's only shortest path; it reads the same cached
+tight-edge lists that the search then reads. When such walks were pinned, the
 other demands are counted again, up to 2 shortest paths, skipping every
 element (vertex or edge) that the pinned paths already fill to c: a demand
 with one path left is pinned too, one with none makes the instance
@@ -76,10 +78,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (
     INFINITY,
     Dag,
-    Demand,
     Edge,
     Instance,
-    MODES,
     Path,
     Solution,
     VERTEX,
@@ -137,17 +137,6 @@ class _TightEdges(dict):
         b = self.to_t[t]
         edges = self[key] = [e for e in self.out_edges[u] if e[2] + b[e[1]] == b[u]]
         return edges
-
-    def only(self, u: int, t: int) -> Edge | None:
-        """The one tight edge of u for t, or None unless there is exactly one; caches nothing."""
-        b = self.to_t[t]
-        found = None
-        for edge in self.out_edges[u]:
-            if edge[2] + b[edge[1]] == b[u]:
-                if found is not None:
-                    return None
-                found = edge
-        return found
 
 
 def merge_check(
@@ -258,38 +247,27 @@ def fitting_moves(
 
 
 class DisjointShortestSolver:
-    """Pebbling search routing at congestion c per vertex or edge of one DAG.
+    """Pebbling search routing an ``Instance`` at its congestion c per vertex or edge.
 
-    ``memo`` holds the dead states, ``pinned`` the indices of the demands
-    pinned before the search and ``checked`` the moves the search checked,
-    all of the latest solve() call; none is mutated once that call returns.
+    The instance has already checked its budget, mode and demand range, so
+    ``solve`` checks none of them again. ``memo`` holds the dead states,
+    ``pinned`` the indices of the demands pinned before the search and
+    ``checked`` the moves the search checked, all of the latest solve()
+    call; none is mutated once that call returns.
     """
 
-    def __init__(self, dag: Dag, congestion: int = 1, mode: str = VERTEX):
-        if congestion < 1:
-            raise InvariantViolation("congestion budget must be at least 1")
-        if mode not in MODES:
-            raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
-        self.dag = dag
-        self.congestion = congestion
-        self.mode = mode
+    def __init__(self):
         self.memo = MemoStore()
         self.pinned: tuple[int, ...] = ()
         self.checked = 0
 
-    def solve(self, pairs: Sequence[Demand]) -> Solution | None:
-        pairs = tuple((int(s), int(t)) for s, t in pairs)
-        if len(pairs) < 1:
-            raise InvariantViolation("need at least one demand pair")
-        n = self.dag.vertex_count
-        for s, t in pairs:
-            if not (1 <= s <= n and 1 <= t <= n):
-                raise InvariantViolation(f"demand ({s},{t}) out of vertex range 1..{n}")
+    def solve(self, inst: Instance) -> Solution | None:
         self.memo = MemoStore()
         self.pinned = ()
         self.checked = 0
-        c, out = self.congestion, self.dag.out_edges
-        if self.mode == VERTEX:
+        pairs, c, dag = inst.demands, inst.congestion, inst.dag
+        out = dag.out_edges
+        if inst.mode == VERTEX:
             load = Counter(s for s, _ in pairs) + Counter(t for s, t in pairs if t != s)
             over = [v for v, count in load.items() if count > c]
         else:
@@ -305,23 +283,23 @@ class DisjointShortestSolver:
         terminals = tuple(t for _, t in pairs)
         # Each pebble stays between its source and terminal in topological
         # order, so a terminal's sweep stops at the earliest of its sources.
-        pos = self.dag.position
+        pos = dag.position
         first: dict[int, int] = {}
         for s, t in pairs:
             first[t] = min(s, first.get(t, s), key=pos.__getitem__)
-        to_t = {t: self.dag.dist_to(t, s) for t, s in first.items()}
+        to_t = {t: dag.dist_to(t, s) for t, s in first.items()}
         for i, (s, t) in enumerate(pairs):
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
-        tight = _TightEdges(self.dag.out_edges, to_t)
+        tight = _TightEdges(out, to_t)
         walks: dict[int, tuple[int, ...]] = {}
-        fixed = self._pin(pairs, tight, walks)
+        fixed = self._pin(inst, tight, walks)
         self.pinned = tuple(sorted(walks))
         if fixed is None:
             return None
         free = [i for i in range(len(pairs)) if i not in walks]
         states = self._search(
-            tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), tight, fixed
+            inst, tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), tight, fixed
         )
         if states is None:
             return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
@@ -332,12 +310,12 @@ class DisjointShortestSolver:
 
     def _pin(
         self,
-        pairs: tuple[Demand, ...],
+        inst: Instance,
         tight: _TightEdges,
         walks: dict[int, tuple[int, ...]],
     ) -> Load | None:
         """Pin the forced demands into ``walks`` by index; their loads, or None when infeasible."""
-        c, vertex_mode = self.congestion, self.mode == VERTEX
+        pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
 
         # Every tight edge out of a vertex reached from s leads on to t, so a
         # walk that never forks is the demand's only shortest path.
@@ -352,21 +330,21 @@ class DisjointShortestSolver:
         for i, (s, t) in enumerate(pairs):
             taken, u = [], s
             while u != t:
-                edge = tight.only(u, t)
-                if edge is None:
+                edges = tight[u, t]
+                if len(edges) != 1:
                     break
-                taken.append(edge)
-                u = edge[1]
+                taken.append(edges[0])
+                u = edges[0][1]
             else:
                 pin(i, (s, *(head for _, head, _ in taken)), taken)
         if not walks:
             return NO_LOAD
         over = [x for x, load in fixed.items() if load > c]
         if over:
-            return _infeasible("pinned paths overload %s %s", self.mode, over[0])
+            return _infeasible("pinned paths overload %s %s", inst.mode, over[0])
 
         # Count the free demands again on what the pinned paths leave open.
-        pos, order = self.dag.position, self.dag.order
+        pos, order = inst.dag.position, inst.dag.order
         changed = True
         while changed:
             changed = False
@@ -404,14 +382,15 @@ class DisjointShortestSolver:
 
     def _search(
         self,
+        inst: Instance,
         start: State,
         terminals: State,
         tight: _TightEdges,
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        pos, order = self.dag.position, self.dag.order
-        c, mode, dead, put = self.congestion, self.mode, self.memo.entries, self.memo.put
+        pos, order = inst.dag.position, inst.dag.order
+        c, mode, dead, put = inst.congestion, inst.mode, self.memo.entries, self.memo.put
 
         def moves(state: State) -> Iterator[State | None]:
             u = order[min([pos[v] for v, t in zip(state, terminals) if v != t])]
@@ -450,19 +429,17 @@ def _infeasible(reason: str, *args: object) -> None:
     return None
 
 
-def solve_disjoint_shortest(
-    dag: Dag, pairs: Sequence[Demand], congestion: int = 1, mode: str = VERTEX
-) -> Solution | None:
-    """Route every demand by a shortest path with at most ``congestion`` paths per element.
+def solve_disjoint_shortest(inst: Instance) -> Solution | None:
+    """Route every demand by a shortest path with at most ``inst.congestion`` paths per element.
 
-    The elements are vertices when ``mode`` is "vertex" and edges when it is
-    "edge". Returns None when no such routing exists, and raises
+    The elements are vertices when ``inst.mode`` is "vertex" and edges when
+    it is "edge". Returns None when no such routing exists, and raises
     LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states or
     checks ``MAX_MOVES_CHECKED`` moves without deciding. Deterministic: each
     move tries the movers' edges in lexicographic order of their out-edge
     lists, and the first sequence of moves that finishes wins.
     """
-    return DisjointShortestSolver(dag, congestion=congestion, mode=mode).solve(pairs)
+    return DisjointShortestSolver().solve(inst)
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int, to_t: Sequence[float] | None = None) -> int:

@@ -377,8 +377,6 @@ class PsiLayout:
     host: HostGraph
     main: Mapping[tuple[str, int, int], int]  # (tier, block, j) for j in 0..n_i
     sub: Mapping[tuple[str, int, int, int], int]  # (tier, block, j, l)
-    edge_source: Mapping[int, int]  # pattern edge index (1-based) -> id
-    edge_target: Mapping[int, int]
     demand_index: Mapping[tuple, int]  # (tier, i, copy) / ("cross", i) / ("edge", l)
 
     def spine(self, tier: str, block: int) -> tuple[int, ...]:
@@ -412,13 +410,13 @@ class PsiLayout:
 
         step = pattern.edge_count + 1  # main vertex j sits at spine position j * step
         walks = []
-        for kind, index, *_ in self.demand_index:
+        for (kind, index, *_), (s, t) in zip(self.demand_index, self.instance.demands):
             if kind == "edge":
                 walks.append((
-                    self.edge_source[index],
+                    s,
                     *(self.sub[(tier, i, members[i - 1], index)]
                       for i in pattern.edges[index - 1] for tier in _TIERS),
-                    self.edge_target[index],
+                    t,
                 ))
             elif kind == "cross":
                 window = members[index - 1]
@@ -498,8 +496,6 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
         host=host,
         main=main,
         sub=sub,
-        edge_source=edge_source,
-        edge_target=edge_target,
         demand_index=demand_index,
     )
     return instance, layout
@@ -529,8 +525,12 @@ def random_colored_graph(
     rng: random.Random, n: int, k: int, edge_prob: float = 0.5
 ) -> ColoredGraph:
     """A random colored graph with every color present and colors ascending."""
+    if k < 1:
+        raise InvariantViolation(f"need at least one color, got {k}")
     if n < k:
         raise InvariantViolation("need at least one vertex per color")
+    if not 0 <= edge_prob <= 1:
+        raise InvariantViolation(f"edge probability must lie in [0, 1], got {edge_prob}")
     sizes = [1] * k
     for _ in range(n - k):
         sizes[rng.randrange(k)] += 1
@@ -573,6 +573,8 @@ def random_host(
     class_sizes = tuple(class_sizes)
     if any(size < 1 for size in class_sizes):
         raise InvariantViolation("every host class needs at least one member")
+    if not 0 <= edge_prob <= 1:
+        raise InvariantViolation(f"edge probability must lie in [0, 1], got {edge_prob}")
     edges = set()
     for i1, i2 in pattern.edges:
         for j1 in range(1, class_sizes[i1 - 1] + 1):

@@ -13,6 +13,8 @@ def random_dag(rng: random.Random, n: int, edge_prob: float = 0.5, max_weight: i
     """A random DAG on n vertices; edges point from lower to higher ids."""
     if max_weight < 1:
         raise InvariantViolation(f"max weight must be at least 1, got {max_weight}")
+    if not 0 <= edge_prob <= 1:
+        raise InvariantViolation(f"edge probability must lie in [0, 1], got {edge_prob}")
     edges = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):

@@ -50,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
         rng = random.Random(seed)
         inst = random_instance(rng, n=rng.randint(1, 8), k=rng.randint(1, 3),
                                congestion=1, max_weight=2)
-        got = solve_disjoint_shortest(inst.dag, inst.demands)
+        got = solve_disjoint_shortest(inst)
         want = brute_force_oracle(inst)
         if (got is None) == (want is None):
             agree += 1
@@ -127,7 +127,8 @@ def test_criterion_5_psi_structure():
     inst, layout = psi_to_dspc(pattern, host, 2)
     ok = inst.k == 6 * (2 * (2 - 1) + 1) + 9 == 27
     for l in range(1, 10):
-        ok &= inst.dag.dist_from(layout.edge_source[l])[layout.edge_target[l]] == 5
+        s, t = inst.demands[layout.demand_index[("edge", l)]]
+        ok &= inst.dag.dist_from(s)[t] == 5
     for i in range(1, 7):
         upper = inst.demands[layout.demand_index[("upper", i, 0)]]
         lower = inst.demands[layout.demand_index[("lower", i, 0)]]

@@ -268,7 +268,11 @@ class TestGen:
         gen_golden.check(line)
 
     @pytest.mark.parametrize("argv", [("psi", "--class-size", "0"),
-                                      ("random", "--max-weight", "0")])
+                                      ("random", "--max-weight", "0"),
+                                      ("mcc", "--colors", "0"),
+                                      ("random", "--edge-prob", "-0.5"),
+                                      ("mcc", "--edge-prob", "1.5"),
+                                      ("psi", "--edge-prob", "-1")])
     def test_bad_generator_input_is_error_exit(self, argv, capsys):
         # checked before anything is drawn, not left to the random module to reject
         assert run("gen", *argv, "--seed", "1") == 2

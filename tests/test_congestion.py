@@ -18,6 +18,7 @@ from dspc import (
     InvariantViolation,
     Path,
     ProjectionInvalid,
+    ShapeMismatch,
     Solution,
     brute_force_oracle,
     edge_split_transform,
@@ -60,7 +61,7 @@ class TestIsolateTerminals:
         assert isolated.dag.vertex_count == 5
         assert isolated.demands == ((4, 5),)
         assert isolated.dag.dist_from(4)[5] == 4
-        assert tm.terminal_gadget == {0: (4, 5)}
+        assert tm.target.demands == ((4, 5),)
 
     def test_shared_source_gets_two_fresh_sources(self):
         inst = Instance(chain(3), ((1, 2), (1, 3)), 2)
@@ -102,7 +103,7 @@ class TestExpandCongestion:
         assert expanded.congestion == 1
         # 3 interior vertices doubled + 4 terminals kept single
         assert expanded.dag.vertex_count == 2 * 3 + 4
-        sol = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        sol = solve_disjoint_shortest(expanded)
         assert sol is not None  # each copy track routes one demand
 
     def test_identity_when_budget_is_one(self):
@@ -157,14 +158,14 @@ class TestProjectSolution:
     def test_identity_case_strips_gadgets_only(self):
         inst = Instance(chain(3), ((1, 3),), 1)
         expanded, tm = self._pipeline(inst)
-        routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        routed = solve_disjoint_shortest(expanded)
         projected = project_solution(routed, tm)
         assert projected.paths[0].vertices == (1, 2, 3)
 
     def test_copies_merge_back_onto_one_path(self):
         inst = Instance(chain(3), ((1, 3), (1, 3)), 2)
         expanded, tm = self._pipeline(inst)
-        routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        routed = solve_disjoint_shortest(expanded)
         projected = project_solution(routed, tm)
         assert [p.vertices for p in projected.paths] == [(1, 2, 3), (1, 2, 3)]
 
@@ -174,7 +175,7 @@ class TestProjectSolution:
             inst = random_instance(rng, n=rng.randint(1, 6), k=rng.randint(1, 3),
                                    congestion=rng.randint(1, 2))
             expanded, tm = self._pipeline(inst)
-            routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+            routed = solve_disjoint_shortest(expanded)
             if routed is None:
                 continue
             projected = project_solution(routed, tm)
@@ -183,10 +184,20 @@ class TestProjectSolution:
     def test_tampered_solution_raises(self):
         inst = Instance(chain(3), ((1, 3),), 1)
         expanded, tm = self._pipeline(inst)
-        routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        routed = solve_disjoint_shortest(expanded)
         wrong = Solution((Path(routed.paths[0].vertices[:-1], 3),))
         with pytest.raises(ProjectionInvalid):
             project_solution(wrong, tm)
+
+    def test_wrong_path_count_raises_shape_mismatch(self):
+        # one path too many or too few, through the vertex pipeline and the edge split
+        expanded, tm = self._pipeline(Instance(chain(3), ((1, 3), (1, 3)), 2))
+        split, split_map = edge_split_transform(Instance(chain(3), ((1, 3),), 1, EDGE))
+        for target, mapping in ((expanded, tm), (split, split_map)):
+            paths = solve_disjoint_shortest(target).paths
+            for wrong in (paths + paths[:1], paths[:-1]):
+                with pytest.raises(ShapeMismatch):
+                    project_solution(Solution(wrong), mapping)
 
 
 class TestSolveWithCongestion:
@@ -243,7 +254,7 @@ class TestSolveWithCongestion:
                                    congestion=2)
             isolated, iso_map = isolate_terminals(inst)
             expanded, exp_map = expand_congestion(isolated)
-            routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+            routed = solve_disjoint_shortest(expanded)
             if routed is None:
                 continue
             assert verify_solution(expanded, routed).feasible
@@ -281,7 +292,7 @@ class TestNativeAgainstReductions:
             inst, split = edge_split_transform(inst)
         isolated, iso_map = isolate_terminals(inst)
         expanded, exp_map = expand_congestion(isolated)
-        routed = solve_disjoint_shortest(expanded.dag, expanded.demands)
+        routed = solve_disjoint_shortest(expanded)
         if routed is None:
             return None
         tm = compose(iso_map, exp_map)

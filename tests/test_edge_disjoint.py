@@ -33,7 +33,7 @@ class TestEdgeSplitTransform:
         s, t = h_inst.demands[0]
         assert h_inst.dag.dist_from(s)[t] == 3  # G distance 2, plus the arc into t
         assert tm.backward == {1: (1, 2), 2: (2, 3), 3: None, 4: None}
-        assert tm.terminal_gadget == {0: (3, 4)}
+        assert tm.target.demands == ((3, 4),)
 
     def test_projection_chains_edges(self):
         # edge nodes 1..4 are (1,2), (2,3), (3,4), (2,4); the demand's nodes are 5 and 6

@@ -56,8 +56,8 @@ class TestMergeCheck:
             return fitting_moves(state, movers, terminals, options, *args)
 
         monkeypatch.setattr(exact, "fitting_moves", recording)
-        solver = DisjointShortestSolver(dag)
-        sol = solver.solve([(1, 4)])
+        solver = DisjointShortestSolver()
+        sol = solver.solve(Instance(dag, ((1, 4),), 1))
         assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
         assert sol.paths[0].length == 3
         assert solver.checked == 3 and len(offered) == 4 and (2, 4, 5) not in offered
@@ -117,7 +117,7 @@ class TestMergeCheck:
             rng = random.Random(seed)
             inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3),
                                    congestion=1)
-            sol = solve_disjoint_shortest(inst.dag, inst.demands)
+            sol = solve_disjoint_shortest(inst)
             if sol is not None:
                 assert verify_solution(inst, sol).feasible
 
@@ -179,13 +179,13 @@ class TestFittingMoves:
         edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, a, 1), (u, b, 1)]
         edges += [(x, b + i, 1) for i in range(1, k + 1) for x in (a, b)]
         dag, demands = Dag(b + k, tuple(edges)), tuple((i, b + i) for i in range(1, k + 1))
-        solver = DisjointShortestSolver(dag, mode="edge")
-        assert solver.solve(demands) is None
+        inst, solver = Instance(dag, demands, 1, "edge"), DisjointShortestSolver()
+        assert solver.solve(inst) is None
         # one move onto u per pebble, then six cut prefixes: the third mover
         # meets both edges full, twice, and the second one once per edge
         assert solver.checked == k + 6 and len(solver.memo.entries) == k + 1
         if 2**k <= 10**6:
-            assert brute_force_oracle(Instance(dag, demands, 1, "edge")) is None
+            assert brute_force_oracle(inst) is None
 
     def test_equal_pebbles_take_edges_in_order(self):
         # 30 pebbles bound for one terminal are interchangeable: on one
@@ -198,11 +198,10 @@ class TestFittingMoves:
         # pebbles in half, with the first pick that fits, which is sorted
         dag = Dag(7, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1),
                       (4, 5, 1), (4, 6, 1), (5, 7, 1), (6, 7, 1)))
-        demands = ((1, 7),) * 30
-        solver = DisjointShortestSolver(dag, congestion=15, mode="edge")
-        sol = solver.solve(demands)
+        inst, solver = Instance(dag, ((1, 7),) * 30, 15, "edge"), DisjointShortestSolver()
+        sol = solver.solve(inst)
         assert [p.vertices for p in sol.paths] == [(1, 2, 4, 5, 7)] * 15 + [(1, 3, 4, 6, 7)] * 15
-        assert verify_solution(Instance(dag, demands, 15, "edge"), sol).feasible
+        assert verify_solution(inst, sol).feasible
         # per fork one cut prefix (a 16th pebble on the first edge) and one
         # pick; one pick for each vertex after a fork
         assert solver.checked == 8
@@ -210,17 +209,18 @@ class TestFittingMoves:
 
 class TestSolveDisjointShortest:
     def test_chain_unique_path(self):
-        sol = solve_disjoint_shortest(chain(3), [(1, 3)])
+        sol = solve_disjoint_shortest(Instance(chain(3), ((1, 3),), 1))
         assert sol.paths[0].vertices == (1, 2, 3)
 
     def test_diamond_unreachable_pair(self):
-        assert solve_disjoint_shortest(diamond(), [(1, 4), (2, 3)]) is None
+        assert solve_disjoint_shortest(Instance(diamond(), ((1, 4), (2, 3)), 1)) is None
 
     def test_grid_two_demands_matches_oracle(self):
         dag, vid = grid_dag(3, 3)
         pairs = ((vid[(0, 0)], vid[(2, 2)]), (vid[(0, 1)], vid[(2, 1)]))
-        sol = solve_disjoint_shortest(dag, pairs)
-        want = brute_force_oracle(Instance(dag, pairs, 1))
+        inst = Instance(dag, pairs, 1)
+        sol = solve_disjoint_shortest(inst)
+        want = brute_force_oracle(inst)
         assert (sol is None) == (want is None)
         if sol is not None:
             for path, expect in zip(sol.paths, want.paths):
@@ -232,24 +232,20 @@ class TestSolveDisjointShortest:
         # by demand value would route both along the same arm and overload it
         dag = diamond()
         demands = ((2, 2), (3, 3), (1, 4), (1, 4))
-        sol = solve_disjoint_shortest(dag, demands, congestion=2)
+        sol = solve_disjoint_shortest(Instance(dag, demands, 2))
         assert sol is not None
         assert verify_solution(Instance(dag, demands, 2), sol).feasible
-        assert solve_disjoint_shortest(dag, demands, congestion=1) is None
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvariantViolation):
-            solve_disjoint_shortest(chain(3), [(1, 3)], mode="arc")
+        assert solve_disjoint_shortest(Instance(dag, demands, 1)) is None
 
     def test_demand_count_is_not_capped(self, caplog):
         # seven demands on one edge are decided, not refused: the endpoint
         # check rejects them at c = 1 and they all fit at c = 7
         dag, demands = chain(8), ((1, 2),) * 7
         with caplog.at_level("DEBUG", logger="dspc.exact"):
-            assert solve_disjoint_shortest(dag, demands) is None
+            assert solve_disjoint_shortest(Instance(dag, demands, 1)) is None
         assert caplog.messages == ["infeasible: endpoint overload at vertex 1"]
         assert brute_force_oracle(Instance(dag, demands, 1)) is None
-        sol = solve_disjoint_shortest(dag, demands, congestion=7)
+        sol = solve_disjoint_shortest(Instance(dag, demands, 7))
         assert sol == brute_force_oracle(Instance(dag, demands, 7))
 
     def test_edge_mode_endpoint_overload(self, caplog):
@@ -259,21 +255,21 @@ class TestSolveDisjointShortest:
         for demands, vertex in ((((1, 4),) * 3, 1), (((2, 4), (3, 4), (1, 4)), 4)):
             caplog.clear()
             with caplog.at_level("DEBUG", logger="dspc.exact"):
-                assert solve_disjoint_shortest(dag, demands, mode="edge") is None
+                assert solve_disjoint_shortest(Instance(dag, demands, 1, "edge")) is None
             assert caplog.messages == [f"infeasible: endpoint overload at vertex {vertex}"]
             assert brute_force_oracle(Instance(dag, demands, 1, "edge")) is None
-        sol = solve_disjoint_shortest(dag, ((1, 4),) * 2, mode="edge")
+        sol = solve_disjoint_shortest(Instance(dag, ((1, 4),) * 2, 1, "edge"))
         assert sol == brute_force_oracle(Instance(dag, ((1, 4),) * 2, 1, "edge"))
         # thirty pebbles on the forking source are refused up front; the search
         # would try 2^30 moves from there, none of which fits
-        assert solve_disjoint_shortest(dag, ((1, 4),) * 30, mode="edge") is None
+        assert solve_disjoint_shortest(Instance(dag, ((1, 4),) * 30, 1, "edge")) is None
 
     def test_deterministic(self):
         for seed in range(15):
             rng = random.Random(seed)
             inst = random_instance(rng, n=8, k=3, congestion=1)
-            first = solve_disjoint_shortest(inst.dag, inst.demands)
-            second = solve_disjoint_shortest(inst.dag, inst.demands)
+            first = solve_disjoint_shortest(inst)
+            second = solve_disjoint_shortest(inst)
             assert first == second
 
     def test_agrees_with_oracle_and_verifies(self):
@@ -281,7 +277,7 @@ class TestSolveDisjointShortest:
             rng = random.Random(seed)
             inst = random_instance(rng, n=rng.randint(1, 8), k=rng.randint(1, 3),
                                    congestion=1)
-            got = solve_disjoint_shortest(inst.dag, inst.demands)
+            got = solve_disjoint_shortest(inst)
             want = brute_force_oracle(inst)
             assert (got is None) == (want is None)
             if got is not None:
@@ -293,7 +289,7 @@ class TestSolveDisjointShortest:
         for seed in range(30):
             rng = random.Random(seed)
             inst = random_instance(rng, n=8, k=2, congestion=1)
-            sol = solve_disjoint_shortest(inst.dag, inst.demands)
+            sol = solve_disjoint_shortest(inst)
             if sol is None:
                 continue
             for path in sol.paths:
@@ -305,65 +301,65 @@ class TestPinPass:
     """Forced demands are routed before the search and fill part of the budget."""
 
     def test_unique_path_is_routed_without_search(self):
-        solver = DisjointShortestSolver(chain(4))
-        sol = solver.solve([(1, 4)])
+        solver = DisjointShortestSolver()
+        sol = solver.solve(Instance(chain(4), ((1, 4),), 1))
         assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
         assert solver.pinned == (0,) and not solver.memo.entries
 
     def test_saturated_edge_pins_a_second_demand(self):
         # (1, 3) has one path and fills edge (2, 3); (2, 5) then has only 2-4-5
         dag = Dag(5, ((1, 2, 1), (2, 3, 1), (2, 4, 1), (3, 5, 1), (4, 5, 1)))
-        solver = DisjointShortestSolver(dag, mode="edge")
-        sol = solver.solve([(2, 5), (1, 3)])
+        solver = DisjointShortestSolver()
+        sol = solver.solve(Instance(dag, ((2, 5), (1, 3)), 1, "edge"))
         assert [p.vertices for p in sol.paths] == [(2, 4, 5), (1, 2, 3)]
         assert solver.pinned == (0, 1) and not solver.memo.entries
         # at c = 2 the second demand keeps both routes and is searched
-        solver = DisjointShortestSolver(dag, congestion=2, mode="edge")
-        assert [p.vertices for p in solver.solve([(2, 5), (1, 3)]).paths] == [(2, 3, 5), (1, 2, 3)]
+        sol = solver.solve(Instance(dag, ((2, 5), (1, 3)), 2, "edge"))
+        assert [p.vertices for p in sol.paths] == [(2, 3, 5), (1, 2, 3)]
         assert solver.pinned == (1,)
 
     def test_no_residual_path_is_infeasible(self, caplog):
         # the pinned path 1-2-3 fills both middle vertices of (4, 5)
         dag = Dag(5, ((1, 2, 1), (2, 3, 1), (4, 2, 1), (4, 3, 1), (2, 5, 1), (3, 5, 1)))
-        solver = DisjointShortestSolver(dag)
+        solver = DisjointShortestSolver()
         with caplog.at_level("DEBUG", logger="dspc.exact"):
-            assert solver.solve([(1, 3), (4, 5)]) is None
+            assert solver.solve(Instance(dag, ((1, 3), (4, 5)), 1)) is None
         assert caplog.messages == ["infeasible: demand 1 has no shortest path left"]
         assert solver.pinned == (0,) and not solver.memo.entries
-        assert solver.solve([(4, 5)]) is not None and solver.pinned == ()
+        assert solver.solve(Instance(dag, ((4, 5),), 1)) is not None and solver.pinned == ()
 
     def test_pinned_path_through_a_free_source(self, caplog):
         # 1-2-3 is forced and runs through vertex 2, where free demands start
         dag = Dag(6, ((1, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (4, 6, 1), (5, 6, 1)))
-        assert solve_disjoint_shortest(dag, [(1, 3), (2, 6)]) is None
+        assert solve_disjoint_shortest(Instance(dag, ((1, 3), (2, 6)), 1)) is None
         assert brute_force_oracle(Instance(dag, ((1, 3), (2, 6)), 1)) is None
         # at c = 2 the source holds the pinned path and two free pebbles
         demands = ((1, 3), (2, 6), (2, 6))
         with caplog.at_level("DEBUG", logger="dspc.exact"):
-            assert solve_disjoint_shortest(dag, demands, congestion=2) is None
+            assert solve_disjoint_shortest(Instance(dag, demands, 2)) is None
         assert caplog.messages == ["infeasible: pinned paths overload vertex 2"]
         assert brute_force_oracle(Instance(dag, demands, 2)) is None
-        assert solve_disjoint_shortest(dag, demands, congestion=3) is not None
+        assert solve_disjoint_shortest(Instance(dag, demands, 3)) is not None
 
     def test_zero_length_and_duplicate_demands(self, caplog):
         # (2, 2) holds vertex 2, which leaves (1, 4) the arm through 3
-        solver = DisjointShortestSolver(diamond())
-        sol = solver.solve([(2, 2), (1, 4)])
+        solver = DisjointShortestSolver()
+        sol = solver.solve(Instance(diamond(), ((2, 2), (1, 4)), 1))
         assert [p.vertices for p in sol.paths] == [(2,), (1, 3, 4)]
         assert solver.pinned == (0, 1) and not solver.memo.entries
         # in edge mode (2, 2) takes no edge
-        solver = DisjointShortestSolver(diamond(), mode="edge")
-        assert [p.vertices for p in solver.solve([(2, 2), (1, 4)]).paths] == [(2,), (1, 2, 4)]
+        sol = solver.solve(Instance(diamond(), ((2, 2), (1, 4)), 1, "edge"))
+        assert [p.vertices for p in sol.paths] == [(2,), (1, 2, 4)]
         assert solver.pinned == (0,)
         # equal unique demands are both pinned and share the load
-        solver = DisjointShortestSolver(chain(3), congestion=2, mode="edge")
-        assert len(solver.solve([(1, 3), (1, 3)]).paths) == 2 and solver.pinned == (0, 1)
+        sol = solver.solve(Instance(chain(3), ((1, 3), (1, 3)), 2, "edge"))
+        assert len(sol.paths) == 2 and solver.pinned == (0, 1)
         # two forced paths that start and end apart still share edge (3, 4)
         apart = Dag(6, ((1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1)))
         with caplog.at_level("DEBUG", logger="dspc.exact"):
-            assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)], mode="edge") is None
-            assert solve_disjoint_shortest(chain(3), [(1, 3), (1, 3)]) is None
-            assert solve_disjoint_shortest(apart, [(1, 5), (2, 6)], mode="edge") is None
+            assert solve_disjoint_shortest(Instance(chain(3), ((1, 3), (1, 3)), 1, "edge")) is None
+            assert solve_disjoint_shortest(Instance(chain(3), ((1, 3), (1, 3)), 1)) is None
+            assert solve_disjoint_shortest(Instance(apart, ((1, 5), (2, 6)), 1, "edge")) is None
         assert caplog.messages == [
             "infeasible: endpoint overload at vertex 1",
             "infeasible: endpoint overload at vertex 1",
@@ -373,9 +369,9 @@ class TestPinPass:
     def test_search_exhausted_is_logged(self, caplog):
         # 3x3 grid: (1, 6) must avoid 2 and so ends on 4-5-6, which leaves
         # (2, 9) no way down
-        solver = DisjointShortestSolver(grid(3, 3))
+        solver = DisjointShortestSolver()
         with caplog.at_level("DEBUG", logger="dspc.exact"):
-            assert solver.solve([(1, 6), (2, 9)]) is None
+            assert solver.solve(Instance(grid(3, 3), ((1, 6), (2, 9)), 1)) is None
         dead = len(solver.memo.entries)
         assert solver.pinned == () and dead > 0
         assert caplog.messages == [f"infeasible: search exhausted after {dead} dead states"]
@@ -387,9 +383,9 @@ class TestPinPass:
         searched = []
         search = DisjointShortestSolver._search
 
-        def recording(self, start, *args):
+        def recording(self, inst, start, *args):
             searched.append(bool(start))
-            return search(self, start, *args)
+            return search(self, inst, start, *args)
 
         monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
         for mode in ("vertex", "edge"):
@@ -402,8 +398,8 @@ class TestPinPass:
                     edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
                 )
                 searched.clear()
-                solver = DisjointShortestSolver(inst.dag, congestion=inst.congestion, mode=mode)
-                got = solver.solve(inst.demands)
+                solver = DisjointShortestSolver()
+                got = solver.solve(inst)
                 want = brute_force_oracle(inst)
                 assert (got is None) == (want is None), (mode, seed)
                 if got is not None:
@@ -422,18 +418,17 @@ class TestTightSubgraph:
         # Bypasses 1-3001-3 and 2-3002-4 give each demand a second shortest
         # path, so neither is pinned and the search makes every move.
         dag = Dag(3002, chain(3000).edges + ((1, 3001, 1), (3001, 3, 1), (2, 3002, 1), (3002, 4, 1)))
-        demands = ((1, 3000), (2, 2999))
-        solver = DisjointShortestSolver(dag, congestion=2)
+        inst, solver = Instance(dag, ((1, 3000), (2, 2999)), 2), DisjointShortestSolver()
         started = time.perf_counter()
-        sol = solver.solve(demands)
+        sol = solver.solve(inst)
         elapsed = time.perf_counter() - started
         assert solver.pinned == ()
         assert [p.vertices for p in sol.paths] == [tuple(range(1, 3001)), tuple(range(2, 3000))]
-        assert verify_solution(Instance(dag, demands, 2), sol).feasible
+        assert verify_solution(inst, sol).feasible
         assert elapsed < 1.5
         tracemalloc.start()
         try:
-            solver.solve(demands)
+            solver.solve(inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -453,15 +448,15 @@ class TestMemoStore:
     def test_budget_of_dead_states(self, monkeypatch):
         # the 3x3 grid of test_search_exhausted_is_logged: its search records
         # some number of dead states, and one fewer allowed stops the solve
-        solver = DisjointShortestSolver(grid(3, 3))
-        assert solver.solve([(1, 6), (2, 9)]) is None
+        inst, solver = Instance(grid(3, 3), ((1, 6), (2, 9)), 1), DisjointShortestSolver()
+        assert solver.solve(inst) is None
         dead = len(solver.memo.entries)
         assert 0 < dead < exact.MAX_DEAD_STATES
         monkeypatch.setattr(exact, "MAX_DEAD_STATES", dead)
-        assert solver.solve([(1, 6), (2, 9)]) is None
+        assert solver.solve(inst) is None
         monkeypatch.setattr(exact, "MAX_DEAD_STATES", dead - 1)
         with pytest.raises(LimitExceeded, match=f"after {dead - 1} dead states"):
-            solver.solve([(1, 6), (2, 9)])
+            solver.solve(inst)
         assert len(solver.memo.entries) == dead - 1
 
     def test_budget_of_moves_checked(self, monkeypatch):
@@ -474,20 +469,20 @@ class TestMemoStore:
         edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, u + j, 1) for j in range(1, d + 1)]
         terminals = range(u + d + 1, u + d + k + 1)
         edges += [(u + j, t, 1) for j in range(1, d + 1) for t in terminals]
-        dag, demands = Dag(u + d + k, tuple(edges)), list(zip(range(1, k + 1), terminals))
-        solver = DisjointShortestSolver(dag, mode="edge")
-        assert solver.solve(demands) is None
-        assert brute_force_oracle(Instance(dag, tuple(demands), 1, "edge")) is None
+        dag, demands = Dag(u + d + k, tuple(edges)), tuple(zip(range(1, k + 1), terminals))
+        inst, solver = Instance(dag, demands, 1, "edge"), DisjointShortestSolver()
+        assert solver.solve(inst) is None
+        assert brute_force_oracle(inst) is None
         # one move onto u per pebble; then, with j movers placed on distinct
         # edges in d!/(d-j)! ways, the next mover meets j full edges
         cut = sum(factorial(d) // factorial(d - j) * j for j in range(d + 1))
         assert solver.checked == k + cut == 9793
         assert len(solver.memo.entries) == k + 1
         monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", solver.checked)
-        assert solver.solve(demands) is None
+        assert solver.solve(inst) is None
         monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", k + cut - 1)
         with pytest.raises(LimitExceeded, match=f"after {k + cut - 1} moves checked"):
-            solver.solve(demands)
+            solver.solve(inst)
         assert solver.checked == k + cut - 1
 
     def test_dead_states_are_infeasible(self):
@@ -501,8 +496,8 @@ class TestMemoStore:
                 k = rng.randint(2, 4)
                 c = rng.randint(1, 2) if mode == "vertex" else 1
                 inst = search_heavy_instance(rng, k, c, mode)
-                solver = DisjointShortestSolver(inst.dag, congestion=c, mode=mode)
-                solver.solve(inst.demands)
+                solver = DisjointShortestSolver()
+                solver.solve(inst)
                 pinned = tuple(inst.demands[i] for i in solver.pinned)
                 terminals = [t for i, (_, t) in enumerate(inst.demands) if i not in solver.pinned]
                 for state in solver.memo.entries:

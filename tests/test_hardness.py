@@ -242,7 +242,8 @@ class TestBlockGenerator:
     def test_link_demands_have_distance_exactly_five(self):
         inst, layout = self._k33_unit_instance()
         for l in range(1, 10):
-            assert inst.dag.dist_from(layout.edge_source[l])[layout.edge_target[l]] == 5
+            s, t = inst.demands[layout.demand_index[("edge", l)]]
+            assert inst.dag.dist_from(s)[t] == 5
 
     def test_blocking_demands_have_unique_shortest_paths(self):
         inst, layout = self._k33_unit_instance()
