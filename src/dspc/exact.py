@@ -32,19 +32,21 @@ than c per out-edge, or end than c per in-edge. Congestion 1 is the
 disjoint case of either mode.
 
 Before the search, ``solve`` pins every demand whose route is forced and
-takes its load off the budget. A walk from s along tight edges that never
-forks is the demand's only shortest path; it reads the same cached
-tight-edge lists that the search then reads. When such walks were pinned, the
-other demands are counted again, up to 2 shortest paths, skipping every
-element (vertex or edge) that the pinned paths already fill to c: a demand
-with one path left is pinned too, one with none makes the instance
-infeasible, and the count repeats until nothing changes. The pinned loads
-form a ``fixed`` map that every load count adds, so the
-search moves only the free pebbles. Every pinned route is the same in every
-feasible routing, so the routing found is the one the search would find
-carrying every pebble. In vertex mode a pinned path may run through the
-source of a free pebble, which no move checks, so ``solve`` checks those
-sources itself.
+takes its load off the budget, in one loop. Each round counts every free
+demand's shortest paths, up to 2, in one walk of its topological window
+along the cached tight-edge lists that the search then reads, skipping
+every element (vertex or edge) that the pinned paths already fill to c. A
+demand with one path left is pinned at once, one with none makes the
+instance infeasible, and the rounds repeat until nothing changes. While no
+element is full, every tight edge out of a reached vertex leads on to t,
+so a fork already means two paths and the walk stops there. A pinned path
+runs over open elements only, so it fits the budget. The pinned loads form
+a ``fixed`` map that every load count adds, so the search moves only the
+free pebbles. Counts only fall as pins are added, and every pinned route
+is the same in every feasible routing, so any order pins the same demands,
+and the routing found is the one the search would find carrying every
+pebble. In vertex mode a pinned path may run through the source of a free
+pebble, which no move checks, so ``solve`` checks those sources itself.
 
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
@@ -73,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     INFINITY,
@@ -91,9 +93,6 @@ from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
 MAX_DEAD_STATES = 2**19
 #: Moves a solve may check before LimitExceeded, one per fitting move or cut prefix.
 MAX_MOVES_CHECKED = 2**20
-#: Vertices a file's header may declare before LimitExceeded; ``dspc solve`` peaks at
-#: about 170 MB on a chain of this many.
-MAX_VERTICES = 2**18
 
 #: One vertex per pebble, in demand order.
 State = tuple[int, ...]
@@ -316,47 +315,29 @@ class DisjointShortestSolver:
     ) -> Load | None:
         """Pin the forced demands into ``walks`` by index; their loads, or None when infeasible."""
         pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
-
-        # Every tight edge out of a vertex reached from s leads on to t, so a
-        # walk that never forks is the demand's only shortest path.
+        pos, order = inst.dag.position, inst.dag.order
         fixed: dict[object, int] = {}
         pinned = fixed.get
-
-        def pin(i: int, walk: tuple[int, ...], edges: Iterable[Edge]) -> None:
-            walks[i] = walk
-            for x in walk if vertex_mode else edges:
-                fixed[x] = pinned(x, 0) + 1
-
-        for i, (s, t) in enumerate(pairs):
-            taken, u = [], s
-            while u != t:
-                edges = tight[u, t]
-                if len(edges) != 1:
-                    break
-                taken.append(edges[0])
-                u = edges[0][1]
-            else:
-                pin(i, (s, *(head for _, head, _ in taken)), taken)
-        if not walks:
-            return NO_LOAD
-        over = [x for x, load in fixed.items() if load > c]
-        if over:
-            return _infeasible("pinned paths overload %s %s", inst.mode, over[0])
-
-        # Count the free demands again on what the pinned paths leave open.
-        pos, order = inst.dag.position, inst.dag.order
+        # no element is full yet, so every tight edge out of a reached vertex is open
+        open_all = True
         changed = True
         while changed:
             changed = False
             for i, (s, t) in enumerate(pairs):
                 if i in walks:
                     continue
+                # count the demand's shortest paths over the elements left open
                 ways = {} if vertex_mode and pinned(s, 0) >= c else {s: 1}
                 last: dict[int, Edge] = {}
                 for u in order[pos[s]:pos[t]]:
                     if u not in ways:
                         continue
-                    for edge in tight[u, t]:
+                    edges = tight[u, t]
+                    if open_all and len(edges) > 1:
+                        # every tight edge leads on to t, so a fork makes two paths
+                        ways[t] = 2
+                        break
+                    for edge in edges:
                         head = edge[1]
                         if pinned(head if vertex_mode else edge, 0) < c:
                             # path counts stop at 2: more than one is all that matters
@@ -370,10 +351,14 @@ class DisjointShortestSolver:
                     walk = [t]
                     while walk[-1] != s:
                         walk.append(last[walk[-1]][0])
-                    pin(i, tuple(reversed(walk)), (last[v] for v in walk[:-1]))
+                    walks[i] = tuple(reversed(walk))
+                    # the path runs over open elements only, so it fits the budget
+                    for x in walk if vertex_mode else map(last.get, walk[:-1]):
+                        fixed[x] = load = pinned(x, 0) + 1
+                        open_all = open_all and load < c
                     changed = True
 
-        if vertex_mode:
+        if vertex_mode and walks:
             starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
             for s, count in starts.items():
                 if pinned(s, 0) + count > c:

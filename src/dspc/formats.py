@@ -19,7 +19,10 @@ from typing import Iterable
 
 from .core import Dag, Instance, MODES, Path, Solution
 from .errors import LimitExceeded, ParseError
-from .exact import MAX_VERTICES
+
+#: Vertices a file's header may declare before LimitExceeded; ``dspc solve`` peaks at
+#: about 170 MB on a chain of this many.
+MAX_VERTICES = 2**18
 
 
 def emit_instance(inst: Instance, comments: Iterable[str] = ()) -> str:

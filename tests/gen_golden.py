@@ -1,12 +1,16 @@
-"""Recorded digests of ``dspc gen`` output, checked without pytest.
+"""Recorded digests of ``dspc gen`` and ``dspc solve`` output, checked without pytest.
 
 Each command line below must exit 0 and print, on standard output, the
 bytes whose sha256 digest is recorded next to it. The lines cover both
 gadget families, planted and unplanted: the grid family at 2 to 4 colours
 (3 colours is the benchmark's gadgets workload) and the block family at
-c = 1 to 3, plus one random DAG. Any drift in generation, between Python
-versions too, changes a digest. Run from the repository root, on any
-supported Python:
+c = 1 to 3, plus one random DAG. Each generated file is then solved with
+``dspc solve``, whose exit code and output digest are recorded too. A last
+digest covers the solutions of seeded ``random_instance`` batches in both
+modes, which the solver routes by its pin pass alone, by the search after
+pinning some demands, or by the search alone. Any drift in generation or in
+the routing printed, between Python versions too, changes a digest. Run
+from the repository root, on any supported Python:
 
     PYTHONPATH=src python tests/gen_golden.py
 """
@@ -16,55 +20,111 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
+import tempfile
+from pathlib import Path
 
 from dspc.cli import main
+from dspc.congestion import solve_with_congestion
+from dspc.formats import emit_solution
+from dspc.randgen import random_instance
 
+#: gen command line -> (digest of its output, exit code of solving it, digest of that solution)
 GOLDEN = {
-    "gen mcc --seed 7 --size 5 --colors 2":
+    "gen mcc --seed 7 --size 5 --colors 2": (
         "0a24658192c1cc1868a1a8705a84e141ec594f4ca55fd7c4e91471a739f290ef",
-    "gen mcc --seed 7 --size 5 --colors 2 --no-plant":
+        0, "8b47550384539d72642213b73f3c0537048abdfae8179298168ceda21d2e1d9e"),
+    "gen mcc --seed 7 --size 5 --colors 2 --no-plant": (
         "0e6d5887386f01f22816a67cefa5e3aa941270a83db1dc0f978b10f14dce8bf6",
-    "gen mcc --seed 3 --size 6 --colors 3":
+        0, "8b47550384539d72642213b73f3c0537048abdfae8179298168ceda21d2e1d9e"),
+    "gen mcc --seed 3 --size 6 --colors 3": (
         "2c5c1055728f8a19ee51fb9a08a4e5578d3b9366e46629b40773cbacbf9baa64",
-    "gen mcc --seed 4 --size 6 --colors 3 --no-plant":
+        0, "1e5fa516416e2a8f877b4ebf7b732e04f0bdcf494933386ec3f442c959d13ecf"),
+    "gen mcc --seed 4 --size 6 --colors 3 --no-plant": (
         "80b397a65e2a14395414f47dc8b571f3c07bcf041d2b5510a6f12aeffad0c788",
-    "gen mcc --seed 1 --size 6 --colors 4":
+        1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
+    "gen mcc --seed 1 --size 6 --colors 4": (
         "1d63bd6dff5baa1fd3137139e6017f376190307342cfc8581505806a4bf3006d",
-    "gen psi --seed 3 --class-size 1 --congestion 1":
+        0, "0920b7979092bad921ea5eb2c63a8fa5f06491049917a6c9b414a3c5f977367e"),
+    "gen psi --seed 3 --class-size 1 --congestion 1": (
         "9d057d2d0f6f01165b02fdaabcb3b57c48dada305fc7b5fefdb0f06e5987e8bf",
-    "gen psi --seed 3 --class-size 2 --congestion 2":
+        0, "03ff3cf3e712f3019d1c85fe8dea3fbbe42ce7bbf12b2a35cab22bded0d1cba0"),
+    "gen psi --seed 3 --class-size 2 --congestion 2": (
         "453b248766a780fe388d1db7fbb3bb16b5c29d28b6db9a1dfc390e8ebe8122ef",
-    "gen psi --seed 5 --class-size 3 --congestion 3":
+        0, "281b8026371992bf3372f3a086990c8f9825f9500c0a9487b23a9e9fe55f5471"),
+    "gen psi --seed 5 --class-size 3 --congestion 3": (
         "9be62264523b6d32f520141cd564628c6af56b607ed0019491f58b3ed48bd86c",
-    "gen psi --seed 2 --class-size 2 --congestion 1 --no-plant":
+        0, "fe5f8b5dd374de6cbbc21972d789e8152fe297bcb04b25f0694d89fd38994eb2"),
+    "gen psi --seed 2 --class-size 2 --congestion 1 --no-plant": (
         "4f6468d14235c61aa0420d4bb3455fec0866025089c3b098a3402e637f277466",
-    "gen psi --seed 6 --class-size 3 --congestion 3 --no-plant":
+        1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
+    "gen psi --seed 6 --class-size 3 --congestion 3 --no-plant": (
         "96b475fc30a5b063b33742f58eab85516fdc8f58691dd5b6284057fdcaa5f1a0",
-    "gen random --seed 7 --size 7 --demands 3":
+        1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
+    "gen random --seed 7 --size 7 --demands 3": (
         "bb4f3b9adb881cba08fddec7019ae49b3df9948b53dc5b83115c18a25f18f137",
+        1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
 }
 
+#: Seeds per mode of the ``random_instance`` batch.
+BATCH_SEEDS = 2000
+#: Digest of the solutions of that batch, vertex mode first.
+BATCH_GOLDEN = "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41"
 
-def digest(line: str) -> str:
-    """The sha256 digest of the standard output of ``dspc <line>``, which must exit 0."""
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code of ``dspc <argv>`` and what it printed on standard output."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(line.split())
-    if code != 0:
-        raise AssertionError(f"dspc {line}: exit {code}, expected 0")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def check(line: str) -> None:
-    """Raise AssertionError unless ``dspc <line>`` prints the recorded bytes."""
-    got = digest(line)
-    if got != GOLDEN[line]:
-        raise AssertionError(f"dspc {line}: output digest {got}, recorded {GOLDEN[line]}")
+    """Raise AssertionError unless ``dspc <line>`` and solving its file print the recorded bytes."""
+    gen_digest, solve_code, solve_digest = GOLDEN[line]
+    code, text = run(line.split())
+    if code != 0:
+        raise AssertionError(f"dspc {line}: exit {code}, expected 0")
+    if sha256(text) != gen_digest:
+        raise AssertionError(f"dspc {line}: output digest {sha256(text)}, recorded {gen_digest}")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "instance.dsp"
+        path.write_text(text)
+        code, text = run(["solve", "-i", str(path)])
+    if (code, sha256(text)) != (solve_code, solve_digest):
+        raise AssertionError(f"dspc solve on dspc {line}: exit {code}, digest {sha256(text)}; "
+                             f"recorded exit {solve_code}, digest {solve_digest}")
+
+
+def check_batch() -> None:
+    """Raise AssertionError unless the seeded random batch solves to the recorded bytes.
+
+    Each instance is solved in-process by what ``dspc solve`` runs.
+    """
+    text = []
+    for mode in ("vertex", "edge"):
+        for seed in range(BATCH_SEEDS):
+            rng = random.Random(seed)
+            k = rng.randint(1, 5)
+            inst = random_instance(
+                rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+            )
+            text.append(emit_solution(solve_with_congestion(inst)))
+    got = sha256("".join(text))
+    if got != BATCH_GOLDEN:
+        raise AssertionError(f"random batch: solution digest {got}, recorded {BATCH_GOLDEN}")
 
 
 if __name__ == "__main__":
     for line in GOLDEN:
         check(line)
-    print(f"{len(GOLDEN)} gen command lines print the recorded bytes "
-          f"on Python {sys.version.split()[0]}")
+    check_batch()
+    print(f"{len(GOLDEN)} gen command lines and their solves, and {2 * BATCH_SEEDS} random "
+          f"solves, print the recorded bytes on Python {sys.version.split()[0]}")

@@ -24,7 +24,7 @@ from dspc import (
     parse_solution,
     verify_solution,
 )
-from dspc import exact
+from dspc import exact, formats
 from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 from dspc.randgen import grid
 
@@ -131,7 +131,7 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == (
             f"error: header declares 300000000 vertices, more than the bound of "
-            f"{exact.MAX_VERTICES}\n"
+            f"{formats.MAX_VERTICES}\n"
         )
 
     def test_solution_files_are_deterministic(self, feasible_file, tmp_path):
@@ -266,6 +266,9 @@ class TestGen:
     @pytest.mark.parametrize("line", list(gen_golden.GOLDEN))
     def test_output_matches_recorded_digest(self, line):
         gen_golden.check(line)
+
+    def test_random_batch_solves_to_recorded_digest(self):
+        gen_golden.check_batch()
 
     @pytest.mark.parametrize("argv", [("psi", "--class-size", "0"),
                                       ("random", "--max-weight", "0"),

@@ -25,12 +25,14 @@ from dspc import (
     Solution,
     brute_force_oracle,
     iter_shortest_paths,
+    mcc_to_planar_edsp,
     merge_check,
     solve_disjoint_shortest,
     verify_solution,
 )
 from dspc import exact
 from dspc.exact import count_shortest_paths, fitting_moves
+from dspc.hardness import plant_colorful_clique, random_colored_graph
 from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
 from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest
@@ -354,7 +356,8 @@ class TestPinPass:
         # equal unique demands are both pinned and share the load
         sol = solver.solve(Instance(chain(3), ((1, 3), (1, 3)), 2, "edge"))
         assert len(sol.paths) == 2 and solver.pinned == (0, 1)
-        # two forced paths that start and end apart still share edge (3, 4)
+        # two forced paths that start and end apart still share edge (3, 4):
+        # once the first is pinned, the second has no path left
         apart = Dag(6, ((1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1)))
         with caplog.at_level("DEBUG", logger="dspc.exact"):
             assert solve_disjoint_shortest(Instance(chain(3), ((1, 3), (1, 3)), 1, "edge")) is None
@@ -363,7 +366,7 @@ class TestPinPass:
         assert caplog.messages == [
             "infeasible: endpoint overload at vertex 1",
             "infeasible: endpoint overload at vertex 1",
-            "infeasible: pinned paths overload edge (3, 4, 1)",
+            "infeasible: demand 1 has no shortest path left",
         ]
 
     def test_search_exhausted_is_logged(self, caplog):
@@ -379,8 +382,10 @@ class TestPinPass:
     def test_agrees_with_oracle_on_every_route(self, monkeypatch):
         # an instance is decided by the pin pass alone, pinned in part and
         # then searched, or searched with nothing pinned; every route is
-        # taken at least 10 times per mode
-        searched = []
+        # taken at least 10 times per mode. The 3,383 feasible draws that pin
+        # anything pin 8,133 demands, and each pinned route is checked
+        # against the oracle's.
+        searched, forced = [], 0
         search = DisjointShortestSolver._search
 
         def recording(self, inst, start, *args):
@@ -404,8 +409,48 @@ class TestPinPass:
                 assert (got is None) == (want is None), (mode, seed)
                 if got is not None:
                     assert verify_solution(inst, got).feasible, (mode, seed)
+                    # a pinned route is the same in every feasible routing,
+                    # so the oracle's first routing takes it too
+                    for i in solver.pinned:
+                        assert got.paths[i] == want.paths[i], (mode, seed, i)
+                    forced += len(solver.pinned)
                 routes[bool(solver.pinned), any(searched)] += 1
             assert min(routes[True, False], routes[True, True], routes[False, True]) >= 10, routes
+        assert forced >= 5000, forced
+
+
+class TestCoverageFloor:
+    """Seeded batches keep the search and the pin pass at work, so a fault in them shows."""
+
+    def test_search_heavy_draws_backtrack(self):
+        # no search_heavy_instance demand is pinned; edge mode draws c = 1 and
+        # at least 4 demands, as in test_congestion's search-heavy draws. The
+        # 400 draws check 6,099 moves and record 1,198 dead states.
+        checked = dead = 0
+        for mode, smallest_k, largest_c in (("vertex", 2, 3), ("edge", 4, 1)):
+            for seed in range(200):
+                rng = random.Random(seed)
+                k = rng.randint(smallest_k, 6)
+                inst = search_heavy_instance(rng, k, rng.randint(1, min(k, largest_c)), mode)
+                solver = DisjointShortestSolver()
+                solver.solve(inst)
+                assert solver.pinned == ()
+                checked += solver.checked
+                dead += len(solver.memo.entries)
+        assert checked >= 3000 and dead >= 600, (checked, dead)
+
+    def test_grid_family_pins(self):
+        # 40 planted grid-family gadgets at 3 colours, all feasible: 136 of
+        # their 240 demands are pinned
+        pinned = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            cg, _ = plant_colorful_clique(rng, random_colored_graph(rng, 6, 3))
+            inst, _ = mcc_to_planar_edsp(cg, 3)
+            solver = DisjointShortestSolver()
+            assert solver.solve(inst) is not None
+            pinned += len(solver.pinned)
+        assert pinned >= 68, pinned
 
 
 class TestTightSubgraph:

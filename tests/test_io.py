@@ -27,7 +27,7 @@ from dspc import (
     psi_to_dspc,
     solve_with_congestion,
 )
-from dspc.exact import MAX_VERTICES
+from dspc.formats import MAX_VERTICES
 from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
 from dspc.randgen import random_instance
 
