@@ -48,6 +48,23 @@ and the routing found is the one the search would find carrying every
 pebble. In vertex mode a pinned path may run through the source of a free
 pebble, which no move checks, so ``solve`` checks those sources itself.
 
+One pass then bounds the load at each topological position: the largest
+``fixed`` load keyed there (the vertex in vertex mode, any edge out of it
+in edge mode) plus the free demands whose windows [pos[s], pos[t]] cover
+it, built with a difference array in O(n + k). A free demand whose window
+never passes c is uncontested and takes its first tight walk (option 0 at
+every vertex) without a pebble; ``direct`` lists these. The step is exact
+and changes no output. Every element an uncontested pebble can load has a
+bound of at most c, so none of its picks is ever cut, and it loads nothing
+outside its window, so it never pushes a contested pebble over c either.
+Every subtree that fails therefore fails whatever the uncontested pebble's
+options are, and the search's first routing gives it option 0 at every
+move. A contested pebble on the same vertex with the same terminal is
+inside the uncontested window from there on, so it takes option 0 too, and
+the order kept between interchangeable movers never raises the uncontested
+pebble's option. The search moves only the contested pebbles, so it ends
+at once when there are none, as at k <= c.
+
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
@@ -61,8 +78,9 @@ m movers on a vertex can have up to out-degree^m prefixes to try (when more
 movers than edges meet at c = 1, say), and only in vertex mode is m at most
 c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
-the recursion limit. At ``DSPC_LOG=debug`` an infeasible solve logs its
-reason on the ``dspc.exact`` logger.
+the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
+pass logs its pinned, direct and searched demand counts, and an infeasible
+solve its reason, on the ``dspc.exact`` logger.
 
 The brute-force oracle shares no search code with the solver; its path
 helpers use the same tightness test, so each reads one backward sweep.
@@ -73,7 +91,9 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import prod
+from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -250,19 +270,21 @@ class DisjointShortestSolver:
 
     The instance has already checked its budget, mode and demand range, so
     ``solve`` checks none of them again. ``memo`` holds the dead states,
-    ``pinned`` the indices of the demands pinned before the search and
-    ``checked`` the moves the search checked, all of the latest solve()
-    call; none is mutated once that call returns.
+    ``pinned`` the indices of the demands pinned before the search,
+    ``direct`` those of the uncontested demands routed by their first tight
+    walk and ``checked`` the moves the search checked, all of the latest
+    solve() call; none is mutated once that call returns.
     """
 
     def __init__(self):
         self.memo = MemoStore()
         self.pinned: tuple[int, ...] = ()
+        self.direct: tuple[int, ...] = ()
         self.checked = 0
 
     def solve(self, inst: Instance) -> Solution | None:
         self.memo = MemoStore()
-        self.pinned = ()
+        self.pinned = self.direct = ()
         self.checked = 0
         pairs, c, dag = inst.demands, inst.congestion, inst.dag
         out = dag.out_edges
@@ -297,6 +319,17 @@ class DisjointShortestSolver:
         if fixed is None:
             return None
         free = [i for i in range(len(pairs)) if i not in walks]
+        self.direct = self._uncontested(inst, free, fixed)
+        for i in self.direct:
+            # the first tight walk, which the search would give the pebble
+            s, t = pairs[i]
+            walk = [s]
+            while walk[-1] != t:
+                walk.append(tight[walk[-1], t][0][1])
+            walks[i] = tuple(walk)
+        free = [i for i in free if i not in walks]
+        log.debug("demands: %d pinned, %d direct, %d searched",
+                  len(self.pinned), len(self.direct), len(free))
         states = self._search(
             inst, tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), tight, fixed
         )
@@ -364,6 +397,30 @@ class DisjointShortestSolver:
                 if pinned(s, 0) + count > c:
                     return _infeasible("pinned paths overload vertex %d", s)
         return fixed
+
+    @staticmethod
+    def _uncontested(inst: Instance, free: Sequence[int], fixed: Load) -> tuple[int, ...]:
+        """The free demands whose windows meet at most c paths at every topological position.
+
+        A position's bound is its largest pinned load (on the vertex, or on
+        an edge out of it) plus the free windows [pos[s], pos[t]] over it.
+        """
+        pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
+        pos = inst.dag.position
+        windows = [0] * (inst.dag.vertex_count + 1)
+        for i in free:
+            s, t = pairs[i]
+            windows[pos[s]] += 1
+            windows[pos[t] + 1] -= 1
+        pinned = [0] * inst.dag.vertex_count
+        for x, load in fixed.items():
+            p = pos[x] if vertex_mode else pos[x[0]]
+            pinned[p] = max(pinned[p], load)
+        bounds = map(add, accumulate(windows), pinned)
+        # over[p]: the positions before p whose bound passes c
+        over = list(accumulate(map(c.__lt__, bounds), initial=0))
+        # no position of the window [pos[s], pos[t]] passes c
+        return tuple(i for i in free if over[pos[pairs[i][1]] + 1] == over[pos[pairs[i][0]]])
 
     def _search(
         self,

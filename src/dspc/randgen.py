@@ -105,9 +105,9 @@ def search_heavy_instance(
 
     Both families have unit weights and every edge joins consecutive
     diagonals or layers, so every path is shortest. No demand is pinned
-    before the search, so the search moves every pebble; the demands often
-    compete for vertices, so it backtracks. The graph is drawn again until
-    k such demands fit.
+    before the search, so the search moves every pebble whose window more
+    than c demand windows cover at some position; the demands often compete
+    for vertices, so it backtracks. The graph is drawn again until k such demands fit.
     """
     while True:
         if rng.random() < 0.5:

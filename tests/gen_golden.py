@@ -8,7 +8,10 @@ c = 1 to 3, plus one random DAG. Each generated file is then solved with
 ``dspc solve``, whose exit code and output digest are recorded too. A last
 digest covers the solutions of seeded ``random_instance`` batches in both
 modes, which the solver routes by its pin pass alone, by the search after
-pinning some demands, or by the search alone. Any drift in generation or in
+pinning some demands, or by the search alone. A second covers a batch that
+the solver mostly routes without a search, since no position can meet more
+than c demands: ``random_instance`` at c = k, and chains of small random
+blocks with two to four long demands at c = 2. Any drift in generation or in
 the routing printed, between Python versions too, changes a digest. Run
 from the repository root, on any supported Python:
 
@@ -24,9 +27,11 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterator
 
 from dspc.cli import main
 from dspc.congestion import solve_with_congestion
+from dspc.core import Dag, Instance
 from dspc.formats import emit_solution
 from dspc.randgen import random_instance
 
@@ -67,10 +72,65 @@ GOLDEN = {
         1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
 }
 
-#: Seeds per mode of the ``random_instance`` batch.
+#: Seeds per mode of each batch.
 BATCH_SEEDS = 2000
-#: Digest of the solutions of that batch, vertex mode first.
-BATCH_GOLDEN = "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41"
+
+
+def random_draw(rng: random.Random, mode: str, at_k: bool = False) -> Instance:
+    """A random DAG of up to 9 vertices with 1 to k = 5 demands, at c = k or any c from 1 to k."""
+    k = rng.randint(1, 5)
+    return random_instance(
+        rng, n=rng.randint(1, 9), k=k, congestion=k if at_k else rng.randint(1, k), mode=mode,
+        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+    )
+
+
+def random_batch() -> Iterator[Instance]:
+    """One ``random_draw`` per seed, both modes."""
+    for mode in ("vertex", "edge"):
+        for seed in range(BATCH_SEEDS):
+            yield random_draw(random.Random(seed), mode)
+
+
+def block_chain(rng: random.Random, blocks: int, size: int) -> Dag:
+    """Random blocks of ``size`` vertices in a row, each sharing its last vertex with the next."""
+    edges = []
+    for entry in range(1, blocks * (size - 1), size - 1):
+        for u in range(entry, entry + size):
+            for v in range(u + 1, entry + size):
+                # the spine edge u -> u + 1 keeps every later vertex reachable
+                if v == u + 1 or rng.random() < 0.5:
+                    edges.append((u, v, rng.randint(1, 2)))
+    return Dag(blocks * (size - 1) + 1, tuple(edges))
+
+
+def direct_batch() -> Iterator[Instance]:
+    """Draws that rarely meet more than c demands at one position, both modes.
+
+    Even seeds make a ``random_draw`` at c = k; odd seeds a chain of 3 to
+    6 blocks of 4 or 5 vertices with 2 to 4 demands, each spanning 40 to 80
+    per cent of the chain, at c = 2.
+    """
+    for mode in ("vertex", "edge"):
+        for seed in range(BATCH_SEEDS):
+            rng = random.Random(seed)
+            if seed % 2 == 0:
+                yield random_draw(rng, mode, at_k=True)
+                continue
+            dag = block_chain(rng, rng.randint(3, 6), rng.randint(4, 5))
+            n, demands = dag.vertex_count, []
+            for _ in range(rng.randint(2, 4)):
+                span = rng.randint(int(0.4 * n), int(0.8 * n))
+                s = rng.randint(1, n - span)
+                demands.append((s, s + span))
+            yield Instance(dag, tuple(demands), 2, mode)
+
+
+#: Batch name -> (its instances, digest of their solutions in order).
+BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str]] = {
+    "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41"),
+    "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08"),
+}
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -102,29 +162,21 @@ def check(line: str) -> None:
                              f"recorded exit {solve_code}, digest {solve_digest}")
 
 
-def check_batch() -> None:
-    """Raise AssertionError unless the seeded random batch solves to the recorded bytes.
+def check_batch(name: str = "random") -> None:
+    """Raise AssertionError unless the named seeded batch solves to the recorded bytes.
 
     Each instance is solved in-process by what ``dspc solve`` runs.
     """
-    text = []
-    for mode in ("vertex", "edge"):
-        for seed in range(BATCH_SEEDS):
-            rng = random.Random(seed)
-            k = rng.randint(1, 5)
-            inst = random_instance(
-                rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
-                edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
-            )
-            text.append(emit_solution(solve_with_congestion(inst)))
-    got = sha256("".join(text))
-    if got != BATCH_GOLDEN:
-        raise AssertionError(f"random batch: solution digest {got}, recorded {BATCH_GOLDEN}")
+    draws, digest = BATCHES[name]
+    got = sha256("".join(emit_solution(solve_with_congestion(inst)) for inst in draws()))
+    if got != digest:
+        raise AssertionError(f"{name} batch: solution digest {got}, recorded {digest}")
 
 
 if __name__ == "__main__":
     for line in GOLDEN:
         check(line)
-    check_batch()
-    print(f"{len(GOLDEN)} gen command lines and their solves, and {2 * BATCH_SEEDS} random "
-          f"solves, print the recorded bytes on Python {sys.version.split()[0]}")
+    for name in BATCHES:
+        check_batch(name)
+    print(f"{len(GOLDEN)} gen command lines and their solves, and {len(BATCHES)} batches of "
+          f"{2 * BATCH_SEEDS} solves, print the recorded bytes on Python {sys.version.split()[0]}")

@@ -270,6 +270,10 @@ class TestGen:
     def test_random_batch_solves_to_recorded_digest(self):
         gen_golden.check_batch()
 
+    def test_direct_batch_solves_to_recorded_digest(self):
+        # recorded before uncontested demands were routed without a search
+        gen_golden.check_batch("direct")
+
     @pytest.mark.parametrize("argv", [("psi", "--class-size", "0"),
                                       ("random", "--max-weight", "0"),
                                       ("mcc", "--colors", "0"),

@@ -325,11 +325,12 @@ class TestNativeAgainstReductions:
             if got is not None:
                 assert verify_solution(inst, got).feasible
 
-    # No search_heavy_instance demand is pinned, so every draw reaches the
-    # pebbling search. Edge budgets above 1 leave nearly every such draw
-    # feasible, so its edge mode draws c = 1 and at least 4 demands; the
-    # bottleneck draws cover edge mode at c = 2, and the relabelled case
-    # draws graphs with an edge from a higher id to a lower one. The seed
+    # No search_heavy_instance demand is pinned, so every draw on which
+    # more than c demands can meet reaches the pebbling search. Edge
+    # budgets above 1 leave nearly every such draw feasible, so its edge
+    # mode draws c = 1 and at least 4 demands; the bottleneck draws cover
+    # edge mode at c = 2, and the relabelled case draws graphs with an
+    # edge from a higher id to a lower one. The seed
     # fixes the draws apart from the source of ``check``; they still depend
     # on the hypothesis version, which CI pins.
     @pytest.mark.parametrize("smallest_k, congestions, draw", (

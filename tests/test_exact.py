@@ -49,8 +49,12 @@ class TestMergeCheck:
     def test_detour_is_never_a_candidate(self, monkeypatch):
         # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
         # never offers it and no move check needs a length test; the second
-        # route 1-5-3-4 keeps the demand from being pinned before the search
-        dag = Dag(5, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1)))
+        # route 1-5-3-4 keeps the demand from being pinned before the search.
+        # The fork 6-{7, 8}-9 does the same for (6, 9), and the edge (9, 4)
+        # puts its window inside the first's, so at c = 1 each contests the
+        # other and both are searched.
+        dag = Dag(9, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
+                      (6, 7, 1), (6, 8, 1), (7, 9, 1), (8, 9, 1), (9, 4, 1)))
         offered = []
 
         def recording(state, movers, terminals, options, *args):
@@ -59,10 +63,10 @@ class TestMergeCheck:
 
         monkeypatch.setattr(exact, "fitting_moves", recording)
         solver = DisjointShortestSolver()
-        sol = solver.solve(Instance(dag, ((1, 4),), 1))
-        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
+        sol = solver.solve(Instance(dag, ((1, 4), (6, 9)), 1))
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 7, 9)]
         assert sol.paths[0].length == 3
-        assert solver.checked == 3 and len(offered) == 4 and (2, 4, 5) not in offered
+        assert solver.checked == 5 and len(offered) == 7 and (2, 4, 5) not in offered
 
     def test_ends_must_meet_the_cut_edge(self):
         # every mover must sit on the tail of the edge it takes
@@ -377,14 +381,20 @@ class TestPinPass:
             assert solver.solve(Instance(grid(3, 3), ((1, 6), (2, 9)), 1)) is None
         dead = len(solver.memo.entries)
         assert solver.pinned == () and dead > 0
-        assert caplog.messages == [f"infeasible: search exhausted after {dead} dead states"]
+        assert caplog.messages == [
+            "demands: 0 pinned, 0 direct, 2 searched",
+            f"infeasible: search exhausted after {dead} dead states",
+        ]
 
     def test_agrees_with_oracle_on_every_route(self, monkeypatch):
         # an instance is decided by the pin pass alone, pinned in part and
-        # then searched, or searched with nothing pinned; every route is
-        # taken at least 10 times per mode. The 3,383 feasible draws that pin
-        # anything pin 8,133 demands, and each pinned route is checked
-        # against the oracle's.
+        # then searched, or searched with nothing pinned, and some route
+        # demands directly; every route is taken at least 10 times per mode.
+        # Random draws rarely meet more than c demands at one position
+        # without pinning any, so the last 100 draws per mode are
+        # search-heavy ones. The 3,383 feasible draws that pin anything pin
+        # 8,133 demands, and each pinned route is checked against the
+        # oracle's.
         searched, forced = [], 0
         search = DisjointShortestSolver._search
 
@@ -395,13 +405,17 @@ class TestPinPass:
         monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
         for mode in ("vertex", "edge"):
             routes = Counter()
-            for seed in range(4000):
+            for seed in range(4100):
                 rng = random.Random(seed)
-                k = rng.randint(1, 5)
-                inst = random_instance(
-                    rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
-                    edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
-                )
+                if seed < 4000:
+                    k = rng.randint(1, 5)
+                    inst = random_instance(
+                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                    )
+                else:
+                    k = rng.randint(2, 4)
+                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
                 searched.clear()
                 solver = DisjointShortestSolver()
                 got = solver.solve(inst)
@@ -415,8 +429,82 @@ class TestPinPass:
                         assert got.paths[i] == want.paths[i], (mode, seed, i)
                     forced += len(solver.pinned)
                 routes[bool(solver.pinned), any(searched)] += 1
-            assert min(routes[True, False], routes[True, True], routes[False, True]) >= 10, routes
+                routes["direct"] += bool(solver.direct)
+            assert min(routes[True, False], routes[True, True], routes[False, True],
+                       routes["direct"]) >= 10, routes
         assert forced >= 5000, forced
+
+
+def first_tight_walk(dag: Dag, s: int, t: int) -> tuple[int, ...]:
+    """From s, the first out-edge (u, v, w) with w + b[v] = b[u], b = dist(., t), until t."""
+    b, walk = dag.dist_to(t), [s]
+    while walk[-1] != t:
+        u = walk[-1]
+        walk.append(next(v for _, v, w in dag.out_edges[u] if w + b[v] == b[u]))
+    return tuple(walk)
+
+
+class TestDirectRoute:
+    """A free demand that no position can overload takes its first tight walk, unsearched."""
+
+    def test_direct_paths_are_first_tight_walks(self):
+        # 3,000 draws per mode, every other one at c = k; the routing verifies
+        # and the verdict is the oracle's. Feasible draws route 139 (vertex)
+        # and 147 (edge) demands directly, each with two or more shortest paths.
+        direct = Counter()
+        for mode in ("vertex", "edge"):
+            for seed in range(3000):
+                rng = random.Random(seed)
+                k = rng.randint(1, 5)
+                c = k if seed % 2 else rng.randint(1, k)
+                inst = random_instance(
+                    rng, n=rng.randint(1, 9), k=k, congestion=c, mode=mode,
+                    edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                )
+                solver = DisjointShortestSolver()
+                got = solver.solve(inst)
+                assert (got is None) == (brute_force_oracle(inst) is None), (mode, seed)
+                if got is None:
+                    continue
+                assert verify_solution(inst, got).feasible, (mode, seed)
+                assert not set(solver.direct) & set(solver.pinned)
+                for i in solver.direct:
+                    s, t = inst.demands[i]
+                    assert got.paths[i].vertices == first_tight_walk(inst.dag, s, t), (mode, seed)
+                direct[mode] += len(solver.direct)
+        assert min(direct.values()) >= 70, direct
+
+    def test_no_more_demands_than_c_needs_no_search(self):
+        # the 3x3 grid of test_search_exhausted_is_logged: infeasible at c = 1,
+        # and at c = 2 both demands take their first tight walk
+        inst, solver = Instance(grid(3, 3), ((1, 6), (2, 9)), 2), DisjointShortestSolver()
+        sol = solver.solve(inst)
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 6), (2, 3, 6, 9)]
+        assert solver.direct == (0, 1) and solver.pinned == ()
+        assert solver.checked == 0 and not solver.memo.entries
+        assert verify_solution(inst, sol).feasible
+
+    def test_pinned_load_contests(self):
+        # at c = 2 the free (1, 4) demands meet only each other, but a pinned
+        # path holds vertex 2 (vertex mode) or edge (2, 4) (edge mode), which
+        # both first tight walks 1-2-4 take: the bound counts it, so both are
+        # searched and one takes the arm through 3
+        through_2 = Dag(6, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (5, 2, 1), (2, 6, 1)))
+        for inst in (Instance(through_2, ((1, 4), (1, 4), (5, 6)), 2),
+                     Instance(diamond(), ((1, 4), (1, 4), (2, 4)), 2, "edge")):
+            solver = DisjointShortestSolver()
+            sol = solver.solve(inst)
+            assert solver.pinned == (2,) and solver.direct == () and solver.checked > 0
+            assert [p.vertices[:3] for p in sol.paths[:2]] == [(1, 2, 4), (1, 3, 4)]
+            assert verify_solution(inst, sol).feasible
+            assert sol == brute_force_oracle(inst)
+        # in edge mode an edge's pinned load counts at its tail: the pinned
+        # edge (2, 5) ends past the windows of (1, 4) but leaves from inside them
+        past = Dag(5, diamond().edges + ((2, 5, 1), (4, 5, 1)))
+        solver = DisjointShortestSolver()
+        sol = solver.solve(Instance(past, ((1, 4), (1, 4), (2, 5)), 2, "edge"))
+        assert solver.pinned == (2,) and solver.direct == () and solver.checked > 0
+        assert [p.vertices for p in sol.paths] == [(1, 2, 4), (1, 2, 4), (2, 5)]
 
 
 class TestCoverageFloor:
@@ -425,7 +513,8 @@ class TestCoverageFloor:
     def test_search_heavy_draws_backtrack(self):
         # no search_heavy_instance demand is pinned; edge mode draws c = 1 and
         # at least 4 demands, as in test_congestion's search-heavy draws. The
-        # 400 draws check 6,099 moves and record 1,198 dead states.
+        # 400 draws check 5,899 moves and record 1,198 dead states; demands
+        # that meet at most c others are routed without a search.
         checked = dead = 0
         for mode, smallest_k, largest_c in (("vertex", 2, 3), ("edge", 4, 1)):
             for seed in range(200):
@@ -457,18 +546,23 @@ class TestTightSubgraph:
     """Pebbles move along the tight edges of their own demands."""
 
     def test_three_thousand_vertex_chain(self):
-        # one backward sweep per demand and 2,999 moves, far past the
+        # one backward sweep per demand and about 3,000 moves, far past the
         # recursion limit, on the search's explicit stack; an all-pairs
         # table of this chain alone takes seconds and peaks near 190 MB.
         # Bypasses 1-3001-3 and 2-3002-4 give each demand a second shortest
-        # path, so neither is pinned and the search makes every move.
+        # path, so none is pinned. The short demand (1, 3) meets both long
+        # ones at c = 2, so none is routed directly and the search makes
+        # every move; it leaves 2-3 to the first and sends the second over
+        # its bypass.
         dag = Dag(3002, chain(3000).edges + ((1, 3001, 1), (3001, 3, 1), (2, 3002, 1), (3002, 4, 1)))
-        inst, solver = Instance(dag, ((1, 3000), (2, 2999)), 2), DisjointShortestSolver()
+        inst = Instance(dag, ((1, 3000), (2, 2999), (1, 3)), 2)
+        solver = DisjointShortestSolver()
         started = time.perf_counter()
         sol = solver.solve(inst)
         elapsed = time.perf_counter() - started
-        assert solver.pinned == ()
-        assert [p.vertices for p in sol.paths] == [tuple(range(1, 3001)), tuple(range(2, 3000))]
+        assert solver.pinned == () and solver.direct == ()
+        assert [p.vertices for p in sol.paths] == [
+            tuple(range(1, 3001)), (2, 3002, *range(4, 3000)), (1, 3001, 3)]
         assert verify_solution(inst, sol).feasible
         assert elapsed < 1.5
         tracemalloc.start()
@@ -544,7 +638,8 @@ class TestMemoStore:
                 solver = DisjointShortestSolver()
                 solver.solve(inst)
                 pinned = tuple(inst.demands[i] for i in solver.pinned)
-                terminals = [t for i, (_, t) in enumerate(inst.demands) if i not in solver.pinned]
+                routed = solver.pinned + solver.direct
+                terminals = [t for i, (_, t) in enumerate(inst.demands) if i not in routed]
                 for state in solver.memo.entries:
                     restated = Instance(inst.dag, tuple(zip(state, terminals)) + pinned, c, mode)
                     assert brute_force_oracle(restated) is None, (mode, seed, state)
