@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "exact": (
         "DisjointShortestSolver", "MemoStore", "brute_force_oracle", "count_shortest_paths",
-        "iter_shortest_paths", "merge_check", "solve_disjoint_shortest",
+        "iter_shortest_paths", "solve_disjoint_shortest",
     ),
     "congestion": (
         "expand_congestion", "isolate_terminals", "project_solution", "solve_with_congestion",

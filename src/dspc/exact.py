@@ -31,39 +31,39 @@ start or end. In edge mode it rejects a vertex at which more demands start
 than c per out-edge, or end than c per in-edge. Congestion 1 is the
 disjoint case of either mode.
 
-Before the search, ``solve`` pins every demand whose route is forced and
-takes its load off the budget, in one loop. Each round counts every free
-demand's shortest paths, up to 2, in one walk of its topological window
-along the cached tight-edge lists that the search then reads, skipping
-every element (vertex or edge) that the pinned paths already fill to c. A
-demand with one path left is pinned at once, one with none makes the
-instance infeasible, and the rounds repeat until nothing changes. While no
-element is full, every tight edge out of a reached vertex leads on to t,
-so a fork already means two paths and the walk stops there. A pinned path
-runs over open elements only, so it fits the budget. The pinned loads form
-a ``fixed`` map that every load count adds, so the search moves only the
-free pebbles. Counts only fall as pins are added, and every pinned route
-is the same in every feasible routing, so any order pins the same demands,
-and the routing found is the one the search would find carrying every
-pebble. In vertex mode a pinned path may run through the source of a free
-pebble, which no move checks, so ``solve`` checks those sources itself.
-
-One pass then bounds the load at each topological position: the largest
-``fixed`` load keyed there (the vertex in vertex mode, any edge out of it
-in edge mode) plus the free demands whose windows [pos[s], pos[t]] cover
-it, built with a difference array in O(n + k). A free demand whose window
-never passes c is uncontested and takes its first tight walk (option 0 at
-every vertex) without a pebble; ``direct`` lists these. The step is exact
-and changes no output. Every element an uncontested pebble can load has a
-bound of at most c, so none of its picks is ever cut, and it loads nothing
-outside its window, so it never pushes a contested pebble over c either.
-Every subtree that fails therefore fails whatever the uncontested pebble's
-options are, and the search's first routing gives it option 0 at every
-move. A contested pebble on the same vertex with the same terminal is
+First, one pass counts the demand windows [pos[s], pos[t]] over each
+topological position, with a difference array in O(n + k). A demand whose
+window meets at most c windows at each of its positions is uncontested and
+takes its first tight walk (option 0 at every vertex) without a pebble;
+``direct`` lists these. The step is exact and changes no output. Every
+element a demand can load sits at a position of its window (a vertex, or an
+edge at its tail), and only demands whose windows cover that position can
+load it. So no element an uncontested demand can load ever passes c,
+whatever any pin or pebble does, and the search's first routing gives it
+option 0. A contested pebble on the same vertex with the same terminal is
 inside the uncontested window from there on, so it takes option 0 too, and
 the order kept between interchangeable movers never raises the uncontested
-pebble's option. The search moves only the contested pebbles, so it ends
-at once when there are none, as at k <= c.
+pebble's option.
+
+Then ``solve`` pins every other demand whose route is forced and takes its
+load off the budget, in one loop. Each round counts every free demand's
+shortest paths, up to 2, in one walk of its topological window along the
+cached tight-edge lists that the search then reads, skipping every element
+(vertex or edge) that the pinned paths already fill to c. A demand with one
+path left is pinned at once, one with none makes the instance infeasible,
+and the rounds repeat until nothing changes. While no element is full,
+every tight edge out of a reached vertex leads on to t, so a fork already
+means two paths and the walk stops there. A pinned path runs over open
+elements only, so it fits the budget. The pinned loads form a ``fixed`` map
+that every load count adds, so the search moves only the pebbles left, none
+at k <= c. Counts only fall as pins are added, and every pinned route is the
+same in every feasible routing, so any order pins the same demands, and the
+routing found is the one the search would find carrying every pebble. The
+direct loads stay out of ``fixed``, since no element they load can pass c;
+so a forced demand with an uncontested window is direct, and its one path
+is its first tight walk. In vertex mode a pinned path may run through the
+source of a free pebble, which no move checks, so ``solve`` checks those
+sources itself.
 
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
@@ -93,7 +93,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import prod
-from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -270,10 +269,11 @@ class DisjointShortestSolver:
 
     The instance has already checked its budget, mode and demand range, so
     ``solve`` checks none of them again. ``memo`` holds the dead states,
-    ``pinned`` the indices of the demands pinned before the search,
-    ``direct`` those of the uncontested demands routed by their first tight
-    walk and ``checked`` the moves the search checked, all of the latest
-    solve() call; none is mutated once that call returns.
+    ``direct`` the indices of the uncontested demands, routed by their first
+    tight walk before the pin pass, ``pinned`` those of the contested
+    demands pinned before the search, and ``checked`` the moves the search
+    checked, all of the latest solve() call; none is mutated once that call
+    returns.
     """
 
     def __init__(self):
@@ -301,7 +301,6 @@ class DisjointShortestSolver:
         if over:
             # more paths start or end at the vertex than it can carry
             return _infeasible("endpoint overload at vertex %d", over[0])
-        terminals = tuple(t for _, t in pairs)
         # Each pebble stays between its source and terminal in topological
         # order, so a terminal's sweep stops at the earliest of its sources.
         pos = dag.position
@@ -313,13 +312,8 @@ class DisjointShortestSolver:
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
         tight = _TightEdges(out, to_t)
+        self.direct = self._uncontested(inst)
         walks: dict[int, tuple[int, ...]] = {}
-        fixed = self._pin(inst, tight, walks)
-        self.pinned = tuple(sorted(walks))
-        if fixed is None:
-            return None
-        free = [i for i in range(len(pairs)) if i not in walks]
-        self.direct = self._uncontested(inst, free, fixed)
         for i in self.direct:
             # the first tight walk, which the search would give the pebble
             s, t = pairs[i]
@@ -327,11 +321,15 @@ class DisjointShortestSolver:
             while walk[-1] != t:
                 walk.append(tight[walk[-1], t][0][1])
             walks[i] = tuple(walk)
-        free = [i for i in free if i not in walks]
+        fixed = self._pin(inst, tight, walks)
+        self.pinned = tuple(sorted(walks.keys() - self.direct))
+        if fixed is None:
+            return None
+        free = [i for i in range(len(pairs)) if i not in walks]
         log.debug("demands: %d pinned, %d direct, %d searched",
                   len(self.pinned), len(self.direct), len(free))
         states = self._search(
-            inst, tuple(pairs[i][0] for i in free), tuple(terminals[i] for i in free), tight, fixed
+            inst, tuple(pairs[i][0] for i in free), tuple(pairs[i][1] for i in free), tight, fixed
         )
         if states is None:
             return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
@@ -346,7 +344,7 @@ class DisjointShortestSolver:
         tight: _TightEdges,
         walks: dict[int, tuple[int, ...]],
     ) -> Load | None:
-        """Pin the forced demands into ``walks`` by index; their loads, or None when infeasible."""
+        """Pin each forced demand not in ``walks`` into it; their loads, or None when infeasible."""
         pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
         pos, order = inst.dag.position, inst.dag.order
         fixed: dict[object, int] = {}
@@ -391,7 +389,7 @@ class DisjointShortestSolver:
                         open_all = open_all and load < c
                     changed = True
 
-        if vertex_mode and walks:
+        if vertex_mode and fixed:
             starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
             for s, count in starts.items():
                 if pinned(s, 0) + count > c:
@@ -399,28 +397,16 @@ class DisjointShortestSolver:
         return fixed
 
     @staticmethod
-    def _uncontested(inst: Instance, free: Sequence[int], fixed: Load) -> tuple[int, ...]:
-        """The free demands whose windows meet at most c paths at every topological position.
-
-        A position's bound is its largest pinned load (on the vertex, or on
-        an edge out of it) plus the free windows [pos[s], pos[t]] over it.
-        """
-        pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
-        pos = inst.dag.position
+    def _uncontested(inst: Instance) -> tuple[int, ...]:
+        """The demands whose windows [pos[s], pos[t]] meet at most c windows at every position."""
+        pairs, pos = inst.demands, inst.dag.position
         windows = [0] * (inst.dag.vertex_count + 1)
-        for i in free:
-            s, t = pairs[i]
+        for s, t in pairs:
             windows[pos[s]] += 1
             windows[pos[t] + 1] -= 1
-        pinned = [0] * inst.dag.vertex_count
-        for x, load in fixed.items():
-            p = pos[x] if vertex_mode else pos[x[0]]
-            pinned[p] = max(pinned[p], load)
-        bounds = map(add, accumulate(windows), pinned)
-        # over[p]: the positions before p whose bound passes c
-        over = list(accumulate(map(c.__lt__, bounds), initial=0))
-        # no position of the window [pos[s], pos[t]] passes c
-        return tuple(i for i in free if over[pos[pairs[i][1]] + 1] == over[pos[pairs[i][0]]])
+        # over[p]: the positions before p that more than c windows meet
+        over = list(accumulate(map(inst.congestion.__lt__, accumulate(windows)), initial=0))
+        return tuple(i for i, (s, t) in enumerate(pairs) if over[pos[t] + 1] == over[pos[s]])
 
     def _search(
         self,

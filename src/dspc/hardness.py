@@ -279,7 +279,8 @@ def _verified(instance: Instance, walks: Sequence[Sequence[int]]) -> Solution:
     """The routing along one vertex walk per demand, verified against the instance."""
     solution = Solution(tuple(Path.trace(instance.dag, walk) for walk in walks))
     report = verify_solution(instance, solution)
-    assert report.feasible, f"planted witness routing must verify: {report.violations}"
+    if not report.feasible:
+        raise InvariantViolation(f"planted witness routing must verify: {report.violations}")
     return solution
 
 

@@ -26,12 +26,11 @@ from dspc import (
     brute_force_oracle,
     iter_shortest_paths,
     mcc_to_planar_edsp,
-    merge_check,
     solve_disjoint_shortest,
     verify_solution,
 )
 from dspc import exact
-from dspc.exact import count_shortest_paths, fitting_moves
+from dspc.exact import count_shortest_paths, fitting_moves, merge_check
 from dspc.hardness import plant_colorful_clique, random_colored_graph
 from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
@@ -307,10 +306,13 @@ class TestPinPass:
     """Forced demands are routed before the search and fill part of the budget."""
 
     def test_unique_path_is_routed_without_search(self):
+        # the chains 1-3-5-7 and 2-4-6-8 interleave, so at c = 1 their
+        # windows meet and each demand's one path is pinned
+        dag = Dag(8, ((1, 3, 1), (3, 5, 1), (5, 7, 1), (2, 4, 1), (4, 6, 1), (6, 8, 1)))
         solver = DisjointShortestSolver()
-        sol = solver.solve(Instance(chain(4), ((1, 4),), 1))
-        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
-        assert solver.pinned == (0,) and not solver.memo.entries
+        sol = solver.solve(Instance(dag, ((1, 7), (2, 8)), 1))
+        assert [p.vertices for p in sol.paths] == [(1, 3, 5, 7), (2, 4, 6, 8)]
+        assert solver.pinned == (0, 1) and not solver.memo.entries
 
     def test_saturated_edge_pins_a_second_demand(self):
         # (1, 3) has one path and fills edge (2, 3); (2, 5) then has only 2-4-5
@@ -319,9 +321,10 @@ class TestPinPass:
         sol = solver.solve(Instance(dag, ((2, 5), (1, 3)), 1, "edge"))
         assert [p.vertices for p in sol.paths] == [(2, 4, 5), (1, 2, 3)]
         assert solver.pinned == (0, 1) and not solver.memo.entries
-        # at c = 2 the second demand keeps both routes and is searched
-        sol = solver.solve(Instance(dag, ((2, 5), (1, 3)), 2, "edge"))
-        assert [p.vertices for p in sol.paths] == [(2, 3, 5), (1, 2, 3)]
+        # at c = 2, with a second (2, 5) over the window of (1, 3), both
+        # (2, 5) keep both routes and are searched
+        sol = solver.solve(Instance(dag, ((2, 5), (1, 3), (2, 5)), 2, "edge"))
+        assert [p.vertices for p in sol.paths] == [(2, 3, 5), (1, 2, 3), (2, 4, 5)]
         assert solver.pinned == (1,)
 
     def test_no_residual_path_is_infeasible(self, caplog):
@@ -357,9 +360,11 @@ class TestPinPass:
         sol = solver.solve(Instance(diamond(), ((2, 2), (1, 4)), 1, "edge"))
         assert [p.vertices for p in sol.paths] == [(2,), (1, 2, 4)]
         assert solver.pinned == (0,)
-        # equal unique demands are both pinned and share the load
-        sol = solver.solve(Instance(chain(3), ((1, 3), (1, 3)), 2, "edge"))
-        assert len(sol.paths) == 2 and solver.pinned == (0, 1)
+        # equal unique demands are both pinned and share the load, once a
+        # third demand (3, 6) meets their windows at vertex 3
+        fork = Dag(6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1), (4, 6, 1), (5, 6, 1)))
+        sol = solver.solve(Instance(fork, ((1, 3), (1, 3), (3, 6)), 2, "edge"))
+        assert len(sol.paths) == 3 and solver.pinned == (0, 1)
         # two forced paths that start and end apart still share edge (3, 4):
         # once the first is pinned, the second has no path left
         apart = Dag(6, ((1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1)))
@@ -390,11 +395,13 @@ class TestPinPass:
         # an instance is decided by the pin pass alone, pinned in part and
         # then searched, or searched with nothing pinned, and some route
         # demands directly; every route is taken at least 10 times per mode.
-        # Random draws rarely meet more than c demands at one position
-        # without pinning any, so the last 100 draws per mode are
-        # search-heavy ones. The 3,383 feasible draws that pin anything pin
-        # 8,133 demands, and each pinned route is checked against the
-        # oracle's.
+        # Only demands whose windows meet more than c others are pinned, so
+        # the random draws take 4 to 8 demands at c below k. Random draws
+        # rarely meet more than c demands at one position without pinning
+        # any, so the last 100 draws per mode are search-heavy ones. The
+        # feasible draws pin 6,250 demands, and each pinned route, like each
+        # of the 3,469 direct routes that are the only shortest path, is
+        # checked against the oracle's.
         searched, forced = [], 0
         search = DisjointShortestSolver._search
 
@@ -408,9 +415,9 @@ class TestPinPass:
             for seed in range(4100):
                 rng = random.Random(seed)
                 if seed < 4000:
-                    k = rng.randint(1, 5)
+                    k = rng.randint(4, 8)
                     inst = random_instance(
-                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k - 1), mode=mode,
                         edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
                     )
                 else:
@@ -428,6 +435,9 @@ class TestPinPass:
                     for i in solver.pinned:
                         assert got.paths[i] == want.paths[i], (mode, seed, i)
                     forced += len(solver.pinned)
+                    for i in solver.direct:
+                        if count_shortest_paths(inst.dag, *inst.demands[i]) == 1:
+                            assert got.paths[i] == want.paths[i], (mode, seed, i)
                 routes[bool(solver.pinned), any(searched)] += 1
                 routes["direct"] += bool(solver.direct)
             assert min(routes[True, False], routes[True, True], routes[False, True],
@@ -474,6 +484,16 @@ class TestDirectRoute:
                 direct[mode] += len(solver.direct)
         assert min(direct.values()) >= 70, direct
 
+    def test_forced_uncontested_demand_is_direct(self, caplog):
+        # one path and no other window: the bound reads the windows alone,
+        # so the demand is routed directly, before the pin pass
+        solver = DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(Instance(chain(4), ((1, 4),), 1))
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4)]
+        assert solver.direct == (0,) and solver.pinned == () and solver.checked == 0
+        assert caplog.messages == ["demands: 0 pinned, 1 direct, 0 searched"]
+
     def test_no_more_demands_than_c_needs_no_search(self):
         # the 3x3 grid of test_search_exhausted_is_logged: infeasible at c = 1,
         # and at c = 2 both demands take their first tight walk
@@ -485,10 +505,11 @@ class TestDirectRoute:
         assert verify_solution(inst, sol).feasible
 
     def test_pinned_load_contests(self):
-        # at c = 2 the free (1, 4) demands meet only each other, but a pinned
-        # path holds vertex 2 (vertex mode) or edge (2, 4) (edge mode), which
-        # both first tight walks 1-2-4 take: the bound counts it, so both are
-        # searched and one takes the arm through 3
+        # at c = 2 the (1, 4) demands would fit alone, but the window of a
+        # forced demand through vertex 2 (vertex mode) or edge (2, 4) (edge
+        # mode), which both first tight walks 1-2-4 take, meets theirs: all
+        # three are contested, the forced one is pinned and the other two are
+        # searched, and one takes the arm through 3
         through_2 = Dag(6, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (5, 2, 1), (2, 6, 1)))
         for inst in (Instance(through_2, ((1, 4), (1, 4), (5, 6)), 2),
                      Instance(diamond(), ((1, 4), (1, 4), (2, 4)), 2, "edge")):
@@ -498,8 +519,8 @@ class TestDirectRoute:
             assert [p.vertices[:3] for p in sol.paths[:2]] == [(1, 2, 4), (1, 3, 4)]
             assert verify_solution(inst, sol).feasible
             assert sol == brute_force_oracle(inst)
-        # in edge mode an edge's pinned load counts at its tail: the pinned
-        # edge (2, 5) ends past the windows of (1, 4) but leaves from inside them
+        # in edge mode the window of the forced (2, 5) ends past those of
+        # (1, 4) and still meets them
         past = Dag(5, diamond().edges + ((2, 5, 1), (4, 5, 1)))
         solver = DisjointShortestSolver()
         sol = solver.solve(Instance(past, ((1, 4), (1, 4), (2, 5)), 2, "edge"))

@@ -11,7 +11,9 @@ import pytest
 from dspc import (
     ColorMissing,
     ColoredGraph,
+    Dag,
     HostGraph,
+    Instance,
     InvariantViolation,
     PatternGraph,
     PatternNotCubicBipartite,
@@ -28,7 +30,7 @@ from dspc import (
     verify_solution,
 )
 from dspc.exact import count_shortest_paths
-from dspc.hardness import plant_colorful_clique, random_colored_graph, random_host
+from dspc.hardness import _verified, plant_colorful_clique, random_colored_graph, random_host
 
 from helpers import brute_colorful_clique
 
@@ -337,3 +339,13 @@ class TestBlockGenerator:
         host = HostGraph((1,) * (2 * half), tuple(((a, 1), (b, 1)) for a, b in edges))
         assert find_homomorphism(pattern, host) == (1,) * (2 * half)
         assert find_homomorphism(pattern, HostGraph(host.class_sizes, host.edges[1:])) is None
+
+
+class TestPlantedRouting:
+    def test_routing_that_does_not_verify_raises(self):
+        # 1-2-3 is longer than the edge 1-3; the check raises rather than
+        # asserts, so it holds under python -O too
+        inst = Instance(Dag(3, ((1, 2, 1), (2, 3, 1), (1, 3, 1))), ((1, 3),), 1)
+        with pytest.raises(InvariantViolation, match="planted witness routing must verify"):
+            _verified(inst, [(1, 2, 3)])
+        assert _verified(inst, [(1, 3)]).paths[0].vertices == (1, 3)
