@@ -5,10 +5,9 @@ on which its two routes disagree), 2 usage or input error or any other
 failure, recursion and memory errors included. Set
 DSPC_LOG to quiet, info, or debug to control stderr logging.
 
-Each call builds its parser afresh but adds arguments, ``-h`` included,
-only to the command it invokes; the other commands are registered without
-them, so usage, help and error text are the same as with every command's
-arguments.
+Each call builds its parser afresh, with only the subparser of the command
+it invokes; usage, help and error text are the same as from the parser with
+every command.
 """
 
 from __future__ import annotations
@@ -243,23 +242,28 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The dspc parser, with arguments and help only on ``command`` if it names a subcommand.
+    """The dspc parser; only ``command``'s subparser if it names a subcommand.
 
-    Every subcommand is registered either way, so a command line that starts
+    Without a subcommand name it registers every subcommand, which is the
+    parser behind top-level help and the unknown or missing command errors.
+    With one, the metavar lists every command, so a command line that starts
     with ``command`` gets the same usage, help and error text as from the
-    parser with every command's arguments.
+    full parser. The metavar stays off the full parser, where argparse would
+    name the action by it in the "invalid choice" and "required" errors.
     """
     parser = argparse.ArgumentParser(
         prog="dspc",
         description="Disjoint shortest paths with congestion on weighted DAGs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in COMMANDS
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        invoked = every or name == command
-        subparser = sub.add_parser(name, help=help_text, add_help=invoked)
-        if invoked:
-            add_arguments(subparser)
+    if command in COMMANDS:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
         subparser.set_defaults(func=handler)
     return parser
 

@@ -315,11 +315,14 @@ class DisjointShortestSolver:
         self.direct = self._uncontested(inst)
         walks: dict[int, tuple[int, ...]] = {}
         for i in self.direct:
-            # the first tight walk, which the search would give the pebble
+            # the first tight walk, which the search would give the pebble;
+            # read off out_edges, since nothing reads these tight lists again
             s, t = pairs[i]
+            b = to_t[t]
             walk = [s]
             while walk[-1] != t:
-                walk.append(tight[walk[-1], t][0][1])
+                u = walk[-1]
+                walk.append(next(v for _, v, w in out[u] if w + b[v] == b[u]))
             walks[i] = tuple(walk)
         fixed = self._pin(inst, tight, walks)
         self.pinned = tuple(sorted(walks.keys() - self.direct))

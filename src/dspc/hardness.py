@@ -338,7 +338,8 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
     demands = tuple((sources[key], targets[key]) for key in sources)
     instance = Instance(dag, demands, 1, EDGE)
     distances = {dag.dist_from(s, t)[t] for s, t in demands}
-    assert distances == {2 * n + 3}, "demand distances drifted from 2n + 3"
+    if distances != {2 * n + 3}:
+        raise InvariantViolation("demand distances drifted from 2n + 3")
 
     layout = GridLayout(
         instance=instance,
@@ -473,7 +474,8 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
     expected_vertices = sum(
         2 * (size + 1 + k * size) for size in host.class_sizes
     ) + 2 * k
-    assert dag.vertex_count == expected_vertices, "block construction size drifted"
+    if dag.vertex_count != expected_vertices:
+        raise InvariantViolation("block construction size drifted")
 
     demands = []
     demand_index: dict[tuple, int] = {}
@@ -488,7 +490,8 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
     for l in range(1, k + 1):
         demand_index[("edge", l)] = len(demands)
         demands.append((edge_source[l], edge_target[l]))
-    assert len(demands) == h * (2 * (c - 1) + 1) + k
+    if len(demands) != h * (2 * (c - 1) + 1) + k:
+        raise InvariantViolation("block demand count drifted")
 
     instance = Instance(dag, tuple(demands), c, VERTEX)
     layout = PsiLayout(

@@ -161,7 +161,8 @@ def swap_subpaths(sol: Solution, ctx: SwapContext) -> Solution:
     Both subpaths run between the same two vertices and, in a solution of
     shortest paths, have equal weight, so every path keeps its length and
     every vertex keeps its load; the carrier additionally picks up the pivot.
-    All three facts are asserted on the result.
+    All three facts, and that the carrier keeps its hot vertices, are checked
+    on the result; a failed check raises InvariantViolation.
     """
     _validate_context(sol, ctx)
     lo, hi = ctx.window
@@ -177,16 +178,17 @@ def swap_subpaths(sol: Solution, ctx: SwapContext) -> Solution:
     paths[ctx.donor_index] = new_donor
     result = Solution(tuple(paths))
 
-    assert new_carrier.length == carrier.length and new_donor.length == donor.length
+    if new_carrier.length != carrier.length or new_donor.length != donor.length:
+        raise InvariantViolation("swap changed a path's length")
     before = Counter(v for p in sol.paths for v in p.vertices)
     after = Counter(v for p in result.paths for v in p.vertices)
-    assert before == after, "swap changed the congestion profile"
+    if before != after:
+        raise InvariantViolation("swap changed the congestion profile")
     hot = set(ctx.hot_vertices)
     old_hot = hot & set(carrier.vertices)
     new_hot = hot & set(new_carrier.vertices)
-    assert ctx.pivot in new_hot and old_hot <= new_hot
-    if ctx.pivot not in old_hot:
-        assert old_hot < new_hot
+    if ctx.pivot not in new_hot or not old_hot <= new_hot:
+        raise InvariantViolation("swap lost a hot vertex from the carrier")
     return result
 
 
@@ -219,7 +221,6 @@ def concentrate_congestion(inst: Instance, sol: Solution) -> tuple[Solution, int
             i for i, p in enumerate(sol.paths) if set(hot) <= set(p.vertices)
         ]
         if covering:
-            assert swaps <= len(hot) - 2 or swaps == 0
             return sol, covering[0]
         carriers = [
             i
@@ -245,4 +246,5 @@ def concentrate_congestion(inst: Instance, sol: Solution) -> tuple[Solution, int
         ctx = SwapContext(inst.dag, hot, carrier_index, donors[0], pivot, (lo, hi))
         sol = swap_subpaths(sol, ctx)
         swaps += 1
-        assert swaps <= len(hot) - 2, "swap budget exceeded"
+        if swaps > len(hot) - 2:
+            raise InvariantViolation("swap budget exceeded")

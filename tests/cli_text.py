@@ -1,10 +1,11 @@
 """Usage and error text of ``dspc``, checked without pytest.
 
-``main`` builds a parser that gives arguments and ``-h`` only to the
-invoked command; on every command line below it must exit and print
-exactly as the parser with every command's arguments does. The lines reach
-top-level help, the top-level usage (unknown or missing commands, stray
-arguments) and each command's own errors. Run from the repository root, on
+``main`` builds a parser with only the invoked command's subparser; on
+every command line below it must exit and print exactly as the parser with
+every command does. The lines reach top-level help, the top-level usage
+(unknown or missing commands, stray arguments, a command name as a stray
+argument) and each command's own errors (missing arguments, an option with
+no value, a bad choice or type). Run from the repository root, on
 any supported Python:
 
     PYTHONPATH=src python tests/cli_text.py
@@ -30,6 +31,12 @@ COMMAND_LINES = [
     ["bench", "extra", "--suite", "mcc"],
     ["bench", "--suite", "mcc", "--count", "0"],
     ["solve", "--", "-i", "x"],
+    ["oracle"],
+    ["verify", "-i", "x"],
+    ["solve", "gen"],
+    ["solve", "-i", "x", "--mode"],
+    ["gen", "psi", "--seed", "x"],
+    ["-h", "solve"],
 ]
 
 

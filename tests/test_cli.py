@@ -372,11 +372,13 @@ class TestUsage:
     @pytest.mark.parametrize("argv", COMMAND_LINES,
                              ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_text_matches_parser_with_every_argument(self, argv):
-        # main adds arguments only to the invoked command; what it prints
+        # main builds only the invoked command's subparser; what it prints
         # must not show it.
         check(argv)
 
     def test_each_command_gets_only_its_arguments(self, capsys):
+        # build_parser(command) parses its own command's line as the full
+        # parser does, and knows no other command
         valid = {
             "solve": ["solve", "-i", "x.dsp", "--algo", "kernel"],
             "verify": ["verify", "-i", "x.dsp", "-s", "x.sol"],
@@ -393,7 +395,7 @@ class TestUsage:
                 else:
                     with pytest.raises(SystemExit):
                         parser.parse_args(argv)
-                    assert "unrecognized arguments" in capsys.readouterr().err
+                    assert "invalid choice" in capsys.readouterr().err
 
 
 def in_fresh_interpreter(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -35,6 +35,14 @@ from dspc import (
     verify_solution,
 )
 from dspc.congestion import compose
+from dspc.hardness import (
+    complete_bipartite_pattern,
+    mcc_to_planar_edsp,
+    plant_colorful_clique,
+    psi_to_dspc,
+    random_colored_graph,
+    random_host,
+)
 from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
 from helpers import chain, diamond, grid_dag, relabel
@@ -52,6 +60,58 @@ def relabelled_search_heavy_instance(rng: random.Random, k: int, congestion: int
         rng.shuffle(label)
     demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
     return Instance(relabel(inst.dag, label), demands, congestion, VERTEX)
+
+
+def lifo_relabelling(inst: Instance) -> tuple[Instance, list[int]]:
+    """``inst`` with each vertex renamed by its rank in a LIFO Kahn order, and that order.
+
+    Kahn's rule with a stack in place of the smallest-id-first heap: the
+    heads a vertex makes ready come next, the head of its first out-edge
+    first. Every renamed edge ascends, so the solver sweeps the renamed
+    graph in this order.
+    """
+    dag = inst.dag
+    indegree = Counter(v for _, v, _ in dag.edges)
+    stack = [v for v in range(dag.vertex_count, 0, -1) if not indegree[v]]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        ready = []
+        for _, v, _ in dag.out_edges[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+        stack.extend(reversed(ready))
+    label = [0] * dag.vertex_count
+    for rank, v in enumerate(order, start=1):
+        label[v - 1] = rank
+    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
+    return Instance(relabel(dag, label), demands, inst.congestion, inst.mode), order
+
+
+def large_random_draw(mode: str, rng: random.Random) -> Instance:
+    k = rng.randint(2, 8)
+    return random_instance(rng, n=rng.randint(12, 40), k=k, congestion=rng.randint(1, k), mode=mode)
+
+
+def search_heavy_draw(mode: str, smallest_k: int, largest_c: int, rng: random.Random) -> Instance:
+    k = rng.randint(smallest_k, 6)
+    return search_heavy_instance(rng, k, rng.randint(1, min(k, largest_c)), mode)
+
+
+def grid_family_draw(rng: random.Random) -> Instance:
+    cg = random_colored_graph(rng, rng.randint(3, 10), 3)
+    if rng.random() < 0.5:
+        cg, _ = plant_colorful_clique(rng, cg)
+    return mcc_to_planar_edsp(cg, 3)[0]
+
+
+def block_family_draw(rng: random.Random) -> Instance:
+    pattern = complete_bipartite_pattern()
+    host, _ = random_host(rng, pattern, [rng.randint(1, 2)] * pattern.vertex_count, 0.5,
+                          plant=rng.random() < 0.5)
+    return psi_to_dspc(pattern, host, 2)[0]
 
 
 class TestIsolateTerminals:
@@ -360,3 +420,42 @@ class TestNativeAgainstReductions:
 
         check()
         assert min(verdicts[False], verdicts[True]) >= 10, verdicts
+
+
+class TestOrderInvariance:
+    """Any topological sweep order gives the same verdict and a routing that verifies.
+
+    Each draw is solved as given and again with its vertices renamed by a
+    LIFO Kahn order, and the renamed routing is mapped back and re-verified.
+    No oracle is needed, so the draws may be larger than
+    ``brute_force_oracle`` can enumerate.
+    """
+
+    @pytest.mark.parametrize("draw, count", (
+        pytest.param(partial(large_random_draw, VERTEX), 300, id="random-vertex"),
+        pytest.param(partial(large_random_draw, EDGE), 300, id="random-edge"),
+        pytest.param(partial(search_heavy_draw, VERTEX, 2, 3), 150, id="search-heavy-vertex"),
+        pytest.param(partial(search_heavy_draw, EDGE, 4, 1), 150, id="search-heavy-edge"),
+        pytest.param(lambda rng: bottleneck_instance(rng, rng.randint(4, 6), 2), 150,
+                     id="bottleneck"),
+        pytest.param(grid_family_draw, 40, id="grid-family"),
+        pytest.param(block_family_draw, 12, id="block-family"),
+    ))
+    def test_verdict_and_routing_survive_relabelling(self, draw, count):
+        verdicts = Counter()
+        reordered = 0
+        for rng_seed in range(count):
+            inst = draw(random.Random(rng_seed))
+            renamed, order = lifo_relabelling(inst)
+            reordered += order != list(inst.dag.order)
+            got = solve_with_congestion(inst)
+            moved = solve_with_congestion(renamed)
+            assert (got is None) == (moved is None), rng_seed
+            if moved is not None:
+                back = Solution(tuple(Path(tuple(order[v - 1] for v in path.vertices), path.length)
+                                      for path in moved.paths))
+                assert verify_solution(inst, back).feasible, rng_seed
+            verdicts[got is None] += 1
+        # both verdicts, and sweep orders that differ from the id order
+        assert min(verdicts[False], verdicts[True]) >= max(1, count // 30), verdicts
+        assert reordered >= count // 5, reordered

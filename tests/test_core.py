@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from itertools import product
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dspc
 from dspc import (
     INFINITY,
     CycleDetected,
@@ -417,3 +420,12 @@ class TestInstance:
     def test_rejects_bad_mode(self):
         with pytest.raises(InvariantViolation):
             Instance(chain(3), ((1, 3),), 1, "both")
+
+
+def test_package_checks_survive_python_O():
+    # python -O strips assert statements, so the package raises instead
+    sources = sorted(FilePath(dspc.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    asserts = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
