@@ -163,8 +163,6 @@ class Dag:
         caller may read the others.
         """
         dist = [INFINITY] * (self.vertex_count + 1)
-        if target == 0:
-            return tuple(dist)
         dist[target] = 0
         pos = self.position
         out_edges = self.out_edges

@@ -47,11 +47,11 @@ pebble's option.
 
 Then ``solve`` pins every other demand whose route is forced and takes its
 load off the budget, in one loop. Each round counts every free demand's
-shortest paths, up to 2, in one walk of its topological window along the
-cached tight-edge lists that the search then reads, skipping every element
-(vertex or edge) that the pinned paths already fill to c. A demand with one
-path left is pinned at once, one with none makes the instance infeasible,
-and the rounds repeat until nothing changes. While no element is full,
+shortest paths, up to 2, in one walk of its topological window along its
+tight edges, skipping every element (vertex or edge) that the pinned paths
+already fill to c. A demand with one path left is pinned at once, one
+with none makes the instance infeasible, and the rounds repeat until
+nothing changes. While no element is full,
 every tight edge out of a reached vertex leads on to t, so a fork already
 means two paths and the walk stops there. A pinned path runs over open
 elements only, so it fits the budget. The pinned loads form a ``fixed`` map
@@ -82,8 +82,10 @@ the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
 pass logs its pinned, direct and searched demand counts, and an infeasible
 solve its reason, on the ``dspc.exact`` logger.
 
-The brute-force oracle shares no search code with the solver; its path
-helpers use the same tightness test, so each reads one backward sweep.
+The direct walk, the pin pass and the search read a vertex's tight edges
+straight off its out-edges with ``_tight``, in out-edge order. The
+brute-force oracle shares no search code with the solver; its path helpers
+keep their own copy of the tightness test, so each reads one backward sweep.
 """
 
 from __future__ import annotations
@@ -138,23 +140,10 @@ class MemoStore:
         self.entries[state] = None
 
 
-class _TightEdges(dict):
-    """Tight out-edges per (vertex, terminal), each list built on its first lookup.
-
-    ``self[u, t]`` lists the edges (u, v, w) of u with w + b[v] = b[u],
-    b = dist(., t), in out-edge order; a hit is one dict lookup.
-    """
-
-    def __init__(self, out_edges: Sequence[Sequence[Edge]], to_t: Mapping[int, Sequence[float]]):
-        super().__init__()
-        self.out_edges = out_edges
-        self.to_t = to_t
-
-    def __missing__(self, key: tuple[int, int]) -> list[Edge]:
-        u, t = key
-        b = self.to_t[t]
-        edges = self[key] = [e for e in self.out_edges[u] if e[2] + b[e[1]] == b[u]]
-        return edges
+def _tight(edges: Sequence[Edge], b: Sequence[float], u: int) -> list[Edge]:
+    """The edges (u, v, w) of ``edges`` with w + b[v] = b[u], b = dist(., t), in their order."""
+    bu = b[u]
+    return [e for e in edges if e[2] + b[e[1]] == bu]
 
 
 def merge_check(
@@ -311,20 +300,18 @@ class DisjointShortestSolver:
         for i, (s, t) in enumerate(pairs):
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
-        tight = _TightEdges(out, to_t)
         self.direct = self._uncontested(inst)
         walks: dict[int, tuple[int, ...]] = {}
         for i in self.direct:
-            # the first tight walk, which the search would give the pebble;
-            # read off out_edges, since nothing reads these tight lists again
+            # the first tight walk, which the search would give the pebble
             s, t = pairs[i]
             b = to_t[t]
             walk = [s]
             while walk[-1] != t:
                 u = walk[-1]
-                walk.append(next(v for _, v, w in out[u] if w + b[v] == b[u]))
+                walk.append(_tight(out[u], b, u)[0][1])
             walks[i] = tuple(walk)
-        fixed = self._pin(inst, tight, walks)
+        fixed = self._pin(inst, to_t, walks)
         self.pinned = tuple(sorted(walks.keys() - self.direct))
         if fixed is None:
             return None
@@ -332,7 +319,7 @@ class DisjointShortestSolver:
         log.debug("demands: %d pinned, %d direct, %d searched",
                   len(self.pinned), len(self.direct), len(free))
         states = self._search(
-            inst, tuple(pairs[i][0] for i in free), tuple(pairs[i][1] for i in free), tight, fixed
+            inst, tuple(pairs[i][0] for i in free), tuple(pairs[i][1] for i in free), to_t, fixed
         )
         if states is None:
             return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
@@ -344,12 +331,12 @@ class DisjointShortestSolver:
     def _pin(
         self,
         inst: Instance,
-        tight: _TightEdges,
+        to_t: Mapping[int, Sequence[float]],
         walks: dict[int, tuple[int, ...]],
     ) -> Load | None:
         """Pin each forced demand not in ``walks`` into it; their loads, or None when infeasible."""
         pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
-        pos, order = inst.dag.position, inst.dag.order
+        pos, order, out = inst.dag.position, inst.dag.order, inst.dag.out_edges
         fixed: dict[object, int] = {}
         pinned = fixed.get
         # no element is full yet, so every tight edge out of a reached vertex is open
@@ -361,12 +348,13 @@ class DisjointShortestSolver:
                 if i in walks:
                     continue
                 # count the demand's shortest paths over the elements left open
+                b = to_t[t]
                 ways = {} if vertex_mode and pinned(s, 0) >= c else {s: 1}
                 last: dict[int, Edge] = {}
                 for u in order[pos[s]:pos[t]]:
                     if u not in ways:
                         continue
-                    edges = tight[u, t]
+                    edges = _tight(out[u], b, u)
                     if open_all and len(edges) > 1:
                         # every tight edge leads on to t, so a fork makes two paths
                         ways[t] = 2
@@ -416,17 +404,17 @@ class DisjointShortestSolver:
         inst: Instance,
         start: State,
         terminals: State,
-        tight: _TightEdges,
+        to_t: Mapping[int, Sequence[float]],
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        pos, order = inst.dag.position, inst.dag.order
+        pos, order, out = inst.dag.position, inst.dag.order, inst.dag.out_edges
         c, mode, dead, put = inst.congestion, inst.mode, self.memo.entries, self.memo.put
 
         def moves(state: State) -> Iterator[State | None]:
             u = order[min([pos[v] for v, t in zip(state, terminals) if v != t])]
             movers = [i for i, v in enumerate(state) if v == u != terminals[i]]
-            options = [tight[u, terminals[i]] for i in movers]
+            options = [_tight(out[u], to_t[terminals[i]], u) for i in movers]
             return fitting_moves(state, movers, terminals, options, c, mode, fixed)
 
         if start == terminals:

@@ -107,8 +107,14 @@ def search_heavy_instance(
     diagonals or layers, so every path is shortest. No demand is pinned
     before the search, so the search moves every pebble whose window more
     than c demand windows cover at some position; the demands often compete
-    for vertices, so it backtracks. The graph is drawn again until k such demands fit.
+    for vertices, so it backtracks. The graph is drawn again until k such
+    demands fit, so a k above 7 raises InvariantViolation: the largest graphs
+    are a 4x4 grid and 5 layers of 3, and in the grid the corners (1, 4) and
+    (4, 1) have one path to or from every vertex they connect with, which
+    leaves 14 possible endpoints.
     """
+    if k > 7:
+        raise InvariantViolation(f"at most 7 search-heavy demands fit, got k = {k}")
     while True:
         if rng.random() < 0.5:
             dag = grid(rng.randint(2, 4), rng.randint(3, 4))
@@ -131,8 +137,12 @@ def bottleneck_instance(rng: random.Random, k: int, congestion: int) -> Instance
     few in- and out-edges must share them out at c each. At c = 2 and k of
     4 to 6 about one draw in five is infeasible, where
     ``search_heavy_instance`` draws almost never are. The graph is drawn
-    again until k such demands fit.
+    again until k such demands fit, so a k above 8 raises
+    InvariantViolation: the sources lie before the narrow vertex, in at most
+    2 layers of 4.
     """
+    if k > 8:
+        raise InvariantViolation(f"at most 8 bottleneck demands fit, got k = {k}")
     while True:
         width, before = rng.randint(3, 4), rng.randint(1, 2)
         after = 2 if before == 1 else rng.randint(1, 2)

@@ -11,9 +11,13 @@ modes, which the solver routes by its pin pass alone, by the search after
 pinning some demands, or by the search alone. A second covers a batch that
 the solver mostly routes without a search, since no position can meet more
 than c demands: ``random_instance`` at c = k, and chains of small random
-blocks with two to four long demands at c = 2. Any drift in generation or in
-the routing printed, between Python versions too, changes a digest. Run
-from the repository root, on any supported Python:
+blocks with two to four long demands at c = 2. A third covers a batch that
+the search does the most of: ``search_heavy_instance`` draws in both modes
+and ``bottleneck_instance`` draws. Each batch records, next to its digest,
+the dead states and the moves checked that its solves take in all, so a
+change that keeps the routing but searches more or less shows too. Any
+drift in generation or in the routing printed, between Python versions too,
+changes a digest. Run from the repository root, on any supported Python:
 
     PYTHONPATH=src python tests/gen_golden.py
 """
@@ -30,10 +34,10 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from dspc.cli import main
-from dspc.congestion import solve_with_congestion
-from dspc.core import Dag, Instance
+from dspc.core import Dag, Instance, verify_solution
+from dspc.exact import DisjointShortestSolver
 from dspc.formats import emit_solution
-from dspc.randgen import random_instance
+from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
 #: gen command line -> (digest of its output, exit code of solving it, digest of that solution)
 GOLDEN = {
@@ -72,7 +76,7 @@ GOLDEN = {
         1, "06b18cc0d9ef4dd49b9345c364cf1f805010f459cba60d0f144bf65582a8e9c0"),
 }
 
-#: Seeds per mode of each batch.
+#: Seeds per mode of the random and direct batches.
 BATCH_SEEDS = 2000
 
 
@@ -126,10 +130,35 @@ def direct_batch() -> Iterator[Instance]:
             yield Instance(dag, tuple(demands), 2, mode)
 
 
-#: Batch name -> (its instances, digest of their solutions in order).
-BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str]] = {
-    "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41"),
-    "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08"),
+#: Seeds per mode of the search batch's ``search_heavy_instance`` draws; half as many bottlenecks.
+SEARCH_SEEDS = 300
+
+
+def search_batch() -> Iterator[Instance]:
+    """Search-heavy draws in both modes, then bottleneck draws.
+
+    ``search_heavy_instance`` draws k from 2 to 6 and c from 1 to k - 1,
+    below the demand count; ``bottleneck_instance`` draws k from 4 to 6 at
+    c = 2.
+    """
+    for mode in ("vertex", "edge"):
+        for seed in range(SEARCH_SEEDS):
+            rng = random.Random(seed)
+            k = rng.randint(2, 6)
+            yield search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+    for seed in range(SEARCH_SEEDS // 2):
+        rng = random.Random(seed)
+        yield bottleneck_instance(rng, rng.randint(4, 6), 2)
+
+
+#: Batch name -> (its instances, digest of their solutions in order, dead states, moves checked).
+BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int]] = {
+    "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
+               1, 66),
+    "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08",
+               2003, 3330),
+    "search": (search_batch, "6749ef06b55072914024a8f442c407de321bf2661a1526a027935a9812ccfc3a",
+               3607, 10648),
 }
 
 
@@ -163,14 +192,24 @@ def check(line: str) -> None:
 
 
 def check_batch(name: str = "random") -> None:
-    """Raise AssertionError unless the named seeded batch solves to the recorded bytes.
+    """Raise AssertionError unless the named seeded batch solves to the recorded bytes and effort.
 
-    Each instance is solved in-process by what ``dspc solve`` runs.
+    Each instance is solved in-process by the solver ``dspc solve`` runs,
+    and each routing it returns is verified, as ``dspc solve`` does.
     """
-    draws, digest = BATCHES[name]
-    got = sha256("".join(emit_solution(solve_with_congestion(inst)) for inst in draws()))
-    if got != digest:
-        raise AssertionError(f"{name} batch: solution digest {got}, recorded {digest}")
+    draws, *recorded = BATCHES[name]
+    solver, texts, dead, checked = DisjointShortestSolver(), [], 0, 0
+    for inst in draws():
+        routed = solver.solve(inst)
+        if routed is not None and not verify_solution(inst, routed).feasible:
+            raise AssertionError(f"{name} batch: a routing fails verification")
+        texts.append(emit_solution(routed))
+        dead += len(solver.memo.entries)
+        checked += solver.checked
+    got = [sha256("".join(texts)), dead, checked]
+    if got != recorded:
+        raise AssertionError(f"{name} batch: digest, dead states and moves checked {got}, "
+                             f"recorded {recorded}")
 
 
 if __name__ == "__main__":
@@ -178,5 +217,6 @@ if __name__ == "__main__":
         check(line)
     for name in BATCHES:
         check_batch(name)
-    print(f"{len(GOLDEN)} gen command lines and their solves, and {len(BATCHES)} batches of "
-          f"{2 * BATCH_SEEDS} solves, print the recorded bytes on Python {sys.version.split()[0]}")
+    print(f"{len(GOLDEN)} gen command lines and their solves, and {len(BATCHES)} seeded "
+          f"batches of solves, print the recorded bytes and take the recorded search effort on "
+          f"Python {sys.version.split()[0]}")

@@ -274,6 +274,9 @@ class TestGen:
         # recorded before uncontested demands were routed without a search
         gen_golden.check_batch("direct")
 
+    def test_search_batch_solves_to_recorded_digest(self):
+        gen_golden.check_batch("search")
+
     @pytest.mark.parametrize("argv", [("psi", "--class-size", "0"),
                                       ("random", "--max-weight", "0"),
                                       ("mcc", "--colors", "0"),

@@ -459,3 +459,21 @@ class TestOrderInvariance:
         # both verdicts, and sweep orders that differ from the id order
         assert min(verdicts[False], verdicts[True]) >= max(1, count // 30), verdicts
         assert reordered >= count // 5, reordered
+
+
+class TestSearchGenerators:
+    """The search-heavy and bottleneck generators refuse, before drawing, a k that cannot fit."""
+
+    @pytest.mark.parametrize("make, largest", (
+        pytest.param(partial(search_heavy_instance, congestion=1), 7, id="search-heavy"),
+        pytest.param(partial(bottleneck_instance, congestion=2), 8, id="bottleneck"),
+    ))
+    def test_largest_k_returns_and_larger_raises(self, make, largest):
+        for rng_seed in range(3):
+            assert len(make(random.Random(rng_seed), largest).demands) == largest
+        for k in (largest + 1, 20):
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(InvariantViolation, match=f"at most {largest} "):
+                make(rng, k)
+            assert rng.getstate() == state

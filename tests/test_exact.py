@@ -34,7 +34,7 @@ from dspc.exact import count_shortest_paths, fitting_moves, merge_check
 from dspc.hardness import plant_colorful_clique, random_colored_graph
 from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
 
-from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest
+from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest, relabel
 
 
 class TestMergeCheck:
@@ -565,6 +565,32 @@ class TestCoverageFloor:
 
 class TestTightSubgraph:
     """Pebbles move along the tight edges of their own demands."""
+
+    def test_tight_heads_are_second_vertices_of_shortest_paths(self):
+        # vertex ids renamed and edges shuffled, so neither ids nor heads
+        # ascend in out-edge order
+        pairs = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            base = random_dag(rng, n=rng.randint(2, 8), edge_prob=rng.choice((0.3, 0.6)),
+                              max_weight=3)
+            label = list(range(1, base.vertex_count + 1))
+            rng.shuffle(label)
+            edges = list(relabel(base, label).edges)
+            rng.shuffle(edges)
+            dag = Dag(base.vertex_count, tuple(edges))
+            for t in range(1, dag.vertex_count + 1):
+                b = dag.dist_to(t)
+                for u in range(1, dag.vertex_count + 1):
+                    paths = enumerate_all_paths(dag, u, t)
+                    if u == t or not paths:
+                        continue
+                    shortest = min(weight for _, weight in paths)
+                    seconds = {vertices[1] for vertices, weight in paths if weight == shortest}
+                    want = [e for e in dag.out_edges[u] if e[1] in seconds]
+                    assert exact._tight(dag.out_edges[u], b, u) == want, (seed, u, t)
+                    pairs += 1
+        assert pairs >= 1000, pairs
 
     def test_three_thousand_vertex_chain(self):
         # one backward sweep per demand and about 3,000 moves, far past the
