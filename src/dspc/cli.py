@@ -2,12 +2,12 @@
 
 Exit codes: 0 feasible/verified, 1 infeasible/refuted (for bench: a case
 on which its two routes disagree), 2 usage or input error or any other
-failure, recursion and memory errors included. Set
-DSPC_LOG to quiet, info, or debug to control stderr logging.
+failure, recursion and memory errors included. DSPC_LOG (quiet, info or
+debug) sets the stderr logging of each call.
 
-Each call builds its parser afresh, with only the subparser of the command
-it invokes; usage, help and error text are the same as from the parser with
-every command.
+A call that starts with a command name parses the rest with that command's
+own parser alone; any other call, or one with arguments left over, gets the
+parser with every command. Usage, help and error text are the same either way.
 """
 
 from __future__ import annotations
@@ -29,15 +29,20 @@ from .formats import emit_instance, emit_solution, parse_instance, parse_solutio
 log = logging.getLogger("dspc")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, not as it was when built."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _stream: None)
+
+
+_stderr = _StderrHandler()
+_stderr.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+
+
 def _setup_logging() -> None:
-    level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("DSPC_LOG", "quiet"), logging.WARNING
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
-
-
-def _read(path: str) -> str:
-    return FilePath(path).read_text()
+    log.setLevel({"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("DSPC_LOG", "quiet"), logging.WARNING))
+    log.addHandler(_stderr)  # once: a handler already added is skipped
 
 
 def _write(path: str | None, text: str) -> None:
@@ -48,7 +53,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = parse_instance(FilePath(args.instance).read_text())
     if args.mode is not None and args.mode != inst.mode:
         raise DspcError(f"instance is {inst.mode} mode, not {args.mode}")
     if args.algo == "kernel":
@@ -62,8 +67,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    sol = parse_solution(_read(args.solution))
+    inst = parse_instance(FilePath(args.instance).read_text())
+    sol = parse_solution(FilePath(args.solution).read_text())
     if sol is None:
         print("solution file claims infeasibility; nothing to verify", file=sys.stderr)
         return 1
@@ -76,7 +81,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = parse_instance(FilePath(args.instance).read_text())
     sol = brute_force_oracle(inst)
     sys.stdout.write(emit_solution(sol))
     return 0 if sol is not None else 1
@@ -241,30 +246,22 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The dspc parser; only ``command``'s subparser if it names a subcommand.
+def command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """Command ``name``'s arguments, name and handler on ``parser`` (a subparser) or its own."""
+    parser = parser or argparse.ArgumentParser(prog=f"dspc {name}")
+    _help, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=handler)
+    return parser
 
-    Without a subcommand name it registers every subcommand, which is the
-    parser behind top-level help and the unknown or missing command errors.
-    With one, the metavar lists every command, so a command line that starts
-    with ``command`` gets the same usage, help and error text as from the
-    full parser. The metavar stays off the full parser, where argparse would
-    name the action by it in the "invalid choice" and "required" errors.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The dspc parser with every command, for what no command's own parser takes."""
     parser = argparse.ArgumentParser(
-        prog="dspc",
-        description="Disjoint shortest paths with congestion on weighted DAGs.",
-    )
-    if command in COMMANDS:
-        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
-        subparser = sub.add_parser(name, help=help_text)
-        add_arguments(subparser)
-        subparser.set_defaults(func=handler)
+        prog="dspc", description="Disjoint shortest paths with congestion on weighted DAGs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _add_arguments, _handler) in COMMANDS.items():
+        command_parser(name, sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -272,7 +269,10 @@ def main(argv=None) -> int:
     _setup_logging()
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args, extra = (command_parser(argv[0]).parse_known_args(argv[1:])
+                   if argv and argv[0] in COMMANDS else (None, True))
+    if extra:  # the full parser gives top-level help and the top-level errors
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DspcError, OSError) as exc:

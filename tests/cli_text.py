@@ -1,12 +1,14 @@
 """Usage and error text of ``dspc``, checked without pytest.
 
-``main`` builds a parser with only the invoked command's subparser; on
-every command line below it must exit and print exactly as the parser with
-every command does. The lines reach top-level help, the top-level usage
-(unknown or missing commands, stray arguments, a command name as a stray
-argument) and each command's own errors (missing arguments, an option with
-no value, a bad choice or type). Run from the repository root, on
-any supported Python:
+``main`` parses a line that starts with a command name with that command's
+own parser, and hands a line with arguments left over to the parser with
+every command; on every command line below it must exit and print exactly
+as the parser with every command does. The lines reach top-level help, the
+top-level usage (unknown or missing commands, stray arguments, a command
+name as a stray argument, leftovers after a complete or abbreviated option
+or a positional, leftovers after ``--help``) and each command's own errors
+(missing arguments, an option with no value, a bad choice or type). Run
+from the repository root, on any supported Python:
 
     PYTHONPATH=src python tests/cli_text.py
 """
@@ -37,6 +39,12 @@ COMMAND_LINES = [
     ["solve", "-i", "x", "--mode"],
     ["gen", "psi", "--seed", "x"],
     ["-h", "solve"],
+    ["solve", "-i", "x", "--bogus"],
+    ["gen", "psi", "--seed", "1", "extra"],
+    ["verify", "-s", "y", "-i", "x", "z"],
+    ["solve", "--help", "extra"],
+    ["bench", "--su", "mcc", "extra"],
+    ["solve", "--instance=x", "extra"],
 ]
 
 

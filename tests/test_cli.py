@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 import dspc
-from dspc.cli import COMMANDS, build_parser, main
+from dspc.cli import COMMANDS, build_parser, command_parser, main
 from dspc import (
     Dag,
     Instance,
@@ -372,6 +372,18 @@ class TestUsage:
         assert run("solve", "-i", str(feasible_file),
                    "-o", str(tmp_path / "o.sol")) == 0
 
+    def test_log_level_and_stream_apply_to_each_call(self, feasible_file, tmp_path,
+                                                     monkeypatch, capsys):
+        # one process, two calls: each reads DSPC_LOG afresh and logs to the
+        # stderr of its own call, not to the first call's
+        out = str(tmp_path / "o.sol")
+        monkeypatch.setenv("DSPC_LOG", "quiet")
+        assert run("solve", "-i", str(feasible_file), "-o", out) == 0
+        assert "demands:" not in capsys.readouterr().err
+        monkeypatch.setenv("DSPC_LOG", "debug")
+        assert run("solve", "-i", str(feasible_file), "-o", out) == 0
+        assert "DEBUG demands: 0 pinned, 1 direct, 0 searched\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", COMMAND_LINES,
                              ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_text_matches_parser_with_every_argument(self, argv):
@@ -380,8 +392,9 @@ class TestUsage:
         check(argv)
 
     def test_each_command_gets_only_its_arguments(self, capsys):
-        # build_parser(command) parses its own command's line as the full
-        # parser does, and knows no other command
+        # command_parser(name) gives on argv[1:] the namespace that the full
+        # parser gives on argv, command included, and refuses any other
+        # command's line
         valid = {
             "solve": ["solve", "-i", "x.dsp", "--algo", "kernel"],
             "verify": ["verify", "-i", "x.dsp", "-s", "x.sol"],
@@ -391,14 +404,17 @@ class TestUsage:
         }
         assert valid.keys() == COMMANDS.keys()
         for command in COMMANDS:
-            parser = build_parser(command)
+            parser = command_parser(command)
             for name, argv in valid.items():
                 if name == command:
-                    assert parser.parse_args(argv) == build_parser().parse_args(argv)
+                    args = parser.parse_args(argv[1:])
+                    assert args == build_parser().parse_args(argv)
+                    assert args.command == command and args.func is COMMANDS[command][2]
                 else:
-                    with pytest.raises(SystemExit):
+                    with pytest.raises(SystemExit) as exit_info:
                         parser.parse_args(argv)
-                    assert "invalid choice" in capsys.readouterr().err
+                    assert exit_info.value.code == 2
+                    assert capsys.readouterr().err.startswith(f"usage: dspc {command} ")
 
 
 def in_fresh_interpreter(code: str, *argv: str) -> subprocess.CompletedProcess:
