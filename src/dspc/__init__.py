@@ -23,7 +23,7 @@ _EXPORTS = {
         "congestion_profile", "reachable", "verify_solution",
     ),
     "errors": (
-        "ColorMissing", "ContextInvalid", "CycleDetected", "DspcError", "InvariantViolation",
+        "ColorMissing", "CycleDetected", "DspcError", "InvariantViolation",
         "LimitExceeded", "NoDonorFound", "OracleTooLarge", "ParseError",
         "PatternNotCubicBipartite", "ProjectionInvalid", "ShapeMismatch", "WitnessInvalid",
     ),
@@ -35,8 +35,7 @@ _EXPORTS = {
         "expand_congestion", "isolate_terminals", "project_solution", "solve_with_congestion",
     ),
     "kernel": (
-        "SwapContext", "concentrate_congestion", "extend_with_shortest", "find_hot_vertices",
-        "solve_kdspc", "swap_subpaths",
+        "concentrate_congestion", "find_hot_vertices", "solve_kdspc", "swap_subpaths",
     ),
     "edge_disjoint": ("edge_split_transform", "solve_edsp"),
     "hardness": (

@@ -38,10 +38,6 @@ class OracleTooLarge(DspcError):
     """The brute-force oracle's enumeration bound would be exceeded."""
 
 
-class ContextInvalid(DspcError):
-    """A subpath-swap context does not match the solution it is applied to."""
-
-
 class NoDonorFound(DspcError):
     """No path can donate a subpath; the rerouting preconditions are not met."""
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from dspc import (
-    ContextInvalid,
     Dag,
     Instance,
     InvariantViolation,
@@ -16,11 +16,9 @@ from dspc import (
     Path,
     ProjectionInvalid,
     Solution,
-    SwapContext,
     brute_force_oracle,
     concentrate_congestion,
     congestion_profile,
-    extend_with_shortest,
     find_hot_vertices,
     iter_shortest_paths,
     solve_kdspc,
@@ -30,7 +28,7 @@ from dspc import (
 )
 from dspc import kernel
 from dspc.core import VerifyReport, Violation
-from dspc.randgen import random_dag, random_instance
+from dspc.randgen import grid, random_dag, random_instance
 
 from helpers import build_miss_gadget, chain, diamond, enumerate_all_paths
 
@@ -94,17 +92,35 @@ class TestSolveKdspc:
 
 
 class TestExtendWithShortest:
-    def test_empty_remainder_is_identity(self):
-        dag = chain(3)
-        core = Solution((Path.trace(dag, (1, 2, 3)),))
-        assert extend_with_shortest([next(iter_shortest_paths(dag, 1, 3))], core, (0,)) == core
+    """solve_kdspc's extension of a routed core by the remaining demands' canonical paths."""
 
-    def test_remainder_gets_its_unique_path(self):
-        dag = chain(4)
-        shortest = [next(iter_shortest_paths(dag, s, t)) for s, t in ((1, 2), (2, 4))]
-        core = Solution((Path.trace(dag, (1, 2)),))
-        combined = extend_with_shortest(shortest, core, (0,))
-        assert combined.paths[1].vertices == (2, 3, 4)
+    def test_core_paths_replace_canonical_ones_at_their_indices(self, monkeypatch):
+        # demand i of the routed core subset takes the core's path for it,
+        # and every other demand keeps its canonical path
+        subsets, cores = [], []
+        monkeypatch.setattr(kernel, "combinations",
+                            lambda *args: (subsets.append(s) or s for s in combinations(*args)))
+        solve = kernel.solve_with_congestion
+        monkeypatch.setattr(kernel, "solve_with_congestion",
+                            lambda sub: cores.append(solve(sub)) or cores[-1])
+        checked = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = rng.choice((4, 5))
+            inst = random_instance(rng, n=rng.randint(3, 8), k=k, congestion=k - 1)
+            subsets.clear()
+            cores.clear()
+            sol = kernel.solve_kdspc(inst)
+            if sol is None:
+                continue
+            subset, core = subsets[-1], cores[-1]
+            for i, (path, (s, t)) in enumerate(zip(sol.paths, inst.demands)):
+                if i in subset:
+                    assert path == core.paths[subset.index(i)]
+                else:
+                    assert path == next(iter_shortest_paths(inst.dag, s, t))
+            checked += 1
+        assert checked >= 10
 
     def test_each_canonical_path_is_found_once_per_call(self, monkeypatch):
         # every demand's path is walked once, up front, however many subsets
@@ -179,6 +195,18 @@ class TestFindHotVertices:
             )
             assert list(find_hot_vertices(inst, sol)) == expected
 
+    def test_rejects_edge_mode(self):
+        # edge loads are keyed by (u, v) pairs, which have no topological
+        # position; both entry points refuse the instance before reading one
+        dag = diamond()
+        inst = Instance(dag, ((1, 4),) * 4, 3, "edge")
+        sol = solve_with_congestion(inst)
+        assert sol is not None and verify_solution(inst, sol).feasible
+        with pytest.raises(InvariantViolation):
+            find_hot_vertices(inst, sol)
+        with pytest.raises(InvariantViolation):
+            concentrate_congestion(inst, sol)
+
 
 def figure_gadget():
     """Two equal-length routes between two junctions, plus a third path on the pivot.
@@ -221,8 +249,7 @@ class TestSwapSubpaths:
         assert verify_solution(inst, alt).feasible
         hot = find_hot_vertices(inst, alt)
         assert hot == (2, 4, 6)
-        ctx = SwapContext(dag, hot, 0, 1, pivot=4, window=(2, 6))
-        swapped = swap_subpaths(alt, ctx)
+        swapped = swap_subpaths(dag, alt, 0, 1, (2, 6))
         assert swapped == alt
 
     def test_carrier_gains_pivot_and_profile_is_preserved(self):
@@ -230,9 +257,8 @@ class TestSwapSubpaths:
         assert verify_solution(inst, sol).feasible
         hot = find_hot_vertices(inst, sol)
         assert hot == (2, 4, 6)
-        ctx = SwapContext(dag, hot, 0, 1, pivot=4, window=(2, 6))
         before = congestion_profile(inst, sol)
-        swapped = swap_subpaths(sol, ctx)
+        swapped = swap_subpaths(dag, sol, 0, 1, (2, 6))
         assert 4 in swapped.paths[0].vertices
         assert swapped.paths[1].vertices == (8, 2, 3, 6, 9)
         assert congestion_profile(inst, swapped) == before
@@ -256,26 +282,82 @@ class TestSwapSubpaths:
                      key=lambda v: pos[v])
             donors = [i for i, p in enumerate(sol.paths)
                       if {lo, pivot, hi} <= set(p.vertices)]
-            ctx = SwapContext(inst.dag, hot, carrier, donors[0], pivot, (lo, hi))
-            swapped = swap_subpaths(sol, ctx)
+            swapped = swap_subpaths(inst.dag, sol, carrier, donors[0], (lo, hi))
             assert congestion_profile(inst, swapped) == congestion_profile(inst, sol)
             assert Counter(p.length for p in swapped.paths) == \
                 Counter(p.length for p in sol.paths)
             assert verify_solution(inst, swapped).feasible
 
-    def test_invalid_contexts_rejected(self):
-        dag, inst, sol = figure_gadget()
-        hot = find_hot_vertices(inst, sol)
-        with pytest.raises(ContextInvalid):
-            swap_subpaths(sol, SwapContext(dag, hot, 0, 0, 4, (2, 6)))
-        with pytest.raises(ContextInvalid):
-            swap_subpaths(sol, SwapContext(dag, hot, 0, 1, 4, (6, 2)))
-        with pytest.raises(ContextInvalid):
-            swap_subpaths(sol, SwapContext(dag, hot, 0, 1, 3, (2, 6)))  # 3 not hot
-        with pytest.raises(ContextInvalid):
-            swap_subpaths(sol, SwapContext(dag, hot, 2, 1, 4, (2, 6)))  # window off carrier
-        with pytest.raises(ContextInvalid):
-            swap_subpaths(sol, SwapContext(dag, hot, 0, 2, 4, (2, 6)))  # donor misses window
+    def test_every_shared_window_of_a_verified_routing_swaps_cleanly(self):
+        # any two paths of a routing exchange the subpath between any two
+        # vertices they share, hot or not, and the routing still verifies.
+        # The solver's routings mostly share whole subpaths, so grid demands
+        # on random shortest paths and the miss gadgets supply real exchanges.
+        routings = []
+        for seed in range(100):
+            rng = random.Random(seed)
+            c = rng.randint(2, 3)
+            inst = random_instance(rng, n=rng.randint(4, 9), k=rng.randint(c, 5), congestion=c)
+            sol = solve_with_congestion(inst)
+            if sol is not None:
+                routings.append((inst, sol))
+        dag = grid(4, 4)
+        for seed in range(20):
+            rng = random.Random(seed)
+            demands = []
+            for _ in range(rng.randint(2, 5)):
+                rows, cols = sorted(rng.sample(range(4), 2)), sorted(rng.sample(range(4), 2))
+                demands.append((4 * rows[0] + cols[0] + 1, 4 * rows[1] + cols[1] + 1))
+            sol = Solution(tuple(
+                rng.choice(list(iter_shortest_paths(dag, s, t))) for s, t in demands
+            ))
+            load = max(Counter(v for p in sol.paths for v in p.vertices).values())
+            routings.append((Instance(dag, tuple(demands), max(load, 2)), sol))
+        for seed in range(10):
+            inst, sol, _ = build_miss_gadget(random.Random(seed), hot_columns=4)
+            routings.append((inst, sol))
+        swaps = exchanges = 0
+        for inst, sol in routings:
+            assert verify_solution(inst, sol).feasible
+            profile = congestion_profile(inst, sol)
+            for a, b in permutations(range(inst.k), 2):
+                on_b = set(sol.paths[b].vertices)
+                shared = [v for v in sol.paths[a].vertices if v in on_b]
+                for lo, hi in combinations(shared, 2):
+                    swapped = swap_subpaths(inst.dag, sol, a, b, (lo, hi))
+                    assert [p.length for p in swapped.paths] == [p.length for p in sol.paths]
+                    assert congestion_profile(inst, swapped) == profile
+                    assert verify_solution(inst, swapped).feasible
+                    swaps += 1
+                    exchanges += swapped != sol
+        assert swaps >= 300 and exchanges >= 100
+
+    def test_invalid_swaps_rejected(self):
+        dag, _, sol = figure_gadget()
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 0, (2, 6))  # carrier is donor
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 3, (2, 6))  # no path 3
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, -1, 1, (2, 6))
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 1, (6, 2))  # window out of order
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 1, (2, 2))  # empty window
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 2, 1, (2, 6))  # window off carrier
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 2, (2, 6))  # donor misses window
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 1, (2, 3))  # 3 is on the carrier only
+
+    def test_unequal_subpaths_are_refused(self):
+        # outside a routing of shortest paths the two subpaths may differ in
+        # weight, and the swap refuses to change a path's length
+        dag = Dag(4, ((1, 2, 1), (1, 3, 2), (2, 4, 1), (3, 4, 1)))
+        sol = Solution((Path.trace(dag, (1, 2, 4)), Path.trace(dag, (1, 3, 4))))
+        with pytest.raises(InvariantViolation):
+            swap_subpaths(dag, sol, 0, 1, (1, 4))
 
 
 class TestConcentrateCongestion:
@@ -336,6 +418,14 @@ class TestConcentrateCongestion:
             assert set(hot) <= set(out.paths[carrier].vertices)
             assert congestion_profile(inst, out) == before
             assert verify_solution(inst, out).feasible
+
+    def test_swap_that_misses_the_pivot_raises(self, monkeypatch):
+        # the carrier must gain the pivot on every swap; a swap that returns
+        # the routing unchanged is caught on the first round
+        inst, sol, _ = build_miss_gadget(random.Random(11), hot_columns=4)
+        monkeypatch.setattr(kernel, "swap_subpaths", lambda dag, sol, *rest: sol)
+        with pytest.raises(InvariantViolation, match="hot vertex"):
+            concentrate_congestion(inst, sol)
 
     def test_small_slack_guard(self):
         dag = chain(3)
