@@ -4,30 +4,30 @@ The solver is a pebbling search in the manner of Fortune, Hopcroft and
 Wyllie (TCS 10, 1980), and it decides one ``Instance``: its demands, its
 budget c and its mode. One pebble per demand (s, t) starts on s and is
 finished once it rests on t. A move takes the unfinished pebbles on the
-topologically first vertex u that holds any, and advances each of them
-along an edge (u, v, w) that is tight for its own demand:
-f[u] + w + b[v] = dist(s, t), with f = dist(s, .) and b = dist(., t). A
-pebble that reached u along tight edges has f[u] = dist(s, t) - b[u], so
-the test reads w + b[v] = b[u] and needs only one backward sweep per
-terminal, which stops at the terminal's earliest source in topological
-order: no pebble is ever before its source. The walks of a pebble are then
-exactly the shortest s-to-t paths.
+vertex u that holds any and comes first in the search's sweep order (see
+below), and advances each of them along an edge (u, v, w) that is tight
+for its own demand: f[u] + w + b[v] = dist(s, t), with f = dist(s, .) and
+b = dist(., t). A pebble that reached u along tight edges has
+f[u] = dist(s, t) - b[u], so the test reads w + b[v] = b[u] and needs only
+one backward sweep per terminal, which stops at the terminal's earliest
+source in topological order: no pebble is ever before its source. The
+walks of a pebble are then exactly the shortest s-to-t paths.
 
-After a move every unfinished pebble sits after u in the topological order,
-so no pebble comes back to u: all pebbles that ever visit a vertex are on
-it at the same time, and an edge is only taken in the one move that leaves
-its tail. Loads are therefore counted exactly, move by move: in vertex mode
-the pebbles on each head after the move, resting and finished ones
-included, and in edge mode the movers that take each edge. ``fitting_moves``
-enumerates a state's moves depth first over the movers, keeps a running
-load per element and cuts a prefix of the movers' picks as soon as an
-element would pass c. It yields exactly the moves that ``merge_check``,
-the check of one whole move and the tests' reference, accepts, in
-lexicographic order, except that movers bound for one terminal are
-interchangeable and take their edges in non-decreasing order only: 30 such
-pebbles on a fork make 31 moves, not 2^30. No move checks a source, so in
-vertex mode ``solve`` first rejects any vertex at which more than c demands
-start or end. In edge mode it rejects a vertex at which more demands start
+The sweep order is topological, so after a move every unfinished pebble
+sits after u in it, and no pebble comes back to u: all pebbles that ever
+visit a vertex are on it at the same time, and an edge is only taken in
+the one move that leaves its tail. Loads are therefore counted exactly,
+move by move: in vertex mode the pebbles on each head after the move,
+resting and finished ones included, and in edge mode the movers that take
+each edge. ``fitting_moves`` enumerates a state's moves depth first over
+the movers, keeps a running load per element and cuts a prefix of the
+movers' picks as soon as an element would pass c. It yields exactly the
+moves that ``merge_check``, the check of one whole move and the tests'
+reference, accepts, in lexicographic order, except that movers bound for
+one terminal are interchangeable and take their edges in non-decreasing
+order only: 30 such pebbles on a fork make 31 moves, not 2^30. No move
+checks a source, so in vertex mode ``solve`` first rejects any vertex at
+which more than c demands start or end. In edge mode it rejects a vertex at which more demands start
 than c per out-edge, or end than c per in-edge. Congestion 1 is the
 disjoint case of either mode.
 
@@ -65,6 +65,22 @@ is its first tight walk. In vertex mode a pinned path may run through the
 source of a free pebble, which no move checks, so ``solve`` checks those
 sources itself.
 
+The search sweeps in its own topological order, ``sweep_order``, computed
+once per solve and only when pebbles remain after the pin pass: Kahn's
+rule with a stack in place of the smallest-id heap of ``Dag.order``, so the
+heads a vertex makes ready come next, the head of its first out-edge
+first. Under any topological order every pebble that visits a vertex is on
+it at the same time, so the verdicts are the same under every order; the
+order decides how many pebbles are in flight at once, and so how many
+distinct states the memo sees (a narrow sweep frontier is a small vertex
+separation, which equals path-width: Kinnersley, IPL 42, 1992). The forced
+funnel s_i -> {a_i, b_i} -> z -> t_i with every source numbered first takes
+3 * 2^k - 3 dead states in ``Dag.order`` and 3k in this one. The order can
+change which routing is found first, never whether one exists. The demand
+windows, the direct walks, the pin pass and the distance sweeps keep
+``Dag.order``, so a solve that never reaches the search does not pay for
+this order's O(n + m) pass.
+
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
 records each state whose moves all fail as dead and never expands it again.
@@ -79,8 +95,9 @@ movers than edges meet at c = 1, say), and only in vertex mode is m at most
 c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
-pass logs its pinned, direct and searched demand counts, and an infeasible
-solve its reason, on the ``dspc.exact`` logger.
+pass logs its pinned, direct and searched demand counts, one that reaches
+the search its dead states and moves checked, and an infeasible solve its
+reason, on the ``dspc.exact`` logger.
 
 The direct walk, the pin pass and the search read a vertex's tight edges
 straight off its out-edges with ``_tight``, in out-edge order. The
@@ -408,7 +425,10 @@ class DisjointShortestSolver:
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        pos, order, out = inst.dag.position, inst.dag.order, inst.dag.out_edges
+        if start == terminals:
+            return [start]
+        order, pos = sweep_order(inst.dag)
+        out = inst.dag.out_edges
         c, mode, dead, put = inst.congestion, inst.mode, self.memo.entries, self.memo.put
 
         def moves(state: State) -> Iterator[State | None]:
@@ -417,8 +437,6 @@ class DisjointShortestSolver:
             options = [_tight(out[u], to_t[terminals[i]], u) for i in movers]
             return fitting_moves(state, movers, terminals, options, c, mode, fixed)
 
-        if start == terminals:
-            return [start]
         checked, done = 0, object()
         path, frames = [start], [moves(start)]
         try:
@@ -440,6 +458,34 @@ class DisjointShortestSolver:
             return None
         finally:
             self.checked = checked
+            log.debug("search: %d dead states, %d moves checked", len(dead), checked)
+
+
+def sweep_order(dag: Dag) -> tuple[list[int], list[int]]:
+    """The search's topological sweep order, and each vertex's position in it (index 0 unused).
+
+    Kahn's rule with a stack in place of ``Dag.order``'s smallest-id heap:
+    the heads a vertex makes ready come next, the head of its first
+    out-edge first, and the sources wait below them, smallest id on top.
+    So the sweep follows one branch as far as it can before it turns to
+    the next, which tends to keep few pebbles in flight at once.
+    """
+    out, n = dag.out_edges, dag.vertex_count
+    indegree = [0] * (n + 1)
+    for _, head, _ in dag.edges:
+        indegree[head] += 1
+    stack = [v for v in range(n, 0, -1) if not indegree[v]]
+    order, pos = [], [0] * (n + 1)
+    while stack:
+        u = stack.pop()
+        pos[u] = len(order)
+        order.append(u)
+        # pushed last to first, so the first out-edge's head is popped first
+        for _, head, _ in reversed(out[u]):
+            indegree[head] -= 1
+            if not indegree[head]:
+                stack.append(head)
+    return order, pos
 
 
 def _infeasible(reason: str, *args: object) -> None:

@@ -157,8 +157,8 @@ BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int]] = {
                1, 66),
     "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08",
                2003, 3330),
-    "search": (search_batch, "6749ef06b55072914024a8f442c407de321bf2661a1526a027935a9812ccfc3a",
-               3607, 10648),
+    "search": (search_batch, "35de0b41f3da29415ae98640753d85cb46b0ee474e5c0d4870f91c08418336e1",
+               3179, 10210),
 }
 
 

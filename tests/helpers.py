@@ -9,11 +9,20 @@ against these.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import inf
 
-from dspc import ColoredGraph, Dag, Instance, Path, Solution
-from dspc.randgen import grid
+from dspc import VERTEX, ColoredGraph, Dag, Instance, Path, Solution
+from dspc.hardness import (
+    complete_bipartite_pattern,
+    mcc_to_planar_edsp,
+    plant_colorful_clique,
+    psi_to_dspc,
+    random_colored_graph,
+    random_host,
+)
+from dspc.randgen import grid, random_instance, search_heavy_instance
 
 
 def chain(n: int, weight: int = 1) -> Dag:
@@ -192,3 +201,69 @@ def build_miss_gadget(
     sol = Solution(tuple(Path.trace(dag, t) for t in tracks))
     hot = tuple(hot_ids[col] for col in range(1, hot_columns + 1))
     return inst, sol, hot
+
+
+def relabelled_search_heavy_instance(rng: random.Random, k: int, congestion: int) -> Instance:
+    """A vertex-mode ``search_heavy_instance`` under a renaming drawn from ``rng``.
+
+    The renaming is drawn again until some edge goes from a higher id to a
+    lower one, so ``Dag.order`` is not 1..n and runs its heap.
+    """
+    inst = search_heavy_instance(rng, k, congestion, VERTEX)
+    label = list(range(1, inst.dag.vertex_count + 1))
+    while all(label[u - 1] < label[v - 1] for u, v, _ in inst.dag.edges):
+        rng.shuffle(label)
+    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
+    return Instance(relabel(inst.dag, label), demands, congestion, VERTEX)
+
+
+def lifo_relabelling(inst: Instance) -> tuple[Instance, list[int]]:
+    """``inst`` with each vertex renamed by its rank in a LIFO Kahn order, and that order.
+
+    Kahn's rule with a stack in place of the smallest-id-first heap: the
+    heads a vertex makes ready come next, the head of its first out-edge
+    first. Every renamed edge ascends, so the solver sweeps the renamed
+    graph in this order.
+    """
+    dag = inst.dag
+    indegree = Counter(v for _, v, _ in dag.edges)
+    stack = [v for v in range(dag.vertex_count, 0, -1) if not indegree[v]]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        ready = []
+        for _, v, _ in dag.out_edges[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+        stack.extend(reversed(ready))
+    label = [0] * dag.vertex_count
+    for rank, v in enumerate(order, start=1):
+        label[v - 1] = rank
+    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
+    return Instance(relabel(dag, label), demands, inst.congestion, inst.mode), order
+
+
+def large_random_draw(mode: str, rng: random.Random) -> Instance:
+    k = rng.randint(2, 8)
+    return random_instance(rng, n=rng.randint(12, 40), k=k, congestion=rng.randint(1, k), mode=mode)
+
+
+def search_heavy_draw(mode: str, smallest_k: int, largest_c: int, rng: random.Random) -> Instance:
+    k = rng.randint(smallest_k, 6)
+    return search_heavy_instance(rng, k, rng.randint(1, min(k, largest_c)), mode)
+
+
+def grid_family_draw(rng: random.Random) -> Instance:
+    cg = random_colored_graph(rng, rng.randint(3, 10), 3)
+    if rng.random() < 0.5:
+        cg, _ = plant_colorful_clique(rng, cg)
+    return mcc_to_planar_edsp(cg, 3)[0]
+
+
+def block_family_draw(rng: random.Random) -> Instance:
+    pattern = complete_bipartite_pattern()
+    host, _ = random_host(rng, pattern, [rng.randint(1, 2)] * pattern.vertex_count, 0.5,
+                          plant=rng.random() < 0.5)
+    return psi_to_dspc(pattern, host, 2)[0]

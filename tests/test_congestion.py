@@ -34,84 +34,21 @@ from dspc import (
     solve_with_congestion,
     verify_solution,
 )
+from dspc import exact
 from dspc.congestion import compose
-from dspc.hardness import (
-    complete_bipartite_pattern,
-    mcc_to_planar_edsp,
-    plant_colorful_clique,
-    psi_to_dspc,
-    random_colored_graph,
-    random_host,
-)
 from dspc.randgen import bottleneck_instance, random_instance, search_heavy_instance
 
-from helpers import chain, diamond, grid_dag, relabel
-
-
-def relabelled_search_heavy_instance(rng: random.Random, k: int, congestion: int) -> Instance:
-    """A vertex-mode ``search_heavy_instance`` under a renaming drawn from ``rng``.
-
-    The renaming is drawn again until some edge goes from a higher id to a
-    lower one, so ``Dag.order`` is not 1..n and runs its heap.
-    """
-    inst = search_heavy_instance(rng, k, congestion, VERTEX)
-    label = list(range(1, inst.dag.vertex_count + 1))
-    while all(label[u - 1] < label[v - 1] for u, v, _ in inst.dag.edges):
-        rng.shuffle(label)
-    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
-    return Instance(relabel(inst.dag, label), demands, congestion, VERTEX)
-
-
-def lifo_relabelling(inst: Instance) -> tuple[Instance, list[int]]:
-    """``inst`` with each vertex renamed by its rank in a LIFO Kahn order, and that order.
-
-    Kahn's rule with a stack in place of the smallest-id-first heap: the
-    heads a vertex makes ready come next, the head of its first out-edge
-    first. Every renamed edge ascends, so the solver sweeps the renamed
-    graph in this order.
-    """
-    dag = inst.dag
-    indegree = Counter(v for _, v, _ in dag.edges)
-    stack = [v for v in range(dag.vertex_count, 0, -1) if not indegree[v]]
-    order = []
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        ready = []
-        for _, v, _ in dag.out_edges[u]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                ready.append(v)
-        stack.extend(reversed(ready))
-    label = [0] * dag.vertex_count
-    for rank, v in enumerate(order, start=1):
-        label[v - 1] = rank
-    demands = tuple((label[s - 1], label[t - 1]) for s, t in inst.demands)
-    return Instance(relabel(dag, label), demands, inst.congestion, inst.mode), order
-
-
-def large_random_draw(mode: str, rng: random.Random) -> Instance:
-    k = rng.randint(2, 8)
-    return random_instance(rng, n=rng.randint(12, 40), k=k, congestion=rng.randint(1, k), mode=mode)
-
-
-def search_heavy_draw(mode: str, smallest_k: int, largest_c: int, rng: random.Random) -> Instance:
-    k = rng.randint(smallest_k, 6)
-    return search_heavy_instance(rng, k, rng.randint(1, min(k, largest_c)), mode)
-
-
-def grid_family_draw(rng: random.Random) -> Instance:
-    cg = random_colored_graph(rng, rng.randint(3, 10), 3)
-    if rng.random() < 0.5:
-        cg, _ = plant_colorful_clique(rng, cg)
-    return mcc_to_planar_edsp(cg, 3)[0]
-
-
-def block_family_draw(rng: random.Random) -> Instance:
-    pattern = complete_bipartite_pattern()
-    host, _ = random_host(rng, pattern, [rng.randint(1, 2)] * pattern.vertex_count, 0.5,
-                          plant=rng.random() < 0.5)
-    return psi_to_dspc(pattern, host, 2)[0]
+from helpers import (
+    block_family_draw,
+    chain,
+    diamond,
+    grid_dag,
+    grid_family_draw,
+    large_random_draw,
+    lifo_relabelling,
+    relabelled_search_heavy_instance,
+    search_heavy_draw,
+)
 
 
 class TestIsolateTerminals:
@@ -425,10 +362,12 @@ class TestNativeAgainstReductions:
 class TestOrderInvariance:
     """Any topological sweep order gives the same verdict and a routing that verifies.
 
-    Each draw is solved as given and again with its vertices renamed by a
-    LIFO Kahn order, and the renamed routing is mapped back and re-verified.
-    No oracle is needed, so the draws may be larger than
-    ``brute_force_oracle`` can enumerate.
+    Each draw is solved as given, again with its vertices renamed by the
+    search's own LIFO Kahn order, so that the direct and pin passes sweep in
+    that order too, and the renamed routing is mapped back and re-verified.
+    It is solved a third time with its search swept in ``Dag.order``, the
+    smallest id first, and that routing verifies too. No oracle is needed,
+    so the draws may be larger than ``brute_force_oracle`` can enumerate.
     """
 
     @pytest.mark.parametrize("draw, count", (
@@ -441,7 +380,7 @@ class TestOrderInvariance:
         pytest.param(grid_family_draw, 40, id="grid-family"),
         pytest.param(block_family_draw, 12, id="block-family"),
     ))
-    def test_verdict_and_routing_survive_relabelling(self, draw, count):
+    def test_verdict_and_routing_survive_relabelling(self, draw, count, monkeypatch):
         verdicts = Counter()
         reordered = 0
         for rng_seed in range(count):
@@ -450,7 +389,11 @@ class TestOrderInvariance:
             reordered += order != list(inst.dag.order)
             got = solve_with_congestion(inst)
             moved = solve_with_congestion(renamed)
-            assert (got is None) == (moved is None), rng_seed
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "sweep_order", lambda dag: (dag.order, dag.position))
+                # solve_with_congestion re-verifies the routing it returns
+                swept = solve_with_congestion(inst)
+            assert (got is None) == (moved is None) == (swept is None), rng_seed
             if moved is not None:
                 back = Solution(tuple(Path(tuple(order[v - 1] for v in path.vertices), path.length)
                                       for path in moved.paths))

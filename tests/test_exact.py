@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import product
 from math import factorial, prod
 
@@ -30,11 +31,30 @@ from dspc import (
     verify_solution,
 )
 from dspc import exact
-from dspc.exact import count_shortest_paths, fitting_moves, merge_check
-from dspc.hardness import plant_colorful_clique, random_colored_graph
-from dspc.randgen import grid, random_dag, random_instance, search_heavy_instance
+from dspc.exact import count_shortest_paths, fitting_moves, merge_check, sweep_order
+from dspc.hardness import find_colorful_clique, plant_colorful_clique, random_colored_graph
+from dspc.randgen import (
+    bottleneck_instance,
+    grid,
+    random_dag,
+    random_instance,
+    search_heavy_instance,
+)
 
-from helpers import chain, diamond, enumerate_all_paths, grid_dag, is_shortest, relabel
+from helpers import (
+    block_family_draw,
+    chain,
+    diamond,
+    enumerate_all_paths,
+    grid_dag,
+    grid_family_draw,
+    is_shortest,
+    large_random_draw,
+    lifo_relabelling,
+    relabel,
+    relabelled_search_heavy_instance,
+    search_heavy_draw,
+)
 
 
 class TestMergeCheck:
@@ -388,6 +408,7 @@ class TestPinPass:
         assert solver.pinned == () and dead > 0
         assert caplog.messages == [
             "demands: 0 pinned, 0 direct, 2 searched",
+            f"search: {dead} dead states, {solver.checked} moves checked",
             f"infeasible: search exhausted after {dead} dead states",
         ]
 
@@ -561,6 +582,77 @@ class TestCoverageFloor:
             assert solver.solve(inst) is not None
             pinned += len(solver.pinned)
         assert pinned >= 68, pinned
+
+
+def funnel(k: int, sources_first: bool) -> Instance:
+    """The forced funnel: s_i -> {a_i, b_i} -> z -> t_i for k demands in vertex mode, c = k - 1.
+
+    Every shortest path crosses z, so it is infeasible. The sources come
+    first, or each demand's s_i, a_i, b_i come together; z and the t_i last.
+    """
+    if sources_first:
+        s, a, b = range(1, k + 1), range(k + 1, 3 * k, 2), range(k + 2, 3 * k + 1, 2)
+    else:
+        s, a, b = range(1, 3 * k, 3), range(2, 3 * k, 3), range(3, 3 * k + 1, 3)
+    z, t = 3 * k + 1, range(3 * k + 2, 4 * k + 2)
+    edges = [e for i in range(k) for e in ((s[i], a[i], 1), (s[i], b[i], 1), (a[i], z, 1),
+                                           (b[i], z, 1), (z, t[i], 1))]
+    return Instance(Dag(4 * k + 1, tuple(edges)), tuple(zip(s, t)), k - 1)
+
+
+class TestSweepOrder:
+    """The search sweeps the graph in its own LIFO Kahn order, whatever ``Dag.order`` is."""
+
+    @pytest.mark.parametrize("draw, count", (
+        pytest.param(partial(large_random_draw, "vertex"), 100, id="random-vertex"),
+        pytest.param(partial(large_random_draw, "edge"), 100, id="random-edge"),
+        pytest.param(partial(search_heavy_draw, "vertex", 2, 3), 60, id="search-heavy-vertex"),
+        pytest.param(partial(search_heavy_draw, "edge", 4, 1), 60, id="search-heavy-edge"),
+        pytest.param(lambda rng: relabelled_search_heavy_instance(rng, rng.randint(2, 6), 1), 60,
+                     id="vertex-relabelled"),
+        pytest.param(lambda rng: bottleneck_instance(rng, rng.randint(4, 6), 2), 60,
+                     id="bottleneck"),
+        pytest.param(grid_family_draw, 40, id="grid-family"),
+        pytest.param(block_family_draw, 12, id="block-family"),
+    ))
+    def test_order_is_topological_and_lifo_kahn(self, draw, count):
+        for rng_seed in range(count):
+            inst = draw(random.Random(rng_seed))
+            dag = inst.dag
+            order, pos = sweep_order(dag)
+            assert sorted(order) == list(range(1, dag.vertex_count + 1)), rng_seed
+            assert [pos[v] for v in order] == list(range(dag.vertex_count)), rng_seed
+            assert all(pos[u] < pos[v] for u, v, _ in dag.edges), rng_seed
+            renamed, lifo = lifo_relabelling(inst)
+            assert order == lifo, rng_seed
+            # renamed by its own sweep, the graph is swept in id order
+            assert sweep_order(renamed.dag)[0] == list(range(1, dag.vertex_count + 1)), rng_seed
+
+    def test_forced_funnel_takes_three_dead_states_per_demand(self, monkeypatch):
+        # whichever way the funnel is numbered, the sweep takes each demand's
+        # s_i, a_i, b_i together, so the memo sees one pebble in flight at once
+        for sources_first in (True, False):
+            solver = DisjointShortestSolver()
+            assert solver.solve(funnel(40, sources_first)) is None
+            assert len(solver.memo.entries) == 3 * 40, sources_first
+        # swept in Dag.order, sources first takes 3 * 2^k - 3 dead states
+        monkeypatch.setattr(exact, "sweep_order", lambda dag: (dag.order, dag.position))
+        for sources_first, dead in ((True, 3 * 2**6 - 3), (False, 3 * 6)):
+            solver = DisjointShortestSolver()
+            assert solver.solve(funnel(6, sources_first)) is None
+            assert len(solver.memo.entries) == dead, sources_first
+
+    def test_unplanted_four_colour_grids_are_decided(self):
+        # size 16, k = 8: swept in Dag.order both draws stop at MAX_DEAD_STATES
+        for seed, bound in ((1, 1455), (2, 2109)):
+            rng = random.Random(seed)
+            cg = random_colored_graph(rng, 16, 4, 0.5)
+            inst, _ = mcc_to_planar_edsp(cg, 4)
+            solver = DisjointShortestSolver()
+            routed = solver.solve(inst)
+            assert (routed is None) == (find_colorful_clique(cg, 4) is None), seed
+            assert routed is None or verify_solution(inst, routed).feasible
+            assert len(solver.memo.entries) <= bound, seed
 
 
 class TestTightSubgraph:
