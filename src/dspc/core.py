@@ -2,13 +2,13 @@
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads. Derived data
-(topological order, positions, adjacency) is computed lazily and cached on
-the graph; a racing first access at worst recomputes. Distances come from
-one sweep of the topological order per demand: ``Dag.dist_from(s, t)``
-forward from a source, ``Dag.dist_to(t, s)`` backward to a terminal. Every
-s-t path lies between s and t in that order, so a sweep bounded by the
-other endpoint covers only that window, and each caller reads only the
-window's entries. No solve, verify or oracle route reads the all-pairs
+(topological order, positions, adjacency, in-degrees) is computed lazily
+and cached on the graph; a racing first access at worst recomputes.
+Distances come from one sweep of the topological order per demand:
+``Dag.dist_from(s, t)`` forward from a source, ``Dag.dist_to(t, s)``
+backward to a terminal. Every s-t path lies between s and t in that order,
+so a sweep bounded by the other endpoint covers only that window, and each
+caller reads only the window's entries. No solve, verify or oracle route reads the all-pairs
 table ``Dag.distances`` (O(n(n + m)) time, n^2 memory); it stays because
 the benchmark's traced runs wrap it by name and read its
 ``DistanceMatrix.table``.
@@ -88,6 +88,14 @@ class Dag:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def in_degree(self) -> tuple[int, ...]:
+        """Incoming edge count per vertex, index 0 unused."""
+        indegree = [0] * (self.vertex_count + 1)
+        for _, head, _ in self.edges:
+            indegree[head] += 1
+        return tuple(indegree)
+
+    @cached_property
     def order(self) -> tuple[int, ...]:
         """Topological order, smallest id first among ready vertices.
 
@@ -97,9 +105,7 @@ class Dag:
         """
         if self._ascending:
             return tuple(range(1, self.vertex_count + 1))
-        indegree = [0] * (self.vertex_count + 1)
-        for _, head, _ in self.edges:
-            indegree[head] += 1
+        indegree = list(self.in_degree)
         ready = [v for v in range(1, self.vertex_count + 1) if indegree[v] == 0]
         heapq.heapify(ready)
         order: list[int] = []

@@ -65,8 +65,18 @@ is its first tight walk. In vertex mode a pinned path may run through the
 source of a free pebble, which no move checks, so ``solve`` checks those
 sources itself.
 
+When pebbles remain after the pin pass, ``overloaded_cut`` tries to refute
+the instance before the search, from the graph and the demand windows in
+``Dag.order`` alone: a vertex that no edge jumps over and more than c
+windows hold (vertex mode), or a gap between two positions that more than c
+windows per crossing edge span (edge mode). The test is exact, so it
+changes no verdict and no routing, only how much the search does: the
+forced funnel below, and most infeasible bottleneck draws, are refuted with
+no dead state. A solve that the direct walks or the pin pass decide never
+runs it, and at ``DSPC_LOG=debug`` the reason names the cut.
+
 The search sweeps in its own topological order, ``sweep_order``, computed
-once per solve and only when pebbles remain after the pin pass: Kahn's
+once per solve and only when pebbles remain that no cut refutes: Kahn's
 rule with a stack in place of the smallest-id heap of ``Dag.order``, so the
 heads a vertex makes ready come next, the head of its first out-edge
 first. Under any topological order every pebble that visits a vertex is on
@@ -74,12 +84,13 @@ it at the same time, so the verdicts are the same under every order; the
 order decides how many pebbles are in flight at once, and so how many
 distinct states the memo sees (a narrow sweep frontier is a small vertex
 separation, which equals path-width: Kinnersley, IPL 42, 1992). The forced
-funnel s_i -> {a_i, b_i} -> z -> t_i with every source numbered first takes
-3 * 2^k - 3 dead states in ``Dag.order`` and 3k in this one. The order can
-change which routing is found first, never whether one exists. The demand
-windows, the direct walks, the pin pass and the distance sweeps keep
-``Dag.order``, so a solve that never reaches the search does not pay for
-this order's O(n + m) pass.
+funnel s_i -> {a_i, b_i} -> z -> t_i with every source numbered first, and
+an edge that jumps over z so that no cut refutes it, takes 3 * 2^k - 3 dead
+states in ``Dag.order`` and 3k in this one. The order can change which
+routing is found first, never whether one exists. The demand windows, the
+direct walks, the pin pass and the distance sweeps keep ``Dag.order``, so
+a solve that never reaches the search does not pay for this order's
+O(n + m) pass.
 
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
@@ -110,8 +121,9 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import prod
+from operator import sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -302,8 +314,7 @@ class DisjointShortestSolver:
             ends = Counter(t for s, t in pairs if t != s)
             over = [s for s, count in starts.items() if count > c * max(1, len(out[s]))]
             if max(ends.values(), default=0) > c:
-                indeg = Counter(head for edges in out for _, head, _ in edges)
-                over += [t for t, count in ends.items() if count > c * max(1, indeg[t])]
+                over += [t for t, count in ends.items() if count > c * max(1, dag.in_degree[t])]
         if over:
             # more paths start or end at the vertex than it can carry
             return _infeasible("endpoint overload at vertex %d", over[0])
@@ -335,6 +346,10 @@ class DisjointShortestSolver:
         free = [i for i in range(len(pairs)) if i not in walks]
         log.debug("demands: %d pinned, %d direct, %d searched",
                   len(self.pinned), len(self.direct), len(free))
+        # only a solve with pebbles left pays for the bound, which may spare it the search
+        cut = overloaded_cut(inst) if free else None
+        if cut is not None:
+            return _infeasible(*cut)
         states = self._search(
             inst, tuple(pairs[i][0] for i in free), tuple(pairs[i][1] for i in free), to_t, fixed
         )
@@ -471,9 +486,7 @@ def sweep_order(dag: Dag) -> tuple[list[int], list[int]]:
     the next, which tends to keep few pebbles in flight at once.
     """
     out, n = dag.out_edges, dag.vertex_count
-    indegree = [0] * (n + 1)
-    for _, head, _ in dag.edges:
-        indegree[head] += 1
+    indegree = list(dag.in_degree)
     stack = [v for v in range(n, 0, -1) if not indegree[v]]
     order, pos = [], [0] * (n + 1)
     while stack:
@@ -486,6 +499,43 @@ def sweep_order(dag: Dag) -> tuple[list[int], list[int]]:
             if not indegree[head]:
                 stack.append(head)
     return order, pos
+
+
+def overloaded_cut(inst: Instance) -> tuple[object, ...] | None:
+    """Why more demands must cross one cut of ``Dag.order`` than it carries, or None.
+
+    Returns the reason and its arguments, for ``_infeasible``. A demand's
+    window is the positions of ``Dag.order`` from its source to its
+    terminal, and each of its paths meets every position in it or jumps
+    over it along an edge. In vertex mode a vertex that no edge jumps over
+    is on every path whose window holds it, so more than c such windows
+    refute. In edge mode every path whose window holds the positions p and
+    p + 1 takes one of the E edges from p or before to after p, so more
+    than c * E such windows refute. Both tests are exact, in one pass in
+    O(n + m + k) that stops at the first cut they refute.
+    """
+    dag, c, vertex_mode = inst.dag, inst.congestion, inst.mode == VERTEX
+    order, pos, out = dag.order, dag.position, dag.out_edges
+    # held[p]: the windows holding p in vertex mode, or p and p + 1 in edge mode
+    windows, end = [0] * (dag.vertex_count + 1), 1 if vertex_mode else 0
+    for s, t in inst.demands:
+        windows[pos[s]] += 1
+        windows[pos[t] + end] -= 1
+    # crossing[p]: the edges from p or before to after p
+    cross = accumulate(map(sub, map(len, map(out.__getitem__, order)),
+                           map(dag.in_degree.__getitem__, order)))
+    # every element carries c, so a cut that holds at most c windows fits
+    hot = compress(enumerate(zip(accumulate(windows), cross)), map(c.__lt__, accumulate(windows)))
+    for p, (held, crossing) in hot:
+        if vertex_mode:
+            # the edges out of p are all that cross after it: none jumps over p
+            if crossing == len(out[order[p]]):
+                return ("cut overload at vertex %d: %d demands must pass it, %d fit",
+                        order[p], held, c)
+        elif held > c * crossing:
+            return ("cut overload after vertex %d: %d demands must cross %d edges, %d fit",
+                    order[p], held, crossing, c * crossing)
+    return None
 
 
 def _infeasible(reason: str, *args: object) -> None:

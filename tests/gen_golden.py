@@ -156,9 +156,9 @@ BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int]] = {
     "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
                1, 66),
     "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08",
-               2003, 3330),
+               494, 1269),
     "search": (search_batch, "35de0b41f3da29415ae98640753d85cb46b0ee474e5c0d4870f91c08418336e1",
-               3179, 10210),
+               1275, 7448),
 }
 
 

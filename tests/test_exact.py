@@ -199,11 +199,15 @@ class TestFittingMoves:
     @pytest.mark.parametrize("k", [12, 20, 30])
     def test_edge_funnel_decided(self, k):
         # edge mode, c = 1: k pebbles meet at one vertex with two out-edges,
-        # so at most two of them can leave it; product made 2^k picks there
-        u, a, b = k + 1, k + 2, k + 3
+        # so at most two of them can leave it; product made 2^k picks there.
+        # An edge from each source to the sink d, which reaches no terminal,
+        # jumps over u, so every gap of Dag.order has room for the windows
+        # that span it, and the search, not overloaded_cut, decides it
+        u, a, b, d = k + 1, k + 2, k + 3, 2 * k + 4
         edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, a, 1), (u, b, 1)]
         edges += [(x, b + i, 1) for i in range(1, k + 1) for x in (a, b)]
-        dag, demands = Dag(b + k, tuple(edges)), tuple((i, b + i) for i in range(1, k + 1))
+        edges += [(i, d, 1) for i in range(1, k + 1)]
+        dag, demands = Dag(d, tuple(edges)), tuple((i, b + i) for i in range(1, k + 1))
         inst, solver = Instance(dag, demands, 1, "edge"), DisjointShortestSolver()
         assert solver.solve(inst) is None
         # one move onto u per pebble, then six cut prefixes: the third mover
@@ -584,11 +588,15 @@ class TestCoverageFloor:
         assert pinned >= 68, pinned
 
 
-def funnel(k: int, sources_first: bool) -> Instance:
+def funnel(k: int, sources_first: bool, jump: bool = False) -> Instance:
     """The forced funnel: s_i -> {a_i, b_i} -> z -> t_i for k demands in vertex mode, c = k - 1.
 
     Every shortest path crosses z, so it is infeasible. The sources come
     first, or each demand's s_i, a_i, b_i come together; z and the t_i last.
+    With ``jump`` an edge from s_1 to a last vertex, which reaches no
+    terminal and so is no demand's shortest-path edge, jumps over z in
+    ``Dag.order``; then ``overloaded_cut`` cannot refute it, and only the
+    search can.
     """
     if sources_first:
         s, a, b = range(1, k + 1), range(k + 1, 3 * k, 2), range(k + 2, 3 * k + 1, 2)
@@ -597,7 +605,9 @@ def funnel(k: int, sources_first: bool) -> Instance:
     z, t = 3 * k + 1, range(3 * k + 2, 4 * k + 2)
     edges = [e for i in range(k) for e in ((s[i], a[i], 1), (s[i], b[i], 1), (a[i], z, 1),
                                            (b[i], z, 1), (z, t[i], 1))]
-    return Instance(Dag(4 * k + 1, tuple(edges)), tuple(zip(s, t)), k - 1)
+    if jump:
+        edges.append((s[0], 4 * k + 2, 1))
+    return Instance(Dag(4 * k + 1 + jump, tuple(edges)), tuple(zip(s, t)), k - 1)
 
 
 class TestSweepOrder:
@@ -630,16 +640,17 @@ class TestSweepOrder:
 
     def test_forced_funnel_takes_three_dead_states_per_demand(self, monkeypatch):
         # whichever way the funnel is numbered, the sweep takes each demand's
-        # s_i, a_i, b_i together, so the memo sees one pebble in flight at once
+        # s_i, a_i, b_i together, so the memo sees one pebble in flight at once;
+        # the edge that jumps over z leaves the funnel to the search
         for sources_first in (True, False):
             solver = DisjointShortestSolver()
-            assert solver.solve(funnel(40, sources_first)) is None
+            assert solver.solve(funnel(40, sources_first, jump=True)) is None
             assert len(solver.memo.entries) == 3 * 40, sources_first
         # swept in Dag.order, sources first takes 3 * 2^k - 3 dead states
         monkeypatch.setattr(exact, "sweep_order", lambda dag: (dag.order, dag.position))
         for sources_first, dead in ((True, 3 * 2**6 - 3), (False, 3 * 6)):
             solver = DisjointShortestSolver()
-            assert solver.solve(funnel(6, sources_first)) is None
+            assert solver.solve(funnel(6, sources_first, jump=True)) is None
             assert len(solver.memo.entries) == dead, sources_first
 
     def test_unplanted_four_colour_grids_are_decided(self):
@@ -653,6 +664,92 @@ class TestSweepOrder:
             assert (routed is None) == (find_colorful_clique(cg, 4) is None), seed
             assert routed is None or verify_solution(inst, routed).feasible
             assert len(solver.memo.entries) <= bound, seed
+
+
+class TestOverloadedCut:
+    """Demands forced through a cut of ``Dag.order`` beyond its budget refute before the search."""
+
+    def test_forced_funnel_is_refuted_before_the_search(self, caplog):
+        # no edge jumps over z, and all k = 40 windows hold it at c = 39
+        for sources_first in (True, False):
+            solver = DisjointShortestSolver()
+            with caplog.at_level("DEBUG", logger="dspc.exact"):
+                assert solver.solve(funnel(40, sources_first)) is None
+            assert not solver.memo.entries and solver.checked == 0, sources_first
+            assert caplog.messages[-1] == (
+                "infeasible: cut overload at vertex 121: 40 demands must pass it, 39 fit")
+            caplog.clear()
+            assert exact.overloaded_cut(funnel(40, sources_first, jump=True)) is None
+
+    def test_chain_cut_vertex_over_c_is_refuted(self, caplog):
+        # three diamonds in a row, joined at 4 and 7; each demand has two or
+        # more shortest paths, so none is pinned, and all three hold 4 at c = 2
+        dag = Dag(10, diamond().edges + ((4, 5, 1), (4, 6, 1), (5, 7, 1), (6, 7, 1),
+                                         (7, 8, 1), (7, 9, 1), (8, 10, 1), (9, 10, 1)))
+        inst, solver = Instance(dag, ((1, 7), (1, 10), (4, 10)), 2), DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            assert solver.solve(inst) is None
+        assert solver.pinned == () and solver.direct == ()
+        assert not solver.memo.entries and solver.checked == 0
+        assert caplog.messages == [
+            "demands: 0 pinned, 0 direct, 3 searched",
+            "infeasible: cut overload at vertex 4: 3 demands must pass it, 2 fit",
+        ]
+        assert brute_force_oracle(inst) is None
+
+    def test_cut_vertex_at_c_still_routes(self):
+        # z = 9 is met by exactly c = 2 windows, those of (1, 10) and (2, 11);
+        # the window of (3, 8) meets both before z, so every demand is searched
+        edges = ((1, 4, 1), (1, 5, 1), (2, 6, 1), (2, 7, 1), (3, 4, 1), (3, 5, 1), (4, 8, 1),
+                 (5, 8, 1), (4, 9, 1), (5, 9, 1), (6, 9, 1), (7, 9, 1), (9, 10, 1), (9, 11, 1))
+        inst = Instance(Dag(11, edges), ((1, 10), (2, 11), (3, 8)), 2)
+        assert exact.overloaded_cut(inst) is None
+        solver = DisjointShortestSolver()
+        sol = solver.solve(inst)
+        assert solver.pinned == () and solver.direct == () and solver.checked > 0
+        assert verify_solution(inst, sol).feasible
+        assert sol == brute_force_oracle(inst)
+
+    def test_bottleneck_draws_are_refuted_in_edge_mode(self):
+        # 200 draws at c = 2: 32 are infeasible, and 28 of those cross a gap
+        # of Dag.order that holds more than c windows per edge
+        refuted = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            inst = bottleneck_instance(rng, rng.randint(4, 6), 2)
+            solver = DisjointShortestSolver()
+            routed = solver.solve(inst)
+            if exact.overloaded_cut(inst) is not None:
+                assert routed is None and brute_force_oracle(inst) is None, seed
+                assert not solver.memo.entries and solver.checked == 0, seed
+                refuted += 1
+        assert refuted >= 25, refuted
+
+    def test_agrees_with_oracle(self):
+        # 3,000 draws from one stream: random, search-heavy and bottleneck in
+        # turn, in both modes. The bound refutes only draws the oracle cannot
+        # route, 128 in vertex mode and 614 in edge mode, and every solve
+        # gives the oracle's verdict.
+        rng, refuted = random.Random(5), Counter()
+        for draw in range(3000):
+            mode = rng.choice(("vertex", "edge"))
+            if draw % 3 == 0:
+                k = rng.randint(1, 6)
+                inst = random_instance(
+                    rng, n=rng.randint(1, 10), k=k, congestion=rng.randint(1, k), mode=mode,
+                    edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                )
+            elif draw % 3 == 1:
+                k = rng.randint(2, 6)
+                inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+            else:
+                inst = bottleneck_instance(rng, rng.randint(4, 6), rng.randint(1, 2))
+            want = brute_force_oracle(inst)
+            assert (solve_disjoint_shortest(inst) is None) == (want is None), draw
+            if exact.overloaded_cut(inst) is not None:
+                assert want is None, draw
+                refuted[inst.mode] += 1
+        assert refuted["vertex"] >= 100 and refuted["edge"] >= 500, refuted
 
 
 class TestTightSubgraph:
@@ -742,12 +839,16 @@ class TestMemoStore:
         # with six out-edges, so no move from there fits. The enumeration still
         # visits every way to put a prefix of the movers on distinct edges,
         # while the memo stays small: only the move budget bounds the work.
+        # Each source's edge to the last vertex, which reaches no terminal,
+        # jumps over u, so overloaded_cut leaves the instance to the search.
         d = 6
         k, u = d + 1, d + 2
         edges = [(i, u, 1) for i in range(1, k + 1)] + [(u, u + j, 1) for j in range(1, d + 1)]
         terminals = range(u + d + 1, u + d + k + 1)
         edges += [(u + j, t, 1) for j in range(1, d + 1) for t in terminals]
-        dag, demands = Dag(u + d + k, tuple(edges)), tuple(zip(range(1, k + 1), terminals))
+        n = u + d + k + 1
+        edges += [(i, n, 1) for i in range(1, k + 1)]
+        dag, demands = Dag(n, tuple(edges)), tuple(zip(range(1, k + 1), terminals))
         inst, solver = Instance(dag, demands, 1, "edge"), DisjointShortestSolver()
         assert solver.solve(inst) is None
         assert brute_force_oracle(inst) is None
