@@ -8,8 +8,9 @@ two hardness-gadget instance families with planted certificates.
 ``import dspc`` loads no submodule. Each public name below is imported from
 its home submodule on first use (``dspc.solve_kdspc`` or ``from dspc import
 solve_kdspc`` loads ``dspc.kernel`` and what it imports), so a caller pays
-only for the modules it uses. The ``dspc solve`` command, for one, loads
-only ``cli``, ``core``, ``errors``, ``exact``, ``congestion`` and ``formats``.
+only for the modules it uses. The ``dspc solve``, ``verify`` and ``oracle``
+commands, for one, load only ``cli``, ``core``, ``errors``, ``exact`` and
+``formats``, and no reduction module.
 """
 
 import importlib
@@ -29,11 +30,9 @@ _EXPORTS = {
     ),
     "exact": (
         "DisjointShortestSolver", "MemoStore", "brute_force_oracle", "count_shortest_paths",
-        "iter_shortest_paths", "solve_disjoint_shortest",
+        "iter_shortest_paths", "solve_disjoint_shortest", "solve_with_congestion",
     ),
-    "congestion": (
-        "expand_congestion", "isolate_terminals", "project_solution", "solve_with_congestion",
-    ),
+    "congestion": ("expand_congestion", "isolate_terminals", "project_solution"),
     "kernel": (
         "concentrate_congestion", "find_hot_vertices", "solve_kdspc", "swap_subpaths",
     ),

@@ -22,8 +22,7 @@ from pathlib import Path as FilePath
 # import the rest when they run.
 from .core import EDGE, VERTEX, verify_solution
 from .errors import DspcError
-from .exact import brute_force_oracle
-from .congestion import solve_with_congestion
+from .exact import brute_force_oracle, solve_with_congestion
 from .formats import emit_instance, emit_solution, parse_instance, parse_solution
 
 log = logging.getLogger("dspc")

@@ -14,7 +14,7 @@ reductions use, so ``congestion.project_solution`` projects it, alone or
 composed with them. Demand i of its target runs from demand i's own
 source node to its own terminal node, and projection checks each path's
 endpoints against that pair. Edge-mode instances are solved by
-``congestion.solve_with_congestion``, which counts edge loads in the search
+``exact.solve_with_congestion``, which counts edge loads in the search
 directly. The transform and ``solve_edsp`` (split, solve H, project back)
 are kept as a tested reproduction that no solve takes.
 """
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from .core import Dag, EDGE, Instance, Solution, VERTEX
 from .errors import InvariantViolation
-from .congestion import TransformMap, project_solution, solve_with_congestion
+from .congestion import TransformMap, project_solution
+from .exact import solve_with_congestion
 
 
 def edge_split_transform(inst: Instance) -> tuple[Instance, TransformMap]:

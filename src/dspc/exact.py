@@ -110,6 +110,9 @@ pass logs its pinned, direct and searched demand counts, one that reaches
 the search its dead states and moves checked, and an infeasible solve its
 reason, on the ``dspc.exact`` logger.
 
+``solve_with_congestion``, the solve with its routing checked again, is the
+route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
+
 The direct walk, the pin pass and the search read a vertex's tight edges
 straight off its out-edges with ``_tight``, in out-edge order. The
 brute-force oracle shares no search code with the solver; its path helpers
@@ -128,16 +131,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
-    INFINITY,
-    Dag,
-    Edge,
-    Instance,
-    Path,
-    Solution,
-    VERTEX,
-    backtrack,
+    INFINITY, Dag, Edge, Instance, Path, Solution, VERTEX, backtrack, verify_solution,
 )
-from .errors import InvariantViolation, LimitExceeded, OracleTooLarge
+from .errors import InvariantViolation, LimitExceeded, OracleTooLarge, ProjectionInvalid
 
 #: Dead states a solve may record before LimitExceeded; about 117 MB at 27 pebbles.
 MAX_DEAD_STATES = 2**19
@@ -423,12 +419,8 @@ class DisjointShortestSolver:
     def _uncontested(inst: Instance) -> tuple[int, ...]:
         """The demands whose windows [pos[s], pos[t]] meet at most c windows at every position."""
         pairs, pos = inst.demands, inst.dag.position
-        windows = [0] * (inst.dag.vertex_count + 1)
-        for s, t in pairs:
-            windows[pos[s]] += 1
-            windows[pos[t] + 1] -= 1
         # over[p]: the positions before p that more than c windows meet
-        over = list(accumulate(map(inst.congestion.__lt__, accumulate(windows)), initial=0))
+        over = list(accumulate(map(inst.congestion.__lt__, _window_counts(inst, 1)), initial=0))
         return tuple(i for i, (s, t) in enumerate(pairs) if over[pos[t] + 1] == over[pos[s]])
 
     def _search(
@@ -515,17 +507,14 @@ def overloaded_cut(inst: Instance) -> tuple[object, ...] | None:
     O(n + m + k) that stops at the first cut they refute.
     """
     dag, c, vertex_mode = inst.dag, inst.congestion, inst.mode == VERTEX
-    order, pos, out = dag.order, dag.position, dag.out_edges
-    # held[p]: the windows holding p in vertex mode, or p and p + 1 in edge mode
-    windows, end = [0] * (dag.vertex_count + 1), 1 if vertex_mode else 0
-    for s, t in inst.demands:
-        windows[pos[s]] += 1
-        windows[pos[t] + end] -= 1
+    order, out = dag.order, dag.out_edges
+    # windows[p]: the windows holding p in vertex mode, or p and p + 1 in edge mode
+    windows = _window_counts(inst, 1 if vertex_mode else 0)
     # crossing[p]: the edges from p or before to after p
     cross = accumulate(map(sub, map(len, map(out.__getitem__, order)),
                            map(dag.in_degree.__getitem__, order)))
     # every element carries c, so a cut that holds at most c windows fits
-    hot = compress(enumerate(zip(accumulate(windows), cross)), map(c.__lt__, accumulate(windows)))
+    hot = compress(enumerate(zip(windows, cross)), map(c.__lt__, windows))
     for p, (held, crossing) in hot:
         if vertex_mode:
             # the edges out of p are all that cross after it: none jumps over p
@@ -536,6 +525,15 @@ def overloaded_cut(inst: Instance) -> tuple[object, ...] | None:
             return ("cut overload after vertex %d: %d demands must cross %d edges, %d fit",
                     order[p], held, crossing, c * crossing)
     return None
+
+
+def _window_counts(inst: Instance, end: int) -> list[int]:
+    """How many windows [pos[s], pos[t] + end - 1] of ``Dag.order`` hold each position."""
+    pos, windows = inst.dag.position, [0] * (inst.dag.vertex_count + 1)
+    for s, t in inst.demands:
+        windows[pos[s]] += 1
+        windows[pos[t] + end] -= 1
+    return list(accumulate(windows))
 
 
 def _infeasible(reason: str, *args: object) -> None:
@@ -555,6 +553,21 @@ def solve_disjoint_shortest(inst: Instance) -> Solution | None:
     lists, and the first sequence of moves that finishes wins.
     """
     return DisjointShortestSolver().solve(inst)
+
+
+def solve_with_congestion(inst: Instance) -> Solution | None:
+    """``solve_disjoint_shortest``, with its routing checked again by ``verify_solution``.
+
+    A routing that fails the check raises ProjectionInvalid (it would mean a
+    solver bug). Returns None exactly when the instance is infeasible.
+    """
+    routed = solve_disjoint_shortest(inst)
+    if routed is None:
+        return None
+    report = verify_solution(inst, routed)
+    if not report.feasible:
+        raise ProjectionInvalid(f"solver routing fails verification: {report.violations}")
+    return routed
 
 
 def count_shortest_paths(dag: Dag, s: int, t: int, to_t: Sequence[float] | None = None) -> int:

@@ -5,7 +5,8 @@ core of 3d demands routable at congestion 2d whose routing extends to the
 whole instance by giving every remaining demand an arbitrary shortest path:
 a vertex then carries at most (k - 3d) remainder paths plus 2d core paths,
 which is exactly the budget c. The solver enumerates demand subsets of size
-3d and delegates each to the exact solver at congestion 2d.
+3d and routes each by ``exact.solve_with_congestion`` at congestion 2d; it
+imports no reduction module.
 
 The subpath swap makes the underlying rerouting argument executable: two
 shortest paths through vertices x and y can exchange their x-y subpaths and
@@ -21,8 +22,7 @@ from itertools import combinations
 
 from .core import Dag, Instance, Path, Solution, VERTEX, congestion_profile, verify_solution
 from .errors import InvariantViolation, NoDonorFound, ProjectionInvalid
-from .congestion import solve_with_congestion
-from .exact import iter_shortest_paths
+from .exact import iter_shortest_paths, solve_with_congestion
 
 
 def solve_kdspc(inst: Instance) -> Solution | None:

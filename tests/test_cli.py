@@ -442,19 +442,30 @@ class TestLoading:
         code, modules = json.loads(last)
         return code, "".join(routing), set(modules)
 
+    # no reduction module: the solve route lives in dspc.exact
+    LOADED = {f"dspc{suffix}" for suffix in ("", ".cli", ".core", ".errors", ".exact", ".formats")}
+
     def test_solve_loads_only_what_it_calls(self, feasible_file):
         code, _, modules = self._solve("solve", "-i", str(feasible_file))
         assert code == 0
-        assert modules == {f"dspc{suffix}" for suffix in (
-            "", ".cli", ".core", ".errors", ".exact", ".congestion", ".formats")}
+        assert modules == self.LOADED
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_verify_and_oracle_load_what_solve_loads(self, command, feasible_file, tmp_path):
+        solution = tmp_path / "inst.sol"
+        assert run("solve", "-i", str(feasible_file), "-o", str(solution)) == 0
+        argv = ("-s", str(solution)) if command == "verify" else ()
+        code, _, modules = self._solve(command, "-i", str(feasible_file), *argv)
+        assert code == 0
+        assert modules == self.LOADED
 
     def test_kernel_algo_loads_kernel_and_routes_alike(self, tmp_path, capsys):
         path = tmp_path / "two.dsp"
         path.write_text(emit_instance(Instance(
             Dag(4, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1))), ((1, 4), (1, 4)), 2)))
         code, routing, modules = self._solve("solve", "-i", str(path), "--algo", "kernel")
-        assert "dspc.kernel" in modules
-        assert {"dspc.hardness", "dspc.randgen", "dspc.edge_disjoint"}.isdisjoint(modules)
+        # kernel only: no reduction (congestion, edge_disjoint) and no generator module
+        assert modules == self.LOADED | {"dspc.kernel"}
         assert run("solve", "-i", str(path), "--algo", "kernel") == code == 0
         assert capsys.readouterr().out == routing
 
@@ -473,3 +484,35 @@ class TestLoading:
             "from dspc import kernel\n"
             "assert kernel is sys.modules['dspc.kernel']\n"
         )
+
+
+class TestTracedBenchmark:
+    """Every name the benchmark's span recorders wrap exists, and no two are one function."""
+
+    def test_traced_solves_record_each_span(self, tmp_path):
+        # k = 4 > 3(k - c) = 3: --algo kernel routes 3-demand cores at c = 2,
+        # each source to a terminal through one of the two middles 5 and 6
+        edges = [(s, m, 1) for s in range(1, 5) for m in (5, 6)]
+        edges += [(m, t, 1) for m in (5, 6) for t in range(7, 11)]
+        path = tmp_path / "kernel.dsp"
+        path.write_text(emit_instance(Instance(
+            Dag(10, tuple(edges)), tuple((i, i + 6) for i in range(1, 5)), 3)))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        proc = in_fresh_interpreter(
+            "import json, os, sys\n"
+            "sys.dont_write_bytecode = True  # read perfbench/ without writing to it\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import spans\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "from dspc import cli\n"
+            "codes = [cli.main(['solve', *argv, '-i', sys.argv[2], '-o', os.devnull])\n"
+            "         for argv in ([], ['--algo', 'kernel'])]\n"
+            "print(json.dumps([codes, tracer.self_s, tracer.counts]))\n",
+            perfbench, str(path),
+        )
+        codes, self_s, counts = json.loads(proc.stdout)
+        assert codes == [0, 0]
+        for span in ("exact.search", "congestion.solve", "kernel.solve"):
+            assert self_s.get(span, 0) > 0, span
+        assert counts.get("kernel.core_solves", 0) >= 1
