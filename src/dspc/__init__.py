@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "edge_disjoint": ("edge_split_transform", "solve_edsp"),
     "hardness": (
-        "ColoredGraph", "HostGraph", "PatternGraph", "UndirectedGraph", "clique_to_mcc",
+        "ColoredGraph", "PatternGraph", "UndirectedGraph", "clique_to_mcc",
         "complete_bipartite_pattern", "find_colorful_clique", "find_homomorphism",
         "mcc_to_planar_edsp", "psi_to_dspc",
     ),

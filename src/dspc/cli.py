@@ -86,6 +86,14 @@ def _cmd_oracle(args) -> int:
     return 0 if sol is not None else 1
 
 
+#: ``dspc gen`` family -> the arguments its ``params`` comment records, in order.
+_GEN_PARAMS = {
+    "random": ("size", "demands", "congestion", "mode", "edge_prob", "max_weight"),
+    "mcc": ("size", "colors", "edge_prob", "plant"),
+    "psi": ("class_size", "congestion", "edge_prob", "plant"),
+}
+
+
 def _cmd_gen(args) -> int:
     import random
 
@@ -100,7 +108,8 @@ def _cmd_gen(args) -> int:
     from .randgen import random_instance
 
     rng = random.Random(args.seed)
-    comments = [f"family={args.family} seed={args.seed}"]
+    comments = [f"family={args.family} seed={args.seed}", "params " + " ".join(
+        f"{name.replace('_', '-')}={getattr(args, name)}" for name in _GEN_PARAMS[args.family])]
     if args.family == "random":
         inst = random_instance(
             rng,
@@ -111,20 +120,12 @@ def _cmd_gen(args) -> int:
             edge_prob=args.edge_prob,
             max_weight=args.max_weight,
         )
-        comments.append(
-            f"params size={args.size} demands={args.demands} congestion={args.congestion}"
-            f" mode={args.mode} edge-prob={args.edge_prob} max-weight={args.max_weight}"
-        )
     elif args.family == "mcc":
         cg = random_colored_graph(rng, args.size, args.colors, args.edge_prob)
         witness = None
         if args.plant:
             cg, witness = plant_colorful_clique(rng, cg)
         inst, layout = mcc_to_planar_edsp(cg, args.colors)
-        comments.append(
-            f"params size={args.size} colors={args.colors} edge-prob={args.edge_prob}"
-            f" plant={args.plant}"
-        )
         if witness is not None:
             layout.routing(witness)  # verifies the plant
             comments.append("witness clique " + " ".join(str(v) for v in witness))
@@ -133,10 +134,6 @@ def _cmd_gen(args) -> int:
         sizes = [args.class_size] * pattern.vertex_count
         host, witness = random_host(rng, pattern, sizes, args.edge_prob, plant=args.plant)
         inst, layout = psi_to_dspc(pattern, host, args.congestion)
-        comments.append(
-            f"params class-size={args.class_size} congestion={args.congestion}"
-            f" edge-prob={args.edge_prob} plant={args.plant}"
-        )
         if witness is not None:
             layout.routing(witness)
             comments.append("witness homomorphism " + " ".join(str(j) for j in witness))

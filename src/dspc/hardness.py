@@ -23,9 +23,13 @@ consecutive ids along its spine; the generators chain their arcs along
 those same vertex sequences. The graphs carry nothing beyond their vertex
 count and edges.
 
-``find_colorful_clique`` and ``find_homomorphism`` decide the source
-problems apart from any routing, each through ``core.backtrack``, so no
-color count or pattern size reaches the recursion limit.
+Both source problems ask for one vertex per class, with given pairs of
+classes adjacent, and both read one model, a ``ColoredGraph``: in the grid
+family a color is a clique slot, and in the block family color i is the
+class of pattern vertex i, whose member j is its j-th vertex in id order.
+``find_colorful_clique`` and ``find_homomorphism`` decide them apart from
+any routing through one pick search (``_pick``) over ``core.backtrack``, so
+no color count or pattern size reaches the recursion limit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Mapping, Sequence
 
 from .core import (
@@ -102,9 +106,16 @@ class ColoredGraph:
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
 
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """``classes[i - 1]`` holds the vertices of color i in id order."""
+        classes: list[list[int]] = [[] for _ in range(self.color_count)]
+        for v, color in enumerate(self.colors, start=1):
+            classes[color - 1].append(v)
+        return tuple(map(tuple, classes))
+
     def color_class(self, color: int) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.graph.vertex_count + 1)
-                     if self.color_of(v) == color)
+        return self.classes[color - 1] if 1 <= color <= self.color_count else ()
 
 
 @dataclass(frozen=True)
@@ -142,44 +153,6 @@ class PatternGraph:
 def complete_bipartite_pattern() -> PatternGraph:
     """The 6-vertex, 9-edge complete bipartite cubic pattern."""
     return PatternGraph(6, tuple((a, b) for a in (1, 2, 3) for b in (4, 5, 6)))
-
-
-@dataclass(frozen=True)
-class HostGraph:
-    """A host partitioned into one class per pattern vertex.
-
-    Edges join members of different classes and are written
-    ((class, member), (class, member)) with the lower class first.
-    """
-
-    class_sizes: tuple[int, ...]
-    edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def __post_init__(self):
-        if any(size < 1 for size in self.class_sizes):
-            raise InvariantViolation("every host class needs at least one member")
-        normalized = []
-        seen = set()
-        h = len(self.class_sizes)
-        for a, b in self.edges:
-            if a[0] == b[0]:
-                raise InvariantViolation("host edges must join different classes")
-            pair = (a, b) if a[0] < b[0] else (b, a)
-            for cls, member in pair:
-                if not (1 <= cls <= h and 1 <= member <= self.class_sizes[cls - 1]):
-                    raise InvariantViolation(f"host vertex ({cls},{member}) out of range")
-            if pair in seen:
-                raise InvariantViolation(f"duplicate host edge {pair}")
-            seen.add(pair)
-            normalized.append(pair)
-        object.__setattr__(self, "edges", tuple(normalized))
-
-    @cached_property
-    def adjacent(self) -> frozenset:
-        return frozenset(self.edges)
-
-    def has_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return ((a, b) if a[0] < b[0] else (b, a)) in self.adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +325,23 @@ def mcc_to_planar_edsp(cg: ColoredGraph, k: int) -> tuple[Instance, GridLayout]:
     return instance, layout
 
 
-def find_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
-    """The lexicographically first pick of one vertex per color, pairwise adjacent, or None."""
-    classes = [cg.color_class(color) for color in range(1, k + 1)]
-    if any(not cls for cls in classes):
+def _pick(cg: ColoredGraph, needs: Sequence[Sequence[int]]) -> list[int] | None:
+    """The lexicographically first vertex of each color 1..len(needs), or None.
+
+    The pick for color i + 1 must be adjacent to the pick of every earlier
+    color whose index ``needs[i]`` lists. Both source problems are this search.
+    """
+    slots = [cg.color_class(color) for color in range(1, len(needs) + 1)]
+    if not all(slots):
         return None
     has_edge = cg.graph.has_edge
-    chosen = backtrack(classes, lambda chosen, v: all(has_edge(u, v) for u in chosen))
+    return backtrack(
+        slots, lambda chosen, v: all(has_edge(chosen[a], v) for a in needs[len(chosen)]))
+
+
+def find_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
+    """The lexicographically first pick of one vertex per color, pairwise adjacent, or None."""
+    chosen = _pick(cg, [range(i) for i in range(k)])
     return None if chosen is None else tuple(chosen)
 
 
@@ -376,7 +359,7 @@ class PsiLayout:
 
     instance: Instance
     pattern: PatternGraph
-    host: HostGraph
+    host: ColoredGraph  # color i is pattern class i
     main: Mapping[tuple[str, int, int], int]  # (tier, block, j) for j in 0..n_i
     sub: Mapping[tuple[str, int, int, int], int]  # (tier, block, j, l)
     demand_index: Mapping[tuple, int]  # (tier, i, copy) / ("cross", i) / ("edge", l)
@@ -387,7 +370,7 @@ class PsiLayout:
         A tier's ids are handed out consecutively in this order, so its
         spine is the id range from main vertex 0 to the last main vertex.
         """
-        size = self.host.class_sizes[block - 1]
+        size = len(self.host.classes[block - 1])
         return tuple(range(self.main[(tier, block, 0)], self.main[(tier, block, size)] + 1))
 
     def routing(self, members: Sequence[int]) -> Solution:
@@ -402,10 +385,11 @@ class PsiLayout:
         if len(members) != pattern.vertex_count:
             raise WitnessInvalid("expected a homomorphism witness with one member per class")
         for i, j in enumerate(members, start=1):
-            if not (1 <= j <= host.class_sizes[i - 1]):
+            if not (1 <= j <= len(host.classes[i - 1])):
                 raise WitnessInvalid(f"witness member ({i},{j}) out of range")
+        picked = [cls[j - 1] for cls, j in zip(host.classes, members)]
         for i1, i2 in pattern.edges:
-            if not host.has_edge((i1, members[i1 - 1]), (i2, members[i2 - 1])):
+            if not host.graph.has_edge(picked[i1 - 1], picked[i2 - 1]):
                 raise WitnessInvalid(
                     f"witness does not realize pattern edge ({i1},{i2}) in the host"
                 )
@@ -429,27 +413,31 @@ class PsiLayout:
         return _verified(self.instance, walks)
 
 
-def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instance, PsiLayout]:
+def psi_to_dspc(pattern: PatternGraph, host: ColoredGraph, c: int) -> tuple[Instance, PsiLayout]:
     """Build the vertex-mode block instance for a pattern, host, and budget c.
 
-    Each block carries c - 1 copies of its upper and lower blocking demand
-    plus one cross demand; each pattern edge contributes one linking demand
-    whose shortest distance is exactly 5. All weights are 1. The demand
-    count is h * (2 * (c - 1) + 1) + k.
+    Color i of the host is the class of pattern vertex i, and member j of
+    that class is its j-th vertex in id order; edges inside one class are
+    ignored. Each block carries c - 1 copies of its upper and lower blocking
+    demand plus one cross demand; each pattern edge contributes one linking
+    demand whose shortest distance is exactly 5. All weights are 1. The
+    demand count is h * (2 * (c - 1) + 1) + k.
     """
     if c < 1:
         raise InvariantViolation("congestion must be at least 1")
     h = pattern.vertex_count
-    if len(host.class_sizes) != h:
-        raise InvariantViolation("host needs one class per pattern vertex")
+    sizes = [len(members) for members in host.classes]
+    if len(sizes) != h:
+        raise InvariantViolation("host needs one color per pattern vertex")
+    if 0 in sizes:
+        raise InvariantViolation("every host class needs at least one member")
     k = pattern.edge_count
 
     b = _Builder()
     edge_source = {l: b.fresh() for l in range(1, k + 1)}
     main: dict[tuple[str, int, int], int] = {}
     sub: dict[tuple[str, int, int, int], int] = {}
-    for i in range(1, h + 1):
-        size = host.class_sizes[i - 1]
+    for i, size in enumerate(sizes, start=1):
         for tier in _TIERS:
             main[(tier, i, 0)] = b.fresh()
             for j in range(1, size + 1):
@@ -463,24 +451,22 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
                 b.chain(sub[("upper", i, j, l)], sub[("lower", i, j, l)])
     edge_target = {l: b.fresh() for l in range(1, k + 1)}
 
+    member = {v: j for members in host.classes for j, v in enumerate(members, start=1)}
+    links = [sorted((host.color_of(v), member[v]) for v in edge) for edge in host.graph.edges]
     for l, (i1, i2) in enumerate(pattern.edges, start=1):
-        for (ca, ja), (cb, jb) in host.edges:
+        for (ca, ja), (cb, jb) in links:
             if (ca, cb) == (i1, i2):
                 b.chain(edge_source[l], sub[("upper", i1, ja, l)])
                 b.chain(sub[("lower", i1, ja, l)], sub[("upper", i2, jb, l)])
                 b.chain(sub[("lower", i2, jb, l)], edge_target[l])
 
     dag = b.dag()
-    expected_vertices = sum(
-        2 * (size + 1 + k * size) for size in host.class_sizes
-    ) + 2 * k
-    if dag.vertex_count != expected_vertices:
+    if dag.vertex_count != sum(2 * (size + 1 + k * size) for size in sizes) + 2 * k:
         raise InvariantViolation("block construction size drifted")
 
     demands = []
     demand_index: dict[tuple, int] = {}
-    for i in range(1, h + 1):
-        size = host.class_sizes[i - 1]
+    for i, size in enumerate(sizes, start=1):
         for tier in _TIERS:
             for copy in range(c - 1):
                 demand_index[(tier, i, copy)] = len(demands)
@@ -505,19 +491,18 @@ def psi_to_dspc(pattern: PatternGraph, host: HostGraph, c: int) -> tuple[Instanc
     return instance, layout
 
 
-def find_homomorphism(pattern: PatternGraph, host: HostGraph) -> tuple[int, ...] | None:
-    """The lexicographically first host member per class realizing every pattern edge, or None."""
-    h = pattern.vertex_count
-    incident: list[list[int]] = [[] for _ in range(h + 1)]
+def find_homomorphism(pattern: PatternGraph, host: ColoredGraph) -> tuple[int, ...] | None:
+    """The lexicographically first host member per class realizing every pattern edge, or None.
+
+    Member j of class i is the j-th vertex of color i in id order.
+    """
+    needs: list[list[int]] = [[] for _ in range(pattern.vertex_count)]
     for a, b in pattern.edges:
-        incident[b].append(a)  # side B comes after side A in the class order
-
-    def fits(chosen: list[int], j: int) -> bool:
-        i = len(chosen) + 1
-        return all(host.has_edge((a, chosen[a - 1]), (i, j)) for a in incident[i])
-
-    chosen = backtrack([range(1, host.class_sizes[i] + 1) for i in range(h)], fits)
-    return None if chosen is None else tuple(chosen)
+        needs[b - 1].append(a - 1)  # side B comes after side A in the class order
+    chosen = _pick(host, needs)
+    if chosen is None:
+        return None
+    return tuple(members.index(v) + 1 for members, v in zip(host.classes, chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +534,7 @@ def random_colored_graph(
 
 def plant_colorful_clique(rng: random.Random, cg: ColoredGraph) -> tuple[ColoredGraph, tuple[int, ...]]:
     """Add the edges of a random one-per-color clique to a colored graph."""
-    picked = tuple(
-        rng.choice(cg.color_class(color)) for color in range(1, cg.color_count + 1)
-    )
+    picked = tuple(rng.choice(members) for members in cg.classes)
     extra = [
         (u, v) if u < v else (v, u)
         for u, v in combinations(picked, 2)
@@ -567,28 +550,31 @@ def random_host(
     class_sizes: Sequence[int],
     edge_prob: float = 0.5,
     plant: bool = True,
-) -> tuple[HostGraph, tuple[int, ...] | None]:
+) -> tuple[ColoredGraph, tuple[int, ...] | None]:
     """A random host over the pattern's classes, optionally with a planted witness.
 
-    Host edges are only generated between classes joined by a pattern edge
-    (edges elsewhere never matter to the construction). With ``plant`` a
-    random member per class is wired to realize every pattern edge.
+    Class i is color i, and its members take consecutive ids, class by
+    class. Host edges are only generated between classes joined by a
+    pattern edge (edges elsewhere never matter to the construction). With
+    ``plant`` a random member per class is wired to realize every pattern edge.
     """
     class_sizes = tuple(class_sizes)
     if any(size < 1 for size in class_sizes):
         raise InvariantViolation("every host class needs at least one member")
     if not 0 <= edge_prob <= 1:
         raise InvariantViolation(f"edge probability must lie in [0, 1], got {edge_prob}")
+    colors = tuple(i for i, size in enumerate(class_sizes, start=1) for _ in range(size))
+    before = tuple(accumulate(class_sizes, initial=0))  # member j of class i is before[i - 1] + j
     edges = set()
     for i1, i2 in pattern.edges:
         for j1 in range(1, class_sizes[i1 - 1] + 1):
             for j2 in range(1, class_sizes[i2 - 1] + 1):
                 if rng.random() < edge_prob:
-                    edges.add(((i1, j1), (i2, j2)))
+                    edges.add((before[i1 - 1] + j1, before[i2 - 1] + j2))
     witness = None
     if plant:
         witness = tuple(rng.randint(1, size) for size in class_sizes)
         for i1, i2 in pattern.edges:
-            edges.add(((i1, witness[i1 - 1]), (i2, witness[i2 - 1])))
-    host = HostGraph(class_sizes, tuple(sorted(edges)))
-    return host, witness
+            edges.add((before[i1 - 1] + witness[i1 - 1], before[i2 - 1] + witness[i2 - 1]))
+    graph = UndirectedGraph(len(colors), tuple(sorted(edges)))
+    return ColoredGraph(graph, colors, len(class_sizes)), witness

@@ -124,6 +124,19 @@ def brute_colorful_clique(cg: ColoredGraph, k: int) -> tuple[int, ...] | None:
     return None
 
 
+def brute_homomorphism(pattern, host: ColoredGraph) -> tuple[int, ...] | None:
+    """The first member choice in ``product`` order that realizes every pattern edge, or None.
+
+    Member j of class i is ``host.color_class(i)[j - 1]``.
+    """
+    classes = [host.color_class(i) for i in range(1, pattern.vertex_count + 1)]
+    for combo in product(*[range(1, len(members) + 1) for members in classes]):
+        picked = [members[j - 1] for members, j in zip(classes, combo)]
+        if all(host.graph.has_edge(picked[a - 1], picked[b - 1]) for a, b in pattern.edges):
+            return combo
+    return None
+
+
 def build_miss_gadget(
     rng: random.Random, hot_columns: int = 4, paths: int = 4, padding: bool = True
 ) -> tuple[Instance, Solution, tuple[int, ...]]:

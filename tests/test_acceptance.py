@@ -14,7 +14,8 @@ from collections import Counter
 
 import dspc.kernel
 from dspc import (
-    HostGraph,
+    ColoredGraph,
+    UndirectedGraph,
     brute_force_oracle,
     complete_bipartite_pattern,
     concentrate_congestion,
@@ -123,7 +124,7 @@ def test_criterion_4_swap_invariance(monkeypatch):
 
 def test_criterion_5_psi_structure():
     pattern = complete_bipartite_pattern()
-    host = HostGraph((1,) * 6, tuple(((a, 1), (b, 1)) for a, b in pattern.edges))
+    host = ColoredGraph(UndirectedGraph(6, pattern.edges), (1, 2, 3, 4, 5, 6), 6)
     inst, layout = psi_to_dspc(pattern, host, 2)
     ok = inst.k == 6 * (2 * (2 - 1) + 1) + 9 == 27
     for l in range(1, 10):

@@ -654,7 +654,8 @@ class TestSweepOrder:
             assert len(solver.memo.entries) == dead, sources_first
 
     def test_unplanted_four_colour_grids_are_decided(self):
-        # size 16, k = 8: swept in Dag.order both draws stop at MAX_DEAD_STATES
+        # size 16, k = 8: the LIFO sweep decides both draws within these bounds,
+        # while a sweep in Dag.order would stop both at MAX_DEAD_STATES
         for seed, bound in ((1, 1455), (2, 2109)):
             rng = random.Random(seed)
             cg = random_colored_graph(rng, 16, 4, 0.5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +12,6 @@ from dspc import (
     ColorMissing,
     ColoredGraph,
     Dag,
-    HostGraph,
     Instance,
     InvariantViolation,
     PatternGraph,
@@ -32,7 +31,7 @@ from dspc import (
 from dspc.exact import count_shortest_paths
 from dspc.hardness import _verified, plant_colorful_clique, random_colored_graph, random_host
 
-from helpers import brute_colorful_clique
+from helpers import brute_colorful_clique, brute_homomorphism
 
 
 class TestCliqueToMcc:
@@ -73,7 +72,24 @@ class TestCliqueToMcc:
                 assert (find_colorful_clique(lifted, k) is not None) == has_clique
 
 
+class TestColoredGraph:
+    def test_classes_split_the_vertices_by_color_in_id_order(self):
+        cg = ColoredGraph(UndirectedGraph(4, ()), (1, 2, 1, 2), 2)
+        assert cg.classes == ((1, 3), (2, 4))
+        assert (cg.color_class(1), cg.color_class(2)) == cg.classes
+
+    def test_color_class_outside_the_colors_is_empty(self):
+        cg = ColoredGraph(UndirectedGraph(3, ()), (1, 2, 2), 2)
+        assert cg.color_class(0) == cg.color_class(3) == ()
+
+
 class TestFindColorfulClique:
+    def test_more_colors_asked_than_the_graph_has(self):
+        complete = UndirectedGraph(4, tuple(combinations(range(1, 5), 2)))
+        cg = ColoredGraph(complete, (1, 1, 2, 2), 2)
+        assert find_colorful_clique(cg, 2) == (1, 3)
+        assert find_colorful_clique(cg, 3) is None
+
     def test_first_clique_in_lexicographic_order(self):
         for seed in range(60):
             rng = random.Random(seed)
@@ -221,16 +237,27 @@ class TestPatternAndHost:
                              (3, 5), (3, 6), (4, 5)))
 
     def test_host_validation(self):
+        pattern = complete_bipartite_pattern()
+        five_colors = ColoredGraph(UndirectedGraph(5, ()), (1, 2, 3, 4, 5), 5)
+        empty_class = ColoredGraph(UndirectedGraph(6, ()), (1, 2, 3, 4, 5, 5), 6)
+        for host in (five_colors, empty_class):
+            with pytest.raises(InvariantViolation):
+                psi_to_dspc(pattern, host, 2)
+        # an edge inside one class is accepted and changes nothing
+        colors = (1, 2, 3, 4, 5, 6, 1)
+        plain = ColoredGraph(UndirectedGraph(7, pattern.edges), colors, 6)
+        inner = ColoredGraph(UndirectedGraph(7, pattern.edges + ((1, 7),)), colors, 6)
+        assert psi_to_dspc(pattern, inner, 2)[0] == psi_to_dspc(pattern, plain, 2)[0]
         with pytest.raises(InvariantViolation):
-            HostGraph((1, 0), ())
+            random_host(random.Random(0), pattern, (1, 0, 1, 1, 1, 1))
         with pytest.raises(InvariantViolation):
-            HostGraph((1, 1), ((((1, 1), (1, 1))),))
+            random_host(random.Random(0), pattern, (1,) * 6, edge_prob=1.5)
 
 
 class TestBlockGenerator:
     def _k33_unit_instance(self, c=2):
         pattern = complete_bipartite_pattern()
-        host = HostGraph((1,) * 6, tuple(((a, 1), (b, 1)) for a, b in pattern.edges))
+        host = ColoredGraph(UndirectedGraph(6, pattern.edges), (1, 2, 3, 4, 5, 6), 6)
         return psi_to_dspc(pattern, host, c)
 
     def test_demand_count_formula(self):
@@ -295,10 +322,8 @@ class TestBlockGenerator:
         pattern = complete_bipartite_pattern()
         for seed in range(25):
             rng = random.Random(seed)
-            edges = tuple(
-                ((a, 1), (b, 1)) for a, b in pattern.edges if rng.random() < 0.8
-            )
-            host = HostGraph((1,) * 6, edges)
+            edges = tuple(edge for edge in pattern.edges if rng.random() < 0.8)
+            host = ColoredGraph(UndirectedGraph(6, edges), (1, 2, 3, 4, 5, 6), 6)
             inst, _ = psi_to_dspc(pattern, host, 1)
             feasible = brute_force_oracle(inst) is not None
             assert feasible == (find_homomorphism(pattern, host) is not None)
@@ -320,13 +345,40 @@ class TestBlockGenerator:
             rng = random.Random(seed)
             sizes = tuple(rng.randint(1, 2) for _ in range(6))
             host, _ = random_host(rng, pattern, sizes, plant=False, edge_prob=0.6)
-            brute = None
-            for combo in product(*[range(1, s + 1) for s in sizes]):
-                if all(host.has_edge((a, combo[a - 1]), (b, combo[b - 1]))
-                       for a, b in pattern.edges):
-                    brute = combo
-                    break
-            assert find_homomorphism(pattern, host) == brute, seed
+            assert find_homomorphism(pattern, host) == brute_homomorphism(pattern, host), seed
+
+    def test_find_homomorphism_against_brute_force_on_planted_hosts(self):
+        # the unplanted draws above all lack a homomorphism; these all have one
+        pattern = complete_bipartite_pattern()
+        for seed in range(15):
+            rng = random.Random(seed)
+            sizes = tuple(rng.randint(1, 3) for _ in range(6))
+            host, _ = random_host(rng, pattern, sizes, plant=True, edge_prob=0.4)
+            found = find_homomorphism(pattern, host)
+            assert found is not None and found == brute_homomorphism(pattern, host), seed
+
+    def test_interleaved_host_colors_give_members_by_position(self):
+        # member j of class i is vertex i + 6 * (j - 1); only the witness's edges exist
+        pattern = complete_bipartite_pattern()
+        witness = (2, 1, 2, 2, 1, 2)
+
+        def vertex(i, j):
+            return i + 6 * (j - 1)
+
+        edges = tuple((vertex(a, witness[a - 1]), vertex(b, witness[b - 1]))
+                      for a, b in pattern.edges)
+        host = ColoredGraph(UndirectedGraph(12, edges), (1, 2, 3, 4, 5, 6) * 2, 6)
+        assert find_homomorphism(pattern, host) == witness
+        inst, layout = psi_to_dspc(pattern, host, 2)
+        assert verify_solution(inst, layout.routing(witness)).feasible
+        # the class-by-class numbering of the same host builds the same instance
+        relabel = {vertex(i, j): 2 * (i - 1) + j for i in range(1, 7) for j in (1, 2)}
+        grouped = ColoredGraph(
+            UndirectedGraph(12, tuple((relabel[u], relabel[v]) for u, v in edges)),
+            tuple(sorted((1, 2, 3, 4, 5, 6) * 2)), 6)
+        same, _ = psi_to_dspc(pattern, grouped, 2)
+        assert set(same.dag.edges) == set(inst.dag.edges)
+        assert same.demands == inst.demands
 
     def test_find_homomorphism_past_the_recursion_limit(self):
         # the cyclic cubic pattern a_i -> b_i, b_{i+1}, b_{i+2} with one host
@@ -336,9 +388,11 @@ class TestBlockGenerator:
             (a, half + (a - 1 + step) % half + 1) for a in range(1, half + 1) for step in range(3)
         )
         pattern = PatternGraph(2 * half, edges)
-        host = HostGraph((1,) * (2 * half), tuple(((a, 1), (b, 1)) for a, b in edges))
+        colors = tuple(range(1, 2 * half + 1))
+        host = ColoredGraph(UndirectedGraph(2 * half, edges), colors, 2 * half)
         assert find_homomorphism(pattern, host) == (1,) * (2 * half)
-        assert find_homomorphism(pattern, HostGraph(host.class_sizes, host.edges[1:])) is None
+        missing = ColoredGraph(UndirectedGraph(2 * half, edges[1:]), colors, 2 * half)
+        assert find_homomorphism(pattern, missing) is None
 
 
 class TestPlantedRouting:
