@@ -77,7 +77,7 @@ def parse_instance(text: str) -> Instance:
             if header[0] > MAX_VERTICES:  # before any per-vertex table is built
                 raise LimitExceeded(
                     f"header declares {header[0]} vertices, more than the bound of {MAX_VERTICES}")
-        elif header is None:
+        elif tag in ("a", "d"):
             raise ParseError("arc or demand line before the problem line", lineno)
         else:
             raise ParseError(f"unknown line tag {tag!r}", lineno)

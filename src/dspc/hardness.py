@@ -533,7 +533,13 @@ def random_colored_graph(
 
 
 def plant_colorful_clique(rng: random.Random, cg: ColoredGraph) -> tuple[ColoredGraph, tuple[int, ...]]:
-    """Add the edges of a random one-per-color clique to a colored graph."""
+    """Add the edges of a random one-per-color clique to a colored graph.
+
+    A color with no vertices raises ColorMissing before anything is drawn.
+    """
+    for color, members in enumerate(cg.classes, start=1):
+        if not members:
+            raise ColorMissing(f"color {color} has no vertices")
     picked = tuple(rng.choice(members) for members in cg.classes)
     extra = [
         (u, v) if u < v else (v, u)
@@ -559,6 +565,8 @@ def random_host(
     ``plant`` a random member per class is wired to realize every pattern edge.
     """
     class_sizes = tuple(class_sizes)
+    if len(class_sizes) != pattern.vertex_count:
+        raise InvariantViolation("host needs one class size per pattern vertex")
     if any(size < 1 for size in class_sizes):
         raise InvariantViolation("every host class needs at least one member")
     if not 0 <= edge_prob <= 1:

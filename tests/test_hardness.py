@@ -155,6 +155,15 @@ class TestGridGenerator:
         with pytest.raises(ColorMissing):
             mcc_to_planar_edsp(cg, 2)
 
+    def test_planting_into_a_missing_color_rejected(self):
+        # refused before any draw, as the reduction refuses the same graph
+        cg = ColoredGraph(UndirectedGraph(2, ()), (1, 1), 2)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ColorMissing, match="color 2"):
+            plant_colorful_clique(rng, cg)
+        assert rng.getstate() == state
+
     def test_unsorted_colors_rejected(self):
         cg = ColoredGraph(UndirectedGraph(2, ()), (2, 1), 2)
         with pytest.raises(InvariantViolation):
@@ -252,6 +261,10 @@ class TestPatternAndHost:
             random_host(random.Random(0), pattern, (1, 0, 1, 1, 1, 1))
         with pytest.raises(InvariantViolation):
             random_host(random.Random(0), pattern, (1,) * 6, edge_prob=1.5)
+        # one class size per pattern vertex, no fewer and no more
+        for sizes in ([2, 2, 2], [2] * 7):
+            with pytest.raises(InvariantViolation, match="one class size per pattern vertex"):
+                random_host(random.Random(0), pattern, sizes)
 
 
 class TestBlockGenerator:

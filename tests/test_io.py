@@ -136,12 +136,15 @@ class TestInstanceFiles:
         assert err.value.line == 2
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ParseError):
-            parse_instance("p dsp 1 0 1 1 vertex\nq zzz\nd 1 1\n")
+        # the message names the tag wherever the line stands
+        for text in ("p dsp 1 0 1 1 vertex\nq zzz\nd 1 1\n", "q zzz\np dsp 1 0 1 1 vertex\nd 1 1\n"):
+            with pytest.raises(ParseError, match="unknown line tag 'q'"):
+                parse_instance(text)
 
     def test_missing_header_rejected(self):
-        with pytest.raises(ParseError):
-            parse_instance("a 1 2 1\n")
+        for text in ("a 1 2 1\n", "d 1 2\n"):
+            with pytest.raises(ParseError, match="arc or demand line before the problem line"):
+                parse_instance(text)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ParseError):

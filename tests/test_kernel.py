@@ -409,15 +409,32 @@ class TestConcentrateCongestion:
         assert changed >= 2  # at least one genuine exchange happened
 
     def test_covers_hot_vertices_exactly_across_seeds(self):
+        # each gadget also runs with its paths shuffled, so the carrier need
+        # not be path 0 and several paths pass both extreme hot vertices, and
+        # once more on its concentrated routing shuffled alike, where a path
+        # covers every hot vertex from the start
+        def permuted(inst, sol, order):
+            return (Instance(inst.dag, tuple(inst.demands[i] for i in order), inst.congestion),
+                    Solution(tuple(sol.paths[i] for i in order)))
+
         for seed in range(60):
             rng = random.Random(seed)
-            inst, sol, hot = build_miss_gadget(rng, hot_columns=rng.choice((4, 5, 6)))
-            before = congestion_profile(inst, sol)
-            out, carrier = concentrate_congestion(inst, sol)
-            assert find_hot_vertices(inst, out) == hot
-            assert set(hot) <= set(out.paths[carrier].vertices)
-            assert congestion_profile(inst, out) == before
-            assert verify_solution(inst, out).feasible
+            gadget, routing, hot = build_miss_gadget(rng, hot_columns=rng.choice((4, 5, 6)))
+            order = rng.sample(range(gadget.k), gadget.k)
+            concentrated, _ = concentrate_congestion(gadget, routing)
+            for inst, sol in ((gadget, routing), permuted(gadget, routing, order),
+                              permuted(gadget, concentrated, order)):
+                before = congestion_profile(inst, sol)
+                out, carrier = concentrate_congestion(inst, sol)
+                assert find_hot_vertices(inst, out) == hot
+                assert set(hot) <= set(out.paths[carrier].vertices)
+                assert congestion_profile(inst, out) == before
+                assert verify_solution(inst, out).feasible
+                # the lowest-index covering path, else the lowest-index path
+                # through the first and last hot vertices
+                covering = [i for i, p in enumerate(sol.paths) if set(hot) <= set(p.vertices)]
+                ends = [i for i, p in enumerate(sol.paths) if {hot[0], hot[-1]} <= set(p.vertices)]
+                assert carrier == (covering or ends)[0]
 
     def test_swap_that_misses_the_pivot_raises(self, monkeypatch):
         # the carrier must gain the pivot on every swap; a swap that returns
