@@ -65,18 +65,39 @@ is its first tight walk. In vertex mode a pinned path may run through the
 source of a free pebble, which no move checks, so ``solve`` checks those
 sources itself.
 
-When pebbles remain after the pin pass, ``overloaded_cut`` tries to refute
+When pebbles remain after the pin pass, ``solve`` first makes the
+search's first descent in closed form: each free pebble takes its first
+tight walk, and the walks' loads are counted on top of ``fixed`` and, in
+vertex mode, the pebbles resting on their sources. In the search that
+descent takes option 0 for every mover at every move. Every pebble that
+visits a vertex is on it when the sweep reaches it, so the count at each
+arrival is at most the element's load over all the walks, and the last
+arrival sees that load. So when no element passes c, the first pick
+``fitting_moves`` yields at every move is the all-zero one, no prefix is
+cut before it, and the memo is still empty: the walks are the routing the
+search returns, with no dead state. ``checked`` is then the number of moves
+the search would make, one per distinct vertex that holds a pebble not yet
+on its terminal, and the search's debug line is logged with 0 dead states.
+Such a solve skips ``overloaded_cut``, which cannot refute a feasible
+instance, ``sweep_order`` and the search. When an element would pass c, or
+the moves would be more than ``MAX_MOVES_CHECKED``, the search runs as it
+did before and makes the same descent first, so verdicts, routings, dead
+states, moves checked and the budget's error are all unchanged.
+
+When that descent does not fit, ``overloaded_cut`` tries to refute
 the instance before the search, from the graph and the demand windows in
 ``Dag.order`` alone: a vertex that no edge jumps over and more than c
 windows hold (vertex mode), or a gap between two positions that more than c
 windows per crossing edge span (edge mode). The test is exact, so it
 changes no verdict and no routing, only how much the search does: the
 forced funnel below, and most infeasible bottleneck draws, are refuted with
-no dead state. A solve that the direct walks or the pin pass decide never
-runs it, and at ``DSPC_LOG=debug`` the reason names the cut.
+no dead state. A solve that the direct walks, the pin pass or the first
+descent decide never runs it, and at ``DSPC_LOG=debug`` the reason names
+the cut.
 
 The search sweeps in its own topological order, ``sweep_order``, computed
-once per solve and only when pebbles remain that no cut refutes: Kahn's
+once per solve and only when pebbles remain that neither the first
+descent nor a cut decides: Kahn's
 rule with a stack in place of the smallest-id heap of ``Dag.order``, so the
 heads a vertex makes ready come next, the head of its first out-edge
 first. Under any topological order every pebble that visits a vertex is on
@@ -107,14 +128,16 @@ c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
 pass logs its pinned, direct and searched demand counts, one that reaches
-the search its dead states and moves checked, and an infeasible solve its
-reason, on the ``dspc.exact`` logger.
+the search or its first descent its dead states and moves checked, and an
+infeasible solve its reason, on the ``dspc.exact`` logger.
 
 ``solve_with_congestion``, the solve with its routing checked again, is the
 route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
 
-The direct walk, the pin pass and the search read a vertex's tight edges
-straight off its out-edges with ``_tight``, in out-edge order. The
+The pin pass and the search read a vertex's tight edges straight off its
+out-edges with ``_tight``, in out-edge order; the direct walks and the
+first descent take the first of them with ``_first_walk``, which builds no
+list per vertex. The
 brute-force oracle shares no search code with the solver; its path helpers
 keep their own copy of the tightness test, so each reads one backward sweep.
 """
@@ -169,6 +192,21 @@ def _tight(edges: Sequence[Edge], b: Sequence[float], u: int) -> list[Edge]:
     """The edges (u, v, w) of ``edges`` with w + b[v] = b[u], b = dist(., t), in their order."""
     bu = b[u]
     return [e for e in edges if e[2] + b[e[1]] == bu]
+
+
+def _first_walk(
+    out: Sequence[Sequence[Edge]], b: Sequence[float], s: int, t: int
+) -> tuple[int, ...]:
+    """From s to t along each vertex u's first out-edge (u, v, w) with w + b[v] = b[u]."""
+    walk, u = [s], s
+    while u != t:
+        bu = b[u]
+        for _, v, w in out[u]:
+            if w + b[v] == bu:
+                break
+        walk.append(v)
+        u = v
+    return tuple(walk)
 
 
 def merge_check(
@@ -286,8 +324,8 @@ class DisjointShortestSolver:
     ``direct`` the indices of the uncontested demands, routed by their first
     tight walk before the pin pass, ``pinned`` those of the contested
     demands pinned before the search, and ``checked`` the moves the search
-    checked, all of the latest solve() call; none is mutated once that call
-    returns.
+    checked (or, when the first descent fits, would have checked), all of
+    the latest solve() call; none is mutated once that call returns.
     """
 
     def __init__(self):
@@ -325,16 +363,8 @@ class DisjointShortestSolver:
             if to_t[t][s] == INFINITY:
                 return _infeasible("demand %d has no shortest path left", i)
         self.direct = self._uncontested(inst)
-        walks: dict[int, tuple[int, ...]] = {}
-        for i in self.direct:
-            # the first tight walk, which the search would give the pebble
-            s, t = pairs[i]
-            b = to_t[t]
-            walk = [s]
-            while walk[-1] != t:
-                u = walk[-1]
-                walk.append(_tight(out[u], b, u)[0][1])
-            walks[i] = tuple(walk)
+        # the first tight walk, which the search would give the pebble
+        walks = {i: _first_walk(out, to_t[pairs[i][1]], *pairs[i]) for i in self.direct}
         fixed = self._pin(inst, to_t, walks)
         self.pinned = tuple(sorted(walks.keys() - self.direct))
         if fixed is None:
@@ -342,19 +372,63 @@ class DisjointShortestSolver:
         free = [i for i in range(len(pairs)) if i not in walks]
         log.debug("demands: %d pinned, %d direct, %d searched",
                   len(self.pinned), len(self.direct), len(free))
-        # only a solve with pebbles left pays for the bound, which may spare it the search
-        cut = overloaded_cut(inst) if free else None
-        if cut is not None:
-            return _infeasible(*cut)
-        states = self._search(
-            inst, tuple(pairs[i][0] for i in free), tuple(pairs[i][1] for i in free), to_t, fixed
-        )
-        if states is None:
-            return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
-        for j, i in enumerate(free):
+        routed = self._descend(inst, free, to_t, fixed) if free else {}
+        if routed is None:
+            # a solve whose first descent fails pays for the bound, which may spare it the search
+            cut = overloaded_cut(inst)
+            if cut is not None:
+                return _infeasible(*cut)
+            states = self._search(inst, tuple(pairs[i][0] for i in free),
+                                  tuple(pairs[i][1] for i in free), to_t, fixed)
+            if states is None:
+                return _infeasible("search exhausted after %d dead states", len(self.memo.entries))
             # Pebbles only move forward, so dropping repeats leaves each walk.
-            walks[i] = tuple(dict.fromkeys(state[j] for state in states))
+            routed = {i: tuple(dict.fromkeys(state[j] for state in states))
+                      for j, i in enumerate(free)}
+        walks.update(routed)
         return Solution(tuple(Path(walks[i], to_t[t][s]) for i, (s, t) in enumerate(pairs)))
+
+    def _descend(
+        self,
+        inst: Instance,
+        free: Sequence[int],
+        to_t: Mapping[int, Sequence[float]],
+        fixed: Load,
+    ) -> dict[int, tuple[int, ...]] | None:
+        """The search's first descent in closed form: each free demand's first tight walk, or None.
+
+        None when the walks would load an element past c, on top of the
+        resting pebbles and ``fixed``, or when making them would check more
+        than ``MAX_MOVES_CHECKED`` moves; the search then runs as it would
+        have. Otherwise ``checked`` is set to the moves the search would
+        make, one per vertex that holds an unfinished pebble, and logged.
+        """
+        pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
+        vertex_mode = inst.mode == VERTEX
+        if vertex_mode:
+            # no move checks a source, but a pebble that rests there counts on arrivals
+            load = dict(fixed)
+            for i in free:
+                s = pairs[i][0]
+                load[s] = load.get(s, 0) + 1
+        else:
+            # no two edges share a tail and a head, so (tail, head) names an edge
+            load = {edge[:2]: count for edge, count in fixed.items()}
+        walks, moved = {}, set()
+        for i in free:
+            s, t = pairs[i]
+            walk = walks[i] = _first_walk(out, to_t[t], s, t)
+            moved.update(walk[:-1])
+            for x in walk[1:] if vertex_mode else zip(walk, walk[1:]):
+                held = load.get(x, 0) + 1
+                if held > c:
+                    return None
+                load[x] = held
+        if len(moved) > MAX_MOVES_CHECKED:
+            return None
+        self.checked = len(moved)
+        log.debug("search: 0 dead states, %d moves checked", self.checked)
+        return walks
 
     def _pin(
         self,
@@ -432,8 +506,6 @@ class DisjointShortestSolver:
         fixed: Load,
     ) -> list[State] | None:
         """The states from ``start`` to ``terminals`` along the first finishing move sequence."""
-        if start == terminals:
-            return [start]
         order, pos = sweep_order(inst.dag)
         out = inst.dag.out_edges
         c, mode, dead, put = inst.congestion, inst.mode, self.memo.entries, self.memo.put

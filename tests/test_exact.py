@@ -67,13 +67,14 @@ class TestMergeCheck:
 
     def test_detour_is_never_a_candidate(self, monkeypatch):
         # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
-        # never offers it and no move check needs a length test; the second
-        # route 1-5-3-4 keeps the demand from being pinned before the search.
-        # The fork 6-{7, 8}-9 does the same for (6, 9), and the edge (9, 4)
-        # puts its window inside the first's, so at c = 1 each contests the
-        # other and both are searched.
-        dag = Dag(9, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
-                      (6, 7, 1), (6, 8, 1), (7, 9, 1), (8, 9, 1), (9, 4, 1)))
+        # never offers it and no move check needs a length test; the routes
+        # 1-5-3-4 and 1-7-3-4 keep the demand from being pinned before the
+        # search. The routes 6-3-8 and 6-8 do the same for (6, 8), and at
+        # c = 1 the two windows contest each other, so both are searched.
+        # Both first tight walks take vertex 3, so the first descent does not
+        # fit and the search offers its moves: (6, 3) is cut, (6, 8) fits.
+        dag = Dag(8, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
+                      (1, 7, 1), (7, 3, 1), (6, 3, 1), (3, 8, 1), (6, 8, 2)))
         offered = []
 
         def recording(state, movers, terminals, options, *args):
@@ -82,8 +83,8 @@ class TestMergeCheck:
 
         monkeypatch.setattr(exact, "fitting_moves", recording)
         solver = DisjointShortestSolver()
-        sol = solver.solve(Instance(dag, ((1, 4), (6, 9)), 1))
-        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 7, 9)]
+        sol = solver.solve(Instance(dag, ((1, 4), (6, 8)), 1))
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 8)]
         assert sol.paths[0].length == 3
         assert solver.checked == 5 and len(offered) == 7 and (2, 4, 5) not in offered
 
@@ -418,28 +419,36 @@ class TestPinPass:
 
     def test_agrees_with_oracle_on_every_route(self, monkeypatch):
         # an instance is decided by the pin pass alone, pinned in part and
-        # then searched, or searched with nothing pinned, and some route
-        # demands directly; every route is taken at least 10 times per mode.
-        # Only demands whose windows meet more than c others are pinned, so
-        # the random draws take 4 to 8 demands at c below k. Random draws
-        # rarely meet more than c demands at one position without pinning
-        # any, so the last 100 draws per mode are search-heavy ones. The
-        # feasible draws pin 6,250 demands, and each pinned route, like each
-        # of the 3,469 direct routes that are the only shortest path, is
-        # checked against the oracle's.
-        searched, forced = [], 0
-        search = DisjointShortestSolver._search
+        # then searched, searched with nothing pinned, or by the search's
+        # first descent in closed form, and some route demands directly;
+        # every route is taken at least 10 times per mode. Only demands whose
+        # windows meet more than c others are pinned, so the random draws
+        # take 4 to 8 demands at c below k. Random draws rarely meet more
+        # than c demands at one position without pinning any, so draws
+        # 4,000 to 4,099 per mode are search-heavy ones. Few pinned draws
+        # need more than the first descent, so random draws go on to 10,099.
+        # The feasible draws pin 15,582 demands, and each pinned route, like
+        # each of the 8,691 direct routes that are the only shortest path,
+        # is checked against the oracle's.
+        searched, descended, forced = [], [], 0
+        search, descend = DisjointShortestSolver._search, DisjointShortestSolver._descend
 
         def recording(self, inst, start, *args):
             searched.append(bool(start))
             return search(self, inst, start, *args)
 
+        def recording_descent(self, *args):
+            walks = descend(self, *args)
+            descended.append(walks is not None)
+            return walks
+
         monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
+        monkeypatch.setattr(DisjointShortestSolver, "_descend", recording_descent)
         for mode in ("vertex", "edge"):
             routes = Counter()
-            for seed in range(4100):
+            for seed in range(10100):
                 rng = random.Random(seed)
-                if seed < 4000:
+                if not 4000 <= seed < 4100:
                     k = rng.randint(4, 8)
                     inst = random_instance(
                         rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k - 1), mode=mode,
@@ -449,6 +458,7 @@ class TestPinPass:
                     k = rng.randint(2, 4)
                     inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
                 searched.clear()
+                descended.clear()
                 solver = DisjointShortestSolver()
                 got = solver.solve(inst)
                 want = brute_force_oracle(inst)
@@ -463,10 +473,14 @@ class TestPinPass:
                     for i in solver.direct:
                         if count_shortest_paths(inst.dag, *inst.demands[i]) == 1:
                             assert got.paths[i] == want.paths[i], (mode, seed, i)
-                routes[bool(solver.pinned), any(searched)] += 1
+                if any(descended):
+                    assert not searched, (mode, seed)
+                    routes["descent"] += 1
+                else:
+                    routes[bool(solver.pinned), any(searched)] += 1
                 routes["direct"] += bool(solver.direct)
             assert min(routes[True, False], routes[True, True], routes[False, True],
-                       routes["direct"]) >= 10, routes
+                       routes["direct"], routes["descent"]) >= 10, routes
         assert forced >= 5000, forced
 
 
@@ -551,6 +565,87 @@ class TestDirectRoute:
         sol = solver.solve(Instance(past, ((1, 4), (1, 4), (2, 5)), 2, "edge"))
         assert solver.pinned == (2,) and solver.direct == () and solver.checked > 0
         assert [p.vertices for p in sol.paths] == [(1, 2, 4), (1, 2, 4), (2, 5)]
+
+
+def untangled() -> Instance:
+    """Two demands that contest each other at c = 1 and whose first tight walks fit.
+
+    (1, 4) has the routes 1-2-3-4 and 1-5-3-4, and (6, 9) the routes 6-7-9
+    and 6-8-9; the edge (9, 4) puts the second window inside the first.
+    """
+    dag = Dag(9, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
+                  (6, 7, 1), (6, 8, 1), (7, 9, 1), (8, 9, 1), (9, 4, 1)))
+    return Instance(dag, ((1, 4), (6, 9)), 1)
+
+
+class TestFirstDescent:
+    """When every free pebble's first tight walk fits, ``solve`` returns them without the search."""
+
+    def test_same_as_the_search(self, monkeypatch, caplog):
+        # each draw is solved as shipped and with the descent deferring to
+        # the search: the routing, the moves checked, the dead states, the
+        # pinned and direct demands and the debug lines are the same. Of the
+        # 4,000 draws, 1,500 random and 500 search-heavy per mode, the
+        # descent decides 540 and defers 384 to the search.
+        decided = Counter()
+        for mode in ("vertex", "edge"):
+            for seed in range(2000):
+                rng = random.Random(seed)
+                if seed < 1500:
+                    k = rng.randint(1, 8)
+                    inst = random_instance(
+                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                    )
+                else:
+                    k = rng.randint(2, 7)
+                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+                shipped, deferring = DisjointShortestSolver(), DisjointShortestSolver()
+                descend = shipped._descend
+
+                def recording(*args):
+                    walks = descend(*args)
+                    decided[walks is not None] += 1
+                    return walks
+
+                monkeypatch.setattr(shipped, "_descend", recording)
+                monkeypatch.setattr(deferring, "_descend", lambda *args: None)
+                runs = []
+                for solver in (shipped, deferring):
+                    caplog.clear()
+                    with caplog.at_level("DEBUG", logger="dspc.exact"):
+                        routed = solver.solve(inst)
+                    runs.append((routed, solver.checked, solver.memo.entries, solver.pinned,
+                                 solver.direct, caplog.messages))
+                assert runs[0] == runs[1], (mode, seed)
+        assert decided[True] >= 300 and decided[False] >= 300, decided
+
+    def test_fitting_walks_skip_the_cut_and_the_sweep_order(self, monkeypatch, caplog):
+        # the search would make 5 moves, on 1, 2 and 3 and on 6 and 7, with no
+        # cut prefix; the descent counts them without the search's machinery
+        for name in ("overloaded_cut", "sweep_order", "fitting_moves"):
+            monkeypatch.setattr(exact, name, None)
+        solver = DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(untangled())
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 7, 9)]
+        assert solver.pinned == () and solver.direct == ()
+        assert solver.checked == 5 and not solver.memo.entries
+        assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
+                                   "search: 0 dead states, 5 moves checked"]
+
+    def test_budget_of_moves_checked(self, monkeypatch):
+        # the move budget still stops a solve that the descent would decide,
+        # with the search's error after as many moves
+        inst, solver = untangled(), DisjointShortestSolver()
+        routed = solver.solve(inst)
+        assert solver.checked == 5
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", 5)
+        assert solver.solve(inst) == routed and solver.checked == 5
+        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", 4)
+        with pytest.raises(LimitExceeded, match="search gave up after 4 moves checked"):
+            solver.solve(inst)
+        assert solver.checked == 4 and not solver.memo.entries
 
 
 class TestCoverageFloor:
