@@ -67,8 +67,11 @@ sources itself.
 
 When pebbles remain after the pin pass, ``solve`` first makes the
 search's first descent in closed form: each free pebble takes its first
-tight walk, and the walks' loads are counted on top of ``fixed`` and, in
-vertex mode, the pebbles resting on their sources. In the search that
+tight walk, and its loads are counted as it walks, on top of ``fixed``
+and, in vertex mode, of one per free pebble on its source and one, ahead
+of its arrival, on its terminal, so the descent stops at the first element
+that would pass c. Loads only grow, so whether any element passes c does
+not depend on the order of the walks. In the search that
 descent takes option 0 for every mover at every move. Every pebble that
 visits a vertex is on it when the sweep reaches it, so the count at each
 arrival is at most the element's load over all the walks, and the last
@@ -95,9 +98,28 @@ no dead state. A solve that the direct walks, the pin pass or the first
 descent decide never runs it, and at ``DSPC_LOG=debug`` the reason names
 the cut.
 
+When the cut does not refute either, ``solve`` routes the free demands by
+walks in turn before it searches. Each demand in demand order goes depth
+first along its tight edges, in out-edge order, skipping every element
+already at c: the pinned loads, in vertex mode every free demand's source
+and terminal, and the walks routed so far. A vertex it leaves with no way
+on is dead for that demand, so each tight edge is tried at most once, and
+the pass costs O(k(n + m)). When every demand gets a walk, the walks are a
+valid routing, and ``solve`` returns it with ``checked`` at 0, an empty
+memo and its own debug line. When one gets none, an earlier walk may have
+taken the wrong route, so that proves nothing and the search runs as it
+would have. The verdict is the search's either way. With one free demand
+the walk is the search's first routing: the search moves one pebble
+depth first over the same edges, in the same order, and records the
+same dead vertices. With two or more, the walks may route a feasible
+instance differently from the search, since they fix each demand before
+looking at the next, where the search advances every pebble along one
+sweep; both routings are valid, and which one is printed stays
+deterministic.
+
 The search sweeps in its own topological order, ``sweep_order``, computed
 once per solve and only when pebbles remain that neither the first
-descent nor a cut decides: Kahn's
+descent, a cut nor the walks in turn decide: Kahn's
 rule with a stack in place of the smallest-id heap of ``Dag.order``, so the
 heads a vertex makes ready come next, the head of its first out-edge
 first. Under any topological order every pebble that visits a vertex is on
@@ -128,16 +150,17 @@ c. No demand count is refused up front. The search keeps its
 path in an explicit stack, one level per move, so long graphs stay clear of
 the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
 pass logs its pinned, direct and searched demand counts, one that reaches
-the search or its first descent its dead states and moves checked, and an
-infeasible solve its reason, on the ``dspc.exact`` logger.
+the search or its first descent its dead states and moves checked, one
+that the walks in turn route the demands they routed, and an infeasible
+solve its reason, on the ``dspc.exact`` logger.
 
 ``solve_with_congestion``, the solve with its routing checked again, is the
 route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
 
 The pin pass and the search read a vertex's tight edges straight off its
-out-edges with ``_tight``, in out-edge order; the direct walks and the
-first descent take the first of them with ``_first_walk``, which builds no
-list per vertex. The
+out-edges with ``_tight``, in out-edge order; the direct walks take the
+first of them with ``_first_walk``, and the first descent and the walks in
+turn test each in place, so none builds a list per vertex. The
 brute-force oracle shares no search code with the solver; its path helpers
 keep their own copy of the tightness test, so each reads one backward sweep.
 """
@@ -207,6 +230,21 @@ def _first_walk(
         walk.append(v)
         u = v
     return tuple(walk)
+
+
+def _free_load(inst: Instance, free: Sequence[int], fixed: Load) -> dict[object, int]:
+    """``fixed``, plus in vertex mode one per free demand's source and one per its terminal.
+
+    Free demands have s != t. No walk enters its own source, and the
+    terminal's count stands for the pebble's arrival there.
+    """
+    load = dict(fixed)
+    if inst.mode == VERTEX:
+        pairs = inst.demands
+        for i in free:
+            for x in pairs[i]:
+                load[x] = load.get(x, 0) + 1
+    return load
 
 
 def merge_check(
@@ -324,8 +362,9 @@ class DisjointShortestSolver:
     ``direct`` the indices of the uncontested demands, routed by their first
     tight walk before the pin pass, ``pinned`` those of the contested
     demands pinned before the search, and ``checked`` the moves the search
-    checked (or, when the first descent fits, would have checked), all of
-    the latest solve() call; none is mutated once that call returns.
+    checked (or, when the first descent fits, would have checked; 0 when
+    the walks in turn route the free demands), all of the latest solve()
+    call; none is mutated once that call returns.
     """
 
     def __init__(self):
@@ -378,6 +417,8 @@ class DisjointShortestSolver:
             cut = overloaded_cut(inst)
             if cut is not None:
                 return _infeasible(*cut)
+            routed = self._route_in_turn(inst, free, to_t, fixed)
+        if routed is None:
             states = self._search(inst, tuple(pairs[i][0] for i in free),
                                   tuple(pairs[i][1] for i in free), to_t, fixed)
             if states is None:
@@ -397,7 +438,7 @@ class DisjointShortestSolver:
     ) -> dict[int, tuple[int, ...]] | None:
         """The search's first descent in closed form: each free demand's first tight walk, or None.
 
-        None when the walks would load an element past c, on top of the
+        None when a walk would load an element past c, on top of the
         resting pebbles and ``fixed``, or when making them would check more
         than ``MAX_MOVES_CHECKED`` moves; the search then runs as it would
         have. Otherwise ``checked`` is set to the moves the search would
@@ -405,29 +446,91 @@ class DisjointShortestSolver:
         """
         pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
         vertex_mode = inst.mode == VERTEX
-        if vertex_mode:
-            # no move checks a source, but a pebble that rests there counts on arrivals
-            load = dict(fixed)
-            for i in free:
-                s = pairs[i][0]
-                load[s] = load.get(s, 0) + 1
-        else:
-            # no two edges share a tail and a head, so (tail, head) names an edge
-            load = {edge[:2]: count for edge, count in fixed.items()}
-        walks, moved = {}, set()
+        load = _free_load(inst, free, fixed)
+        held = load.get
+        walks = {}
         for i in free:
             s, t = pairs[i]
-            walk = walks[i] = _first_walk(out, to_t[t], s, t)
-            moved.update(walk[:-1])
-            for x in walk[1:] if vertex_mode else zip(walk, walk[1:]):
-                held = load.get(x, 0) + 1
-                if held > c:
+            b = to_t[t]
+            if vertex_mode:
+                load[t] -= 1
+            # the first tight walk, loaded step by step up to the first element past c
+            walk, u = [s], s
+            while u != t:
+                bu = b[u]
+                for edge in out[u]:
+                    if edge[2] + b[edge[1]] == bu:
+                        break
+                u = edge[1]
+                key = u if vertex_mode else edge
+                count = held(key, 0)
+                if count >= c:
                     return None
-                load[x] = held
+                load[key] = count + 1
+                walk.append(u)
+            walks[i] = tuple(walk)
+        moved = {u for walk in walks.values() for u in walk[:-1]}
         if len(moved) > MAX_MOVES_CHECKED:
             return None
         self.checked = len(moved)
         log.debug("search: 0 dead states, %d moves checked", self.checked)
+        return walks
+
+    @staticmethod
+    def _route_in_turn(
+        inst: Instance,
+        free: Sequence[int],
+        to_t: Mapping[int, Sequence[float]],
+        fixed: Load,
+    ) -> dict[int, tuple[int, ...]] | None:
+        """Each free demand in turn by its first tight walk over elements below c, or None.
+
+        A walk goes depth first over its vertex's tight out-edges in
+        out-edge order, skipping each edge whose element is at c on top of
+        ``_free_load`` and the walks before it, and a vertex it backs out
+        of stays dead for the demand, so each tight edge is tried once.
+        The routing found is valid. A demand left without a walk proves
+        nothing, since an earlier walk may have taken its route: None, and
+        the search decides. ``checked`` stays 0.
+        """
+        pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
+        vertex_mode = inst.mode == VERTEX
+        load = _free_load(inst, free, fixed)
+        held = load.get
+        walks = {}
+        for i in free:
+            s, t = pairs[i]
+            b = to_t[t]
+            if vertex_mode:
+                load[t] -= 1
+            # keys[j]: the element the step onto walk[j + 1] loads; tails[j]: walk[j]'s
+            # out-edges not yet tried
+            walk, keys, tails, dead = [s], [], [], set()
+            u, edges = s, iter(out[s])
+            while u != t:
+                bu = b[u]
+                for edge in edges:
+                    v = edge[1]
+                    if edge[2] + b[v] == bu and v not in dead:
+                        key = v if vertex_mode else edge
+                        if held(key, 0) < c:
+                            break
+                else:
+                    # every tight edge out of u is full or leads to a dead vertex
+                    if u == s:
+                        return None
+                    dead.add(walk.pop())
+                    keys.pop()
+                    u, edges = walk[-1], tails.pop()
+                    continue
+                walk.append(v)
+                keys.append(key)
+                tails.append(edges)
+                u, edges = v, iter(out[v])
+            for key in keys:
+                load[key] = held(key, 0) + 1
+            walks[i] = tuple(walk)
+        log.debug("walks in turn: %d demands routed", len(walks))
         return walks
 
     def _pin(
@@ -620,9 +723,11 @@ def solve_disjoint_shortest(inst: Instance) -> Solution | None:
     The elements are vertices when ``inst.mode`` is "vertex" and edges when
     it is "edge". Returns None when no such routing exists, and raises
     LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states or
-    checks ``MAX_MOVES_CHECKED`` moves without deciding. Deterministic: each
-    move tries the movers' edges in lexicographic order of their out-edge
-    lists, and the first sequence of moves that finishes wins.
+    checks ``MAX_MOVES_CHECKED`` moves without deciding. Deterministic: the
+    walks in turn take the free demands in demand order and each vertex's
+    tight edges in out-edge order, and the search, which runs only when
+    they give up, tries the movers' edges in lexicographic order of their
+    out-edge lists; the first routing found wins.
     """
     return DisjointShortestSolver().solve(inst)
 

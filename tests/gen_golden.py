@@ -7,8 +7,9 @@ gadget families, planted and unplanted: the grid family at 2 to 4 colours
 c = 1 to 3, plus one random DAG. Each generated file is then solved with
 ``dspc solve``, whose exit code and output digest are recorded too. A last
 digest covers the solutions of seeded ``random_instance`` batches in both
-modes, which the solver routes by its pin pass alone, by the search after
-pinning some demands, or by the search alone. A second covers a batch that
+modes, which the solver routes by its pin pass alone, by walks in turn or
+the search after pinning some demands, or by walks in turn or the search
+alone. A second covers a batch that
 the solver mostly routes without a search, since no position can meet more
 than c demands: ``random_instance`` at c = k, and chains of small random
 blocks with two to four long demands at c = 2. A third covers a batch that
@@ -154,11 +155,11 @@ def search_batch() -> Iterator[Instance]:
 #: Batch name -> (its instances, digest of their solutions in order, dead states, moves checked).
 BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int]] = {
     "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
-               1, 66),
-    "direct": (direct_batch, "f2bc9673af1abb26adc112c39cc8fda6d1a1c11b0eba04889ebf249312943a08",
-               494, 1269),
-    "search": (search_batch, "35de0b41f3da29415ae98640753d85cb46b0ee474e5c0d4870f91c08418336e1",
-               1275, 7448),
+               0, 52),
+    "direct": (direct_batch, "9391d34b69423ea261baad9e21cc170aaf668ece148e608f6c238b29a64ddced",
+               481, 1023),
+    "search": (search_batch, "d66645b852598144400ab814a5eb31890a69897b495f47dc4aceb17bbaa8e24e",
+               1173, 5791),
 }
 
 

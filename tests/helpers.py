@@ -268,6 +268,31 @@ def search_heavy_draw(mode: str, smallest_k: int, largest_c: int, rng: random.Ra
     return search_heavy_instance(rng, k, rng.randint(1, min(k, largest_c)), mode)
 
 
+def contested_instance(rng: random.Random, mode: str) -> Instance:
+    """A ``search_heavy_instance`` of 2 to 5 demands plus up to two of one path each, at c below k.
+
+    The added demands sit on endpoints that no search-heavy demand uses. In
+    edge mode half the draws take c = 1, since at larger c few edge-mode
+    draws get as far as the search.
+    """
+    base = search_heavy_instance(rng, rng.randint(2, 5), 1, mode)
+    dag, used = base.dag, {v for pair in base.demands for v in pair}
+    single = []
+    for s in dag.order:
+        if s in used:
+            continue
+        # paths from s, counted up to 2
+        ways = Counter({s: 1})
+        for u in dag.order[dag.position[s]:]:
+            for _, head, _ in dag.out_edges[u] if ways[u] else ():
+                ways[head] = min(2, ways[head] + ways[u])
+        single += [(s, t) for t, count in ways.items() if count == 1 and t != s and t not in used]
+    demands = list(base.demands + tuple(rng.sample(single, min(len(single), rng.randint(0, 2)))))
+    rng.shuffle(demands)
+    c = 1 if mode == "edge" and rng.random() < 0.5 else rng.randint(1, len(demands) - 1)
+    return Instance(dag, tuple(demands), c, mode)
+
+
 def grid_family_draw(rng: random.Random) -> Instance:
     cg = random_colored_graph(rng, rng.randint(3, 10), 3)
     if rng.random() < 0.5:

@@ -10,6 +10,7 @@ from collections import Counter
 from functools import partial
 from itertools import product
 from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from dspc.randgen import (
 from helpers import (
     block_family_draw,
     chain,
+    contested_instance,
     diamond,
     enumerate_all_paths,
     grid_dag,
@@ -57,6 +59,12 @@ from helpers import (
 )
 
 
+@pytest.fixture
+def search_only(monkeypatch):
+    """Solves leave every free demand that the first descent cannot route to the search."""
+    monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn", lambda *args: None)
+
+
 class TestMergeCheck:
     """One move of the pebbling search: state, movers, their edges, budget."""
 
@@ -65,14 +73,15 @@ class TestMergeCheck:
         # a mover's head may hold pebbles as long as the budget allows
         assert merge_check((2, 3), [0], ((2, 3, 1),), congestion=2) == (3, 3)
 
-    def test_detour_is_never_a_candidate(self, monkeypatch):
+    def test_detour_is_never_a_candidate(self, monkeypatch, search_only):
         # the heavy edge (2, 4, 5) is on no shortest 1->4 path, so the search
         # never offers it and no move check needs a length test; the routes
         # 1-5-3-4 and 1-7-3-4 keep the demand from being pinned before the
         # search. The routes 6-3-8 and 6-8 do the same for (6, 8), and at
         # c = 1 the two windows contest each other, so both are searched.
         # Both first tight walks take vertex 3, so the first descent does not
-        # fit and the search offers its moves: (6, 3) is cut, (6, 8) fits.
+        # fit; with the walks in turn left out, the search offers its moves:
+        # (6, 3) is cut, (6, 8) fits.
         dag = Dag(8, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
                       (1, 7, 1), (7, 3, 1), (6, 3, 1), (3, 8, 1), (6, 8, 2)))
         offered = []
@@ -217,15 +226,16 @@ class TestFittingMoves:
         if 2**k <= 10**6:
             assert brute_force_oracle(inst) is None
 
-    def test_equal_pebbles_take_edges_in_order(self):
+    def test_equal_pebbles_take_edges_in_order(self, search_only):
         # 30 pebbles bound for one terminal are interchangeable: on one
         # vertex with two tight edges their picks are the 31 sorted ones,
         # not 2^30
         arms = [(1, 2, 1), (1, 3, 1)]
         moves = list(fitting_moves((1,) * 30, range(30), (4,) * 30, [arms] * 30, 30))
         assert len(moves) == 31 and moves[0] == (2,) * 30 and moves[-1] == (3,) * 30
-        # two stacked diamonds in edge mode at c = 15: each fork splits the
-        # pebbles in half, with the first pick that fits, which is sorted
+        # two stacked diamonds in edge mode at c = 15, searched: each fork
+        # splits the pebbles in half, with the first pick that fits, which is
+        # sorted
         dag = Dag(7, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1),
                       (4, 5, 1), (4, 6, 1), (5, 7, 1), (6, 7, 1)))
         inst, solver = Instance(dag, ((1, 7),) * 30, 15, "edge"), DisjointShortestSolver()
@@ -419,19 +429,19 @@ class TestPinPass:
 
     def test_agrees_with_oracle_on_every_route(self, monkeypatch):
         # an instance is decided by the pin pass alone, pinned in part and
-        # then searched, searched with nothing pinned, or by the search's
-        # first descent in closed form, and some route demands directly;
-        # every route is taken at least 10 times per mode. Only demands whose
-        # windows meet more than c others are pinned, so the random draws
-        # take 4 to 8 demands at c below k. Random draws rarely meet more
-        # than c demands at one position without pinning any, so draws
-        # 4,000 to 4,099 per mode are search-heavy ones. Few pinned draws
-        # need more than the first descent, so random draws go on to 10,099.
-        # The feasible draws pin 15,582 demands, and each pinned route, like
-        # each of the 8,691 direct routes that are the only shortest path,
-        # is checked against the oracle's.
-        searched, descended, forced = [], [], 0
+        # then searched, searched with nothing pinned, by the search's first
+        # descent in closed form or by the walks in turn, and some route
+        # demands directly; every route is taken at least 10 times per mode.
+        # The 1,000 draws per mode are contested_instance ones, whose
+        # search-heavy demands contest each other and whose added demands of
+        # one path are pinned once their windows meet more than c others.
+        # The rarest route, pinned and then searched, is taken 42 (vertex) and
+        # 52 (edge) times. The feasible draws pin 1,079 demands, and each
+        # pinned route, like each of the 307 direct routes that are the only
+        # shortest path, is checked against the oracle's.
+        searched, descended, walked, forced = [], [], [], 0
         search, descend = DisjointShortestSolver._search, DisjointShortestSolver._descend
+        route_in_turn = DisjointShortestSolver._route_in_turn
 
         def recording(self, inst, start, *args):
             searched.append(bool(start))
@@ -442,23 +452,21 @@ class TestPinPass:
             descended.append(walks is not None)
             return walks
 
+        def recording_walks(self, *args):
+            walks = route_in_turn(*args)
+            walked.append(walks is not None)
+            return walks
+
         monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
         monkeypatch.setattr(DisjointShortestSolver, "_descend", recording_descent)
+        monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn", recording_walks)
         for mode in ("vertex", "edge"):
             routes = Counter()
-            for seed in range(10100):
-                rng = random.Random(seed)
-                if not 4000 <= seed < 4100:
-                    k = rng.randint(4, 8)
-                    inst = random_instance(
-                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k - 1), mode=mode,
-                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
-                    )
-                else:
-                    k = rng.randint(2, 4)
-                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+            for seed in range(1000):
+                inst = contested_instance(random.Random(seed), mode)
                 searched.clear()
                 descended.clear()
+                walked.clear()
                 solver = DisjointShortestSolver()
                 got = solver.solve(inst)
                 want = brute_force_oracle(inst)
@@ -474,14 +482,17 @@ class TestPinPass:
                         if count_shortest_paths(inst.dag, *inst.demands[i]) == 1:
                             assert got.paths[i] == want.paths[i], (mode, seed, i)
                 if any(descended):
-                    assert not searched, (mode, seed)
+                    assert not walked and not searched, (mode, seed)
                     routes["descent"] += 1
+                elif any(walked):
+                    assert not searched, (mode, seed)
+                    routes["walks"] += 1
                 else:
                     routes[bool(solver.pinned), any(searched)] += 1
                 routes["direct"] += bool(solver.direct)
             assert min(routes[True, False], routes[True, True], routes[False, True],
-                       routes["direct"], routes["descent"]) >= 10, routes
-        assert forced >= 5000, forced
+                       routes["direct"], routes["descent"], routes["walks"]) >= 10, (mode, routes)
+        assert forced >= 300, forced
 
 
 def first_tight_walk(dag: Dag, s: int, t: int) -> tuple[int, ...]:
@@ -543,12 +554,13 @@ class TestDirectRoute:
         assert solver.checked == 0 and not solver.memo.entries
         assert verify_solution(inst, sol).feasible
 
-    def test_pinned_load_contests(self):
+    def test_pinned_load_contests(self, search_only):
         # at c = 2 the (1, 4) demands would fit alone, but the window of a
         # forced demand through vertex 2 (vertex mode) or edge (2, 4) (edge
         # mode), which both first tight walks 1-2-4 take, meets theirs: all
         # three are contested, the forced one is pinned and the other two are
-        # searched, and one takes the arm through 3
+        # searched (with the walks in turn left out), and one takes the arm
+        # through 3
         through_2 = Dag(6, ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (5, 2, 1), (2, 6, 1)))
         for inst in (Instance(through_2, ((1, 4), (1, 4), (5, 6)), 2),
                      Instance(diamond(), ((1, 4), (1, 4), (2, 4)), 2, "edge")):
@@ -581,9 +593,9 @@ def untangled() -> Instance:
 class TestFirstDescent:
     """When every free pebble's first tight walk fits, ``solve`` returns them without the search."""
 
-    def test_same_as_the_search(self, monkeypatch, caplog):
-        # each draw is solved as shipped and with the descent deferring to
-        # the search: the routing, the moves checked, the dead states, the
+    def test_same_as_the_search(self, monkeypatch, caplog, search_only):
+        # with the walks in turn left out, each draw is solved as shipped and
+        # with the descent deferring to the search: the routing, the moves checked, the dead states, the
         # pinned and direct demands and the debug lines are the same. Of the
         # 4,000 draws, 1,500 random and 500 search-heavy per mode, the
         # descent decides 540 and defers 384 to the search.
@@ -634,9 +646,10 @@ class TestFirstDescent:
         assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
                                    "search: 0 dead states, 5 moves checked"]
 
-    def test_budget_of_moves_checked(self, monkeypatch):
+    def test_budget_of_moves_checked(self, monkeypatch, search_only):
         # the move budget still stops a solve that the descent would decide,
-        # with the search's error after as many moves
+        # with the search's error after as many moves, when the walks in turn
+        # are left out
         inst, solver = untangled(), DisjointShortestSolver()
         routed = solver.solve(inst)
         assert solver.checked == 5
@@ -646,6 +659,130 @@ class TestFirstDescent:
         with pytest.raises(LimitExceeded, match="search gave up after 4 moves checked"):
             solver.solve(inst)
         assert solver.checked == 4 and not solver.memo.entries
+
+
+def order_bound(first: int) -> Instance:
+    """Two contested demands at c = 1 in vertex mode, demand ``first`` of them listed first.
+
+    Demand 0, (1, 7), has the routes 1-3-5-7 and 1-4-7, and demand 1,
+    (2, 6), the routes 2-3-6 and 2-5-6. The first tight walks both take
+    vertex 3, and the walk 1-3-5-7 fills both routes of (2, 6).
+    """
+    dag = Dag(7, ((1, 3, 1), (1, 4, 1), (3, 5, 1), (5, 7, 1), (4, 7, 2),
+                  (2, 3, 1), (2, 5, 1), (3, 6, 1), (5, 6, 1)))
+    demands = ((1, 7), (2, 6))
+    return Instance(dag, (demands[first], demands[1 - first]), 1)
+
+
+class TestWalksInTurn:
+    """Free demands the first descent cannot route take open tight walks in turn before the search."""
+
+    def test_same_verdict_as_the_search(self, monkeypatch):
+        # 3,100 draws: 800 random and 500 search-heavy per mode, and 500
+        # bottleneck draws. Each is solved as shipped and with the walks in
+        # turn left out: the verdicts are the same and match the oracle's
+        # where it fits, and every routing verifies. The walks route 277
+        # draws (105 vertex, 71 edge, 101 bottleneck), each with no move
+        # checked and no dead state, and with one free demand they give the
+        # search's routing; they give up on 309 (151, 37, 121).
+        routed, deferred = Counter(), Counter()
+        for mode in ("vertex", "edge"):
+            for seed in range(1300):
+                rng = random.Random(seed)
+                if seed < 800:
+                    k = rng.randint(1, 8)
+                    inst = random_instance(
+                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                    )
+                else:
+                    k = rng.randint(2, 7)
+                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+                self._check(monkeypatch, inst, routed, deferred, (mode, seed))
+        for seed in range(500):
+            rng = random.Random(seed)
+            inst = bottleneck_instance(rng, rng.randint(4, 6), rng.randint(1, 2))
+            self._check(monkeypatch, inst, routed, deferred, ("bottleneck", seed))
+        assert min(routed.values()) >= 35 and len(routed) == 3, routed
+        assert min(deferred.values()) >= 15 and len(deferred) == 3, deferred
+
+    @staticmethod
+    def _check(monkeypatch, inst, routed, deferred, where):
+        shipped, searching = DisjointShortestSolver(), DisjointShortestSolver()
+        walks_in_turn, outcome = shipped._route_in_turn, []
+
+        def recording(*args):
+            walks = walks_in_turn(*args)
+            outcome.append(walks is not None)
+            return walks
+
+        monkeypatch.setattr(shipped, "_route_in_turn", recording)
+        monkeypatch.setattr(searching, "_route_in_turn", lambda *args: None)
+        got, want = shipped.solve(inst), searching.solve(inst)
+        assert (got is None) == (want is None), where
+        try:
+            assert (brute_force_oracle(inst) is None) == (got is None), where
+        except OracleTooLarge:
+            pass
+        for sol in (got, want):
+            assert sol is None or verify_solution(inst, sol).feasible, where
+        kind = where[0]
+        if outcome == [True]:
+            assert shipped.checked == 0 and not shipped.memo.entries, where
+            if inst.k - len(shipped.pinned) - len(shipped.direct) == 1:
+                assert got == want, where
+            routed[kind] += 1
+        elif outcome:
+            deferred[kind] += 1
+
+    def test_demand_order_decides_whether_the_walks_route(self, caplog):
+        # listed first, (1, 7) takes 1-3-5-7, which fills both routes of
+        # (2, 6), so the walks give up and the search routes both
+        inst, solver = order_bound(0), DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(inst)
+        assert [p.vertices for p in sol.paths] == [(1, 4, 7), (2, 3, 6)]
+        assert verify_solution(inst, sol).feasible and solver.checked > 0
+        assert caplog.messages == [
+            "demands: 0 pinned, 0 direct, 2 searched",
+            f"search: {len(solver.memo.entries)} dead states, {solver.checked} moves checked",
+        ]
+        # listed first, (2, 6) takes 2-3-6, and (1, 7) then goes round 3 by 4
+        caplog.clear()
+        inst = order_bound(1)
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(inst)
+        assert [p.vertices for p in sol.paths] == [(2, 3, 6), (1, 4, 7)]
+        assert verify_solution(inst, sol).feasible
+        assert solver.checked == 0 and not solver.memo.entries
+        assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
+                                   "walks in turn: 2 demands routed"]
+
+    def test_each_vertex_is_entered_once(self):
+        # 12 stacked diamonds ahead of z, which a pinned load fills: every
+        # one of the 4,096 tight walks dead-ends at z, and the walk enters
+        # each of the 37 vertices before z once, backing out of dead ones
+        m = 12
+        edges = [e for i in range(m) for e in ((3 * i + 1, 3 * i + 2, 1), (3 * i + 1, 3 * i + 3, 1),
+                                               (3 * i + 2, 3 * i + 4, 1), (3 * i + 3, 3 * i + 4, 1))]
+        z, t = 3 * m + 2, 3 * m + 3
+        dag = Dag(t, tuple(edges) + ((3 * m + 1, z, 1), (z, t, 1)))
+        entered = Counter()
+
+        class Counting(tuple):
+            def __getitem__(self, v):
+                entered[v] += 1
+                return tuple.__getitem__(self, v)
+
+        inst = Instance(dag, ((1, t),), 1)
+        counted = SimpleNamespace(demands=inst.demands, congestion=1, mode="vertex",
+                                  dag=SimpleNamespace(out_edges=Counting(dag.out_edges)))
+        to_t = {t: dag.dist_to(t)}
+        assert DisjointShortestSolver._route_in_turn(counted, [0], to_t, {z: 1}) is None
+        assert set(entered) == set(range(1, 3 * m + 2)) and max(entered.values()) == 1
+        # with z open, the walk is the first tight walk
+        assert DisjointShortestSolver._route_in_turn(inst, [0], to_t, {}) == {
+            0: first_tight_walk(dag, 1, t)}
 
 
 class TestCoverageFloor:
@@ -960,10 +1097,11 @@ class TestMemoStore:
             solver.solve(inst)
         assert solver.checked == k + cut - 1
 
-    def test_dead_states_are_infeasible(self):
+    def test_dead_states_are_infeasible(self, search_only):
         # a dead state, restated as demands (position, terminal) at the same
         # budget and mode next to the pinned demands, is an instance the
-        # oracle cannot route
+        # oracle cannot route; the walks in turn are left out, so the search
+        # records as many dead states as it did without them
         for mode in ("vertex", "edge"):
             dead = 0
             for seed in range(40):
