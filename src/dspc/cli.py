@@ -145,19 +145,14 @@ def _cmd_bench(args) -> int:
     import random
     import time
 
-    from .exact import solve_disjoint_shortest
     from .hardness import find_colorful_clique, mcc_to_planar_edsp, random_colored_graph
     from .kernel import solve_kdspc
     from .randgen import random_instance
 
     # Each suite draws one case from its rng and answers it by two routes.
-    def dnc_oracle(rng):
-        inst = random_instance(rng, n=rng.randint(2, 8), k=rng.randint(1, 3), congestion=1)
-        return solve_disjoint_shortest(inst), brute_force_oracle(inst)
-
-    def congestion(rng):
+    def oracle(rng):
         inst = random_instance(
-            rng, n=rng.randint(2, 6), k=rng.randint(1, 3), congestion=rng.randint(1, 2)
+            rng, n=rng.randint(2, 8), k=rng.randint(1, 3), congestion=rng.randint(1, 2)
         )
         return solve_with_congestion(inst), brute_force_oracle(inst)
 
@@ -171,7 +166,7 @@ def _cmd_bench(args) -> int:
         inst, _layout = mcc_to_planar_edsp(cg, 2)
         return solve_with_congestion(inst), find_colorful_clique(cg, 2)
 
-    suites = {"dnc-oracle": dnc_oracle, "congestion": congestion, "kernel": kernel, "mcc": mcc}
+    suites = {"oracle": oracle, "kernel": kernel, "mcc": mcc}
     started = time.monotonic()
     agree = 0
     for seed in range(args.count):
@@ -182,10 +177,15 @@ def _cmd_bench(args) -> int:
     return 0 if agree == args.count else 1
 
 
+def _algo(text: str) -> str:
+    """``--algo``: ``dnc``, the name of a divide-and-conquer solver since removed, means exact."""
+    return "exact" if text == "dnc" else text
+
+
 def _solve_args(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("-i", "--instance", required=True)
     solve.add_argument("-o", "--output", default=None)
-    solve.add_argument("--algo", choices=("dnc", "kernel"), default="dnc")
+    solve.add_argument("--algo", type=_algo, choices=("exact", "kernel"), default="exact")
     solve.add_argument("--mode", choices=(VERTEX, EDGE), default=None,
                        help="assert the instance mode")
 
@@ -227,8 +227,7 @@ def _case_count(text: str) -> int:
 
 
 def _bench_args(bench: argparse.ArgumentParser) -> None:
-    bench.add_argument("--suite", choices=("dnc-oracle", "congestion", "kernel", "mcc"),
-                       required=True)
+    bench.add_argument("--suite", choices=("oracle", "kernel", "mcc"), required=True)
     bench.add_argument("--count", type=_case_count, default=50)
 
 

@@ -46,19 +46,27 @@ the order kept between interchangeable movers never raises the uncontested
 pebble's option.
 
 Then ``solve`` pins every other demand whose route is forced and takes its
-load off the budget, in one loop. Each round counts every free demand's
-shortest paths, up to 2, in one walk of its topological window along its
-tight edges, skipping every element (vertex or edge) that the pinned paths
-already fill to c. A demand with one path left is pinned at once, one
-with none makes the instance infeasible, and the rounds repeat until
-nothing changes. While no element is full,
-every tight edge out of a reached vertex leads on to t, so a fork already
-means two paths and the walk stops there. A pinned path runs over open
-elements only, so it fits the budget. The pinned loads form a ``fixed`` map
-that every load count adds, so the search moves only the pebbles left, none
-at k <= c. Counts only fall as pins are added, and every pinned route is the
-same in every feasible routing, so any order pins the same demands, and the
-routing found is the one the search would find carrying every pebble. The
+load off the budget, in the manner of unit propagation (Davis, Logemann and
+Loveland, CACM 5, 1962): the forced demands first, then only what they
+close. Each demand, in demand order, walks from s along its tight edges
+while exactly one is tight. A walk that reaches t is the demand's only
+shortest path, so every feasible routing takes it: it is pinned, or, when
+an element (vertex or edge) on it is already at c, the instance is
+infeasible. While no element is at c, every tight edge out of a reached
+vertex leads on to t, so a demand whose walk meets a fork keeps two paths
+and nothing more can be pinned. Only once an element is at c do the counted
+rounds run. Each round counts every free demand's shortest paths, up to 2,
+in one walk of its topological window along its tight edges, skipping every
+element the pinned paths fill to c. A demand with one path left is pinned at
+once, one with none makes the instance infeasible, and the rounds repeat
+until one pins nothing. A pinned path runs over open elements only, so it
+fits the budget. The pinned loads form a ``fixed`` map that every load count
+adds, so the search moves only the pebbles left, none at k <= c. Pins only
+close elements and counts only fall, and every pinned route is the same in
+every feasible routing, so any order pins the same demands, and the routing
+found is the one the search would find carrying every pebble; only on an
+instance that the pass refutes can the order change which demand the reason
+names, and which were pinned before it. The
 direct loads stay out of ``fixed``, since no element they load can pass c;
 so a forced demand with an uncontested window is direct, and its one path
 is its first tight walk. In vertex mode a pinned path may run through the
@@ -157,10 +165,10 @@ solve its reason, on the ``dspc.exact`` logger.
 ``solve_with_congestion``, the solve with its routing checked again, is the
 route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
 
-The pin pass and the search read a vertex's tight edges straight off its
-out-edges with ``_tight``, in out-edge order; the direct walks take the
-first of them with ``_first_walk``, and the first descent and the walks in
-turn test each in place, so none builds a list per vertex. The
+The search reads a vertex's tight edges straight off its out-edges with
+``_tight``, in out-edge order; the direct walks take the first of them with
+``_first_walk``, and the pin pass, the first descent and the walks in turn
+test each in place, so none of those builds a list per vertex. The
 brute-force oracle shares no search code with the solver; its path helpers
 keep their own copy of the tightness test, so each reads one backward sweep.
 """
@@ -539,13 +547,74 @@ class DisjointShortestSolver:
         to_t: Mapping[int, Sequence[float]],
         walks: dict[int, tuple[int, ...]],
     ) -> Load | None:
-        """Pin each forced demand not in ``walks`` into it; their loads, or None when infeasible."""
+        """Pin each forced demand not in ``walks`` into it; their loads, or None when infeasible.
+
+        First each demand's forced walk: from s along its tight out-edges
+        while exactly one is tight. A walk that reaches t is the demand's
+        only shortest path, which is pinned unless an element on it is at c
+        already. While no element is at c every fork leads on to t, so no
+        demand that forks can be forced, and only once one is at c do the
+        counted rounds run: each counts every free demand's paths over the
+        open elements, up to 2, pins a demand with one and refutes one with
+        none, until a round pins nothing.
+        """
         pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
-        pos, order, out = inst.dag.position, inst.dag.order, inst.dag.out_edges
+        out = inst.dag.out_edges
         fixed: dict[object, int] = {}
         pinned = fixed.get
-        # no element is full yet, so every tight edge out of a reached vertex is open
-        open_all = True
+        full = False
+        for i, (s, t) in enumerate(pairs):
+            if i in walks:
+                continue
+            b = to_t[t]
+            # steps: the elements the walk loads, its source included in vertex mode
+            walk, steps, u = [s], [s] if vertex_mode else [], s
+            while u != t:
+                # step: u's one tight edge, or None at a fork (u is on a shortest
+                # path to t, so it has a tight edge)
+                bu, step = b[u], None
+                for edge in out[u]:
+                    if edge[2] + b[edge[1]] == bu:
+                        if step is not None:
+                            step = None
+                            break
+                        step = edge
+                if step is None:
+                    break
+                u = step[1]
+                walk.append(u)
+                steps.append(u if vertex_mode else step)
+            else:
+                if any(pinned(x, 0) >= c for x in steps):
+                    return _infeasible("demand %d has no shortest path left", i)
+                walks[i] = tuple(walk)
+                for x in steps:
+                    fixed[x] = load = pinned(x, 0) + 1
+                    full = full or load == c
+        if full and not self._count_rounds(inst, to_t, walks, fixed):
+            return None
+        if vertex_mode and fixed:
+            starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
+            for s, count in starts.items():
+                if pinned(s, 0) + count > c:
+                    return _infeasible("pinned paths overload vertex %d", s)
+        return fixed
+
+    @staticmethod
+    def _count_rounds(
+        inst: Instance,
+        to_t: Mapping[int, Sequence[float]],
+        walks: dict[int, tuple[int, ...]],
+        fixed: dict[object, int],
+    ) -> bool:
+        """Pin into ``walks`` and ``fixed`` each demand left one path over the open elements.
+
+        Rounds repeat until one pins nothing. False, with the reason logged,
+        when a demand has no path left.
+        """
+        pairs, c, vertex_mode = inst.demands, inst.congestion, inst.mode == VERTEX
+        pos, order, out = inst.dag.position, inst.dag.order, inst.dag.out_edges
+        pinned = fixed.get
         changed = True
         while changed:
             changed = False
@@ -559,20 +628,17 @@ class DisjointShortestSolver:
                 for u in order[pos[s]:pos[t]]:
                     if u not in ways:
                         continue
-                    edges = _tight(out[u], b, u)
-                    if open_all and len(edges) > 1:
-                        # every tight edge leads on to t, so a fork makes two paths
-                        ways[t] = 2
-                        break
-                    for edge in edges:
+                    bu, here = b[u], ways[u]
+                    for edge in out[u]:
                         head = edge[1]
-                        if pinned(head if vertex_mode else edge, 0) < c:
+                        if edge[2] + b[head] == bu and pinned(head if vertex_mode else edge, 0) < c:
                             # path counts stop at 2: more than one is all that matters
-                            ways[head] = 2 if head in ways else ways[u]
+                            ways[head] = 2 if head in ways else here
                             last[head] = edge
                 count = ways.get(t, 0)
                 if count == 0:
-                    return _infeasible("demand %d has no shortest path left", i)
+                    _infeasible("demand %d has no shortest path left", i)
+                    return False
                 if count == 1:
                     # ways is 1 all along the one path, so its last edges trace it
                     walk = [t]
@@ -581,16 +647,9 @@ class DisjointShortestSolver:
                     walks[i] = tuple(reversed(walk))
                     # the path runs over open elements only, so it fits the budget
                     for x in walk if vertex_mode else map(last.get, walk[:-1]):
-                        fixed[x] = load = pinned(x, 0) + 1
-                        open_all = open_all and load < c
+                        fixed[x] = pinned(x, 0) + 1
                     changed = True
-
-        if vertex_mode and fixed:
-            starts = Counter(s for i, (s, _) in enumerate(pairs) if i not in walks)
-            for s, count in starts.items():
-                if pinned(s, 0) + count > c:
-                    return _infeasible("pinned paths overload vertex %d", s)
-        return fixed
+        return True
 
     @staticmethod
     def _uncontested(inst: Instance) -> tuple[int, ...]:

@@ -16,7 +16,12 @@ blocks with two to four long demands at c = 2. A third covers a batch that
 the search does the most of: ``search_heavy_instance`` draws in both modes
 and ``bottleneck_instance`` draws. Each batch records, next to its digest,
 the dead states and the moves checked that its solves take in all, so a
-change that keeps the routing but searches more or less shows too. Any
+change that keeps the routing but searches more or less shows too, and
+the demands pinned and routed directly over the solves that route, so a
+change that keeps the routing but pins more or fewer shows as well. A
+solve that finds no routing is left out of those two counts: when the pin
+pass refutes it, which demands were pinned first depends on the order of
+the pass. Any
 drift in generation or in the routing printed, between Python versions too,
 changes a digest. Run from the repository root, on any supported Python:
 
@@ -152,14 +157,15 @@ def search_batch() -> Iterator[Instance]:
         yield bottleneck_instance(rng, rng.randint(4, 6), 2)
 
 
-#: Batch name -> (its instances, digest of their solutions in order, dead states, moves checked).
-BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int]] = {
+#: Batch name -> (its instances, digest of their solutions in order, dead states, moves checked,
+#: and the pinned and direct demands of the solves that route).
+BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int, int, int]] = {
     "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
-               0, 52),
+               0, 52, 1252, 3041),
     "direct": (direct_batch, "9391d34b69423ea261baad9e21cc170aaf668ece148e608f6c238b29a64ddced",
-               481, 1023),
+               481, 1023, 176, 4368),
     "search": (search_batch, "d66645b852598144400ab814a5eb31890a69897b495f47dc4aceb17bbaa8e24e",
-               1173, 5791),
+               1173, 5791, 0, 270),
 }
 
 
@@ -193,13 +199,13 @@ def check(line: str) -> None:
 
 
 def check_batch(name: str = "random") -> None:
-    """Raise AssertionError unless the named seeded batch solves to the recorded bytes and effort.
+    """Raise AssertionError unless the named batch solves to the recorded bytes, effort and pins.
 
     Each instance is solved in-process by the solver ``dspc solve`` runs,
     and each routing it returns is verified, as ``dspc solve`` does.
     """
     draws, *recorded = BATCHES[name]
-    solver, texts, dead, checked = DisjointShortestSolver(), [], 0, 0
+    solver, texts, dead, checked, pinned, direct = DisjointShortestSolver(), [], 0, 0, 0, 0
     for inst in draws():
         routed = solver.solve(inst)
         if routed is not None and not verify_solution(inst, routed).feasible:
@@ -207,10 +213,13 @@ def check_batch(name: str = "random") -> None:
         texts.append(emit_solution(routed))
         dead += len(solver.memo.entries)
         checked += solver.checked
-    got = [sha256("".join(texts)), dead, checked]
+        if routed is not None:
+            pinned += len(solver.pinned)
+            direct += len(solver.direct)
+    got = [sha256("".join(texts)), dead, checked, pinned, direct]
     if got != recorded:
-        raise AssertionError(f"{name} batch: digest, dead states and moves checked {got}, "
-                             f"recorded {recorded}")
+        raise AssertionError(f"{name} batch: digest, dead states, moves checked, pinned and "
+                             f"direct demands {got}, recorded {recorded}")
 
 
 if __name__ == "__main__":
@@ -219,5 +228,5 @@ if __name__ == "__main__":
     for name in BATCHES:
         check_batch(name)
     print(f"{len(GOLDEN)} gen command lines and their solves, and {len(BATCHES)} seeded "
-          f"batches of solves, print the recorded bytes and take the recorded search effort on "
-          f"Python {sys.version.split()[0]}")
+          f"batches of solves, print the recorded bytes and take the recorded search effort and "
+          f"pins on Python {sys.version.split()[0]}")

@@ -219,7 +219,7 @@ class TestNoAllPairsTable:
         # solve demand subsets and extend them with canonical shortest paths
         arcs = "a 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 4 5 2\n"
         demands = "d 1 4\nd 1 5\nd 2 5\nd 1 3\n"
-        for mode, algos in (("vertex", ("dnc", "kernel")), ("edge", ("dnc",))):
+        for mode, algos in (("vertex", ("exact", "kernel")), ("edge", ("exact", "dnc"))):
             inst = tmp_path / f"{mode}.dsp"
             inst.write_text(f"p dsp 5 5 4 3 {mode}\n{arcs}{demands}")
             for algo in algos:
@@ -340,14 +340,14 @@ class TestGadgetFamilies:
 
 class TestBench:
     def test_suites_run_and_report(self, capsys):
-        for suite in ("dnc-oracle", "congestion", "kernel", "mcc"):
+        for suite in ("oracle", "kernel", "mcc"):
             assert run("bench", "--suite", suite, "--count", "5") == 0
             assert "agreement 5/5" in capsys.readouterr().out
 
     def test_disagreement_is_refuted(self, monkeypatch, capsys):
         # an oracle that calls every case infeasible disagrees on the feasible ones
         monkeypatch.setattr("dspc.cli.brute_force_oracle", lambda inst: None)
-        assert run("bench", "--suite", "congestion", "--count", "5") == 1
+        assert run("bench", "--suite", "oracle", "--count", "5") == 1
         agree = int(capsys.readouterr().out.split()[-1].split("/")[0])
         assert agree < 5
 
@@ -383,6 +383,15 @@ class TestUsage:
         monkeypatch.setenv("DSPC_LOG", "debug")
         assert run("solve", "-i", str(feasible_file), "-o", out) == 0
         assert "DEBUG demands: 0 pinned, 1 direct, 0 searched\n" in capsys.readouterr().err
+
+    def test_algo_is_exact_by_default_and_under_its_old_name(self, capsys):
+        # benchmark scripts still pass --algo dnc, the name of a solver since removed
+        parser = command_parser("solve")
+        for argv in (["-i", "x"], ["-i", "x", "--algo", "exact"], ["-i", "x", "--algo", "dnc"]):
+            assert parser.parse_args(argv).algo == "exact"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--help"])
+        assert "{exact,kernel}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", COMMAND_LINES,
                              ids=lambda argv: " ".join(argv) or "no-arguments")
