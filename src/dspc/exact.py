@@ -73,75 +73,58 @@ is its first tight walk. In vertex mode a pinned path may run through the
 source of a free pebble, which no move checks, so ``solve`` checks those
 sources itself.
 
-When pebbles remain after the pin pass, ``solve`` first makes the
-search's first descent in closed form: each free pebble takes its first
-tight walk, and its loads are counted as it walks, on top of ``fixed``
-and, in vertex mode, of one per free pebble on its source and one, ahead
-of its arrival, on its terminal, so the descent stops at the first element
-that would pass c. Loads only grow, so whether any element passes c does
-not depend on the order of the walks. In the search that
-descent takes option 0 for every mover at every move. Every pebble that
-visits a vertex is on it when the sweep reaches it, so the count at each
-arrival is at most the element's load over all the walks, and the last
-arrival sees that load. So when no element passes c, the first pick
-``fitting_moves`` yields at every move is the all-zero one, no prefix is
-cut before it, and the memo is still empty: the walks are the routing the
-search returns, with no dead state. ``checked`` is then the number of moves
-the search would make, one per distinct vertex that holds a pebble not yet
-on its terminal, and the search's debug line is logged with 0 dead states.
-Such a solve skips ``overloaded_cut``, which cannot refute a feasible
-instance, ``sweep_order`` and the search. When an element would pass c, or
-the moves would be more than ``MAX_MOVES_CHECKED``, the search runs as it
-did before and makes the same descent first, so verdicts, routings, dead
-states, moves checked and the budget's error are all unchanged.
+When pebbles remain after the pin pass, ``solve`` routes the free demands
+by walks in turn. Each demand in demand order goes depth first along its
+tight edges, in out-edge order, skipping every element already at c: the
+pinned loads, in vertex mode every free demand's source and terminal, and
+the walks routed so far. A vertex it leaves with no way on is dead for
+that demand, so each tight edge is tried at most once, and the pass costs
+O(k(n + m)). When every demand gets a walk, the walks are a valid routing,
+and ``solve`` returns it with ``checked`` at 0, an empty memo and its own
+debug line. When one gets none, an earlier walk may have taken the wrong
+route, so that proves nothing, and the cut and the search run as they
+would have. The verdict is the search's either way. When every free
+demand's first tight walk fits, the walks are those first tight walks,
+since no walk loads one element twice, and they are the routing the
+search returns: its first descent takes option 0 for every mover at every
+move, every pebble that visits a vertex is on it when the sweep reaches
+it, so the count at each arrival is at most the element's load over all
+the walks, and no prefix is cut before the all-zero pick. With one free
+demand the walk is always the search's first routing: the search moves
+one pebble depth first over the same edges, in the same order, and
+records the same dead vertices. With two or more, once a first tight walk
+does not fit, the walks may route a feasible instance differently from the
+search, since they fix each demand before looking at the next, where the
+search advances every pebble along one sweep; both routings are valid,
+and which one is printed stays deterministic.
 
-When that descent does not fit, ``overloaded_cut`` tries to refute
-the instance before the search, from the graph and the demand windows in
-``Dag.order`` alone: a vertex that no edge jumps over and more than c
-windows hold (vertex mode), or a gap between two positions that more than c
-windows per crossing edge span (edge mode). The test is exact, so it
-changes no verdict and no routing, only how much the search does: the
-forced funnel below, and most infeasible bottleneck draws, are refuted with
-no dead state. A solve that the direct walks, the pin pass or the first
-descent decide never runs it, and at ``DSPC_LOG=debug`` the reason names
-the cut.
-
-When the cut does not refute either, ``solve`` routes the free demands by
-walks in turn before it searches. Each demand in demand order goes depth
-first along its tight edges, in out-edge order, skipping every element
-already at c: the pinned loads, in vertex mode every free demand's source
-and terminal, and the walks routed so far. A vertex it leaves with no way
-on is dead for that demand, so each tight edge is tried at most once, and
-the pass costs O(k(n + m)). When every demand gets a walk, the walks are a
-valid routing, and ``solve`` returns it with ``checked`` at 0, an empty
-memo and its own debug line. When one gets none, an earlier walk may have
-taken the wrong route, so that proves nothing and the search runs as it
-would have. The verdict is the search's either way. With one free demand
-the walk is the search's first routing: the search moves one pebble
-depth first over the same edges, in the same order, and records the
-same dead vertices. With two or more, the walks may route a feasible
-instance differently from the search, since they fix each demand before
-looking at the next, where the search advances every pebble along one
-sweep; both routings are valid, and which one is printed stays
-deterministic.
+When the walks give up, ``overloaded_cut`` tries to refute the instance
+before the search, from the graph and the demand windows in ``Dag.order``
+alone: a vertex that no edge jumps over and more than c windows hold
+(vertex mode), or a gap between two positions that more than c windows per
+crossing edge span (edge mode). The test is exact, so it changes no
+verdict and no routing, only how much the search does: the forced funnel
+below, and most infeasible bottleneck draws, are refuted with no dead
+state. It cannot refute a routing the walks found, so a solve that the
+direct walks, the pin pass or the walks in turn decide never runs it, and
+at ``DSPC_LOG=debug`` the reason names the cut.
 
 The search sweeps in its own topological order, ``sweep_order``, computed
-once per solve and only when pebbles remain that neither the first
-descent, a cut nor the walks in turn decide: Kahn's
-rule with a stack in place of the smallest-id heap of ``Dag.order``, so the
-heads a vertex makes ready come next, the head of its first out-edge
-first. Under any topological order every pebble that visits a vertex is on
-it at the same time, so the verdicts are the same under every order; the
-order decides how many pebbles are in flight at once, and so how many
-distinct states the memo sees (a narrow sweep frontier is a small vertex
-separation, which equals path-width: Kinnersley, IPL 42, 1992). The forced
-funnel s_i -> {a_i, b_i} -> z -> t_i with every source numbered first, and
-an edge that jumps over z so that no cut refutes it, takes 3 * 2^k - 3 dead
-states in ``Dag.order`` and 3k in this one. The order can change which
-routing is found first, never whether one exists. The demand windows, the
-direct walks, the pin pass and the distance sweeps keep ``Dag.order``, so
-a solve that never reaches the search does not pay for this order's
-O(n + m) pass.
+once per solve and only when pebbles remain that neither the walks in turn
+nor a cut decide: Kahn's rule with a stack in place of the smallest-id heap
+of ``Dag.order``, so the heads a vertex makes ready come next, the head of
+its first out-edge first. Under any topological order every pebble that
+visits a vertex is on it at the same time, so the verdicts are the same
+under every order; the order decides how many pebbles are in flight at
+once, and so how many distinct states the memo sees (a narrow sweep
+frontier is a small vertex separation, which equals path-width: Kinnersley,
+IPL 42, 1992). The forced funnel s_i -> {a_i, b_i} -> z -> t_i with every
+source numbered first, and an edge that jumps over z so that no cut refutes
+it, takes 3 * 2^k - 3 dead states in ``Dag.order`` and 3k in this one. The
+order can change which routing is found first, never whether one exists.
+The demand windows, the direct walks, the pin pass and the distance sweeps
+keep ``Dag.order``, so a solve that never reaches the search does not pay
+for this order's O(n + m) pass.
 
 A state is the tuple of pebble positions. Whether it can still be finished
 depends only on the pairs (position, terminal), so the depth-first search
@@ -150,27 +133,28 @@ Two budgets bound a solve, and running out of either raises LimitExceeded:
 the memo holds at most ``MAX_DEAD_STATES`` states, and the search checks at
 most ``MAX_MOVES_CHECKED`` moves, counting one per move that fits and one
 per cut prefix. That is never more than the moves ``itertools.product``
-over the movers' edges would make, and the count of the latest solve is
-``DisjointShortestSolver.checked``. The memo alone does not bound time: the
-m movers on a vertex can have up to out-degree^m prefixes to try (when more
-movers than edges meet at c = 1, say), and only in vertex mode is m at most
-c. No demand count is refused up front. The search keeps its
-path in an explicit stack, one level per move, so long graphs stay clear of
-the recursion limit. At ``DSPC_LOG=debug`` a solve that gets past the pin
-pass logs its pinned, direct and searched demand counts, one that reaches
-the search or its first descent its dead states and moves checked, one
-that the walks in turn route the demands they routed, and an infeasible
-solve its reason, on the ``dspc.exact`` logger.
+over the movers' edges would make, and the search's count in the latest
+solve is ``DisjointShortestSolver.checked``, 0 when no search runs. The
+memo alone does not bound time: the m movers on a vertex can have up to
+out-degree^m prefixes to try (when more movers than edges meet at c = 1,
+say), and only in vertex mode is m at most c. No demand count is refused
+up front. The search keeps its path in an explicit stack, one level per
+move, so long graphs stay clear of the recursion limit. At
+``DSPC_LOG=debug`` a solve that gets past the pin pass logs its pinned,
+direct and searched demand counts, one that the walks in turn route the
+demands they routed, one that reaches the search its dead states and
+moves checked, and an infeasible solve its reason, on the ``dspc.exact``
+logger.
 
 ``solve_with_congestion``, the solve with its routing checked again, is the
 route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
 
 The search reads a vertex's tight edges straight off its out-edges with
 ``_tight``, in out-edge order; the direct walks take the first of them with
-``_first_walk``, and the pin pass, the first descent and the walks in turn
-test each in place, so none of those builds a list per vertex. The
-brute-force oracle shares no search code with the solver; its path helpers
-keep their own copy of the tightness test, so each reads one backward sweep.
+``_first_walk``, and the pin pass and the walks in turn test each in
+place, so none of those builds a list per vertex. The brute-force oracle
+shares no search code with the solver; its path helpers keep their own
+copy of the tightness test, so each reads one backward sweep.
 """
 
 from __future__ import annotations
@@ -191,7 +175,7 @@ from .errors import InvariantViolation, LimitExceeded, OracleTooLarge, Projectio
 
 #: Dead states a solve may record before LimitExceeded; about 117 MB at 27 pebbles.
 MAX_DEAD_STATES = 2**19
-#: Moves a solve may check before LimitExceeded, one per fitting move or cut prefix.
+#: Moves a solve's search may check before LimitExceeded, one per fitting move or cut prefix.
 MAX_MOVES_CHECKED = 2**20
 
 #: One vertex per pebble, in demand order.
@@ -238,21 +222,6 @@ def _first_walk(
         walk.append(v)
         u = v
     return tuple(walk)
-
-
-def _free_load(inst: Instance, free: Sequence[int], fixed: Load) -> dict[object, int]:
-    """``fixed``, plus in vertex mode one per free demand's source and one per its terminal.
-
-    Free demands have s != t. No walk enters its own source, and the
-    terminal's count stands for the pebble's arrival there.
-    """
-    load = dict(fixed)
-    if inst.mode == VERTEX:
-        pairs = inst.demands
-        for i in free:
-            for x in pairs[i]:
-                load[x] = load.get(x, 0) + 1
-    return load
 
 
 def merge_check(
@@ -369,10 +338,9 @@ class DisjointShortestSolver:
     ``solve`` checks none of them again. ``memo`` holds the dead states,
     ``direct`` the indices of the uncontested demands, routed by their first
     tight walk before the pin pass, ``pinned`` those of the contested
-    demands pinned before the search, and ``checked`` the moves the search
-    checked (or, when the first descent fits, would have checked; 0 when
-    the walks in turn route the free demands), all of the latest solve()
-    call; none is mutated once that call returns.
+    demands pinned before the search (none when the pin pass refutes), and
+    ``checked`` the moves the search checked (0 when it does not run), all
+    of the latest solve() call; none is mutated once that call returns.
     """
 
     def __init__(self):
@@ -413,20 +381,18 @@ class DisjointShortestSolver:
         # the first tight walk, which the search would give the pebble
         walks = {i: _first_walk(out, to_t[pairs[i][1]], *pairs[i]) for i in self.direct}
         fixed = self._pin(inst, to_t, walks)
-        self.pinned = tuple(sorted(walks.keys() - self.direct))
         if fixed is None:
             return None
+        self.pinned = tuple(sorted(walks.keys() - self.direct))
         free = [i for i in range(len(pairs)) if i not in walks]
         log.debug("demands: %d pinned, %d direct, %d searched",
                   len(self.pinned), len(self.direct), len(free))
-        routed = self._descend(inst, free, to_t, fixed) if free else {}
+        routed = self._route_in_turn(inst, free, to_t, fixed) if free else {}
         if routed is None:
-            # a solve whose first descent fails pays for the bound, which may spare it the search
+            # a solve whose walks give up pays for the bound, which may spare it the search
             cut = overloaded_cut(inst)
             if cut is not None:
                 return _infeasible(*cut)
-            routed = self._route_in_turn(inst, free, to_t, fixed)
-        if routed is None:
             states = self._search(inst, tuple(pairs[i][0] for i in free),
                                   tuple(pairs[i][1] for i in free), to_t, fixed)
             if states is None:
@@ -436,53 +402,6 @@ class DisjointShortestSolver:
                       for j, i in enumerate(free)}
         walks.update(routed)
         return Solution(tuple(Path(walks[i], to_t[t][s]) for i, (s, t) in enumerate(pairs)))
-
-    def _descend(
-        self,
-        inst: Instance,
-        free: Sequence[int],
-        to_t: Mapping[int, Sequence[float]],
-        fixed: Load,
-    ) -> dict[int, tuple[int, ...]] | None:
-        """The search's first descent in closed form: each free demand's first tight walk, or None.
-
-        None when a walk would load an element past c, on top of the
-        resting pebbles and ``fixed``, or when making them would check more
-        than ``MAX_MOVES_CHECKED`` moves; the search then runs as it would
-        have. Otherwise ``checked`` is set to the moves the search would
-        make, one per vertex that holds an unfinished pebble, and logged.
-        """
-        pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
-        vertex_mode = inst.mode == VERTEX
-        load = _free_load(inst, free, fixed)
-        held = load.get
-        walks = {}
-        for i in free:
-            s, t = pairs[i]
-            b = to_t[t]
-            if vertex_mode:
-                load[t] -= 1
-            # the first tight walk, loaded step by step up to the first element past c
-            walk, u = [s], s
-            while u != t:
-                bu = b[u]
-                for edge in out[u]:
-                    if edge[2] + b[edge[1]] == bu:
-                        break
-                u = edge[1]
-                key = u if vertex_mode else edge
-                count = held(key, 0)
-                if count >= c:
-                    return None
-                load[key] = count + 1
-                walk.append(u)
-            walks[i] = tuple(walk)
-        moved = {u for walk in walks.values() for u in walk[:-1]}
-        if len(moved) > MAX_MOVES_CHECKED:
-            return None
-        self.checked = len(moved)
-        log.debug("search: 0 dead states, %d moves checked", self.checked)
-        return walks
 
     @staticmethod
     def _route_in_turn(
@@ -495,16 +414,24 @@ class DisjointShortestSolver:
 
         A walk goes depth first over its vertex's tight out-edges in
         out-edge order, skipping each edge whose element is at c on top of
-        ``_free_load`` and the walks before it, and a vertex it backs out
-        of stays dead for the demand, so each tight edge is tried once.
-        The routing found is valid. A demand left without a walk proves
-        nothing, since an earlier walk may have taken its route: None, and
-        the search decides. ``checked`` stays 0.
+        ``fixed``, in vertex mode one per free demand's source and terminal,
+        and the walks before it; a vertex it backs out of stays dead for the
+        demand, so each tight edge is tried once. When every first tight
+        walk fits, those are the walks found. The routing found is valid. A
+        demand left without a walk proves nothing, since an earlier walk may
+        have taken its route: None, and the cut and the search decide.
+        ``checked`` stays 0.
         """
         pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
         vertex_mode = inst.mode == VERTEX
-        load = _free_load(inst, free, fixed)
+        load = dict(fixed)
         held = load.get
+        if vertex_mode:
+            # free demands have s != t: no walk enters its own source, and the
+            # terminal's count stands for the walk's arrival there until it is made
+            for i in free:
+                for x in pairs[i]:
+                    load[x] = held(x, 0) + 1
         walks = {}
         for i in free:
             s, t = pairs[i]
@@ -782,11 +709,12 @@ def solve_disjoint_shortest(inst: Instance) -> Solution | None:
     The elements are vertices when ``inst.mode`` is "vertex" and edges when
     it is "edge". Returns None when no such routing exists, and raises
     LimitExceeded when the search records ``MAX_DEAD_STATES`` dead states or
-    checks ``MAX_MOVES_CHECKED`` moves without deciding. Deterministic: the
-    walks in turn take the free demands in demand order and each vertex's
-    tight edges in out-edge order, and the search, which runs only when
-    they give up, tries the movers' edges in lexicographic order of their
-    out-edge lists; the first routing found wins.
+    checks ``MAX_MOVES_CHECKED`` moves without deciding; the walks in turn
+    check no move, so a solve they route meets neither budget.
+    Deterministic: the walks in turn take the free demands in demand order
+    and each vertex's tight edges in out-edge order, and the search, which
+    runs only when they give up, tries the movers' edges in lexicographic
+    order of their out-edge lists; the first routing found wins.
     """
     return DisjointShortestSolver().solve(inst)
 

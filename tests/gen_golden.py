@@ -15,7 +15,7 @@ than c demands: ``random_instance`` at c = k, and chains of small random
 blocks with two to four long demands at c = 2. A third covers a batch that
 the search does the most of: ``search_heavy_instance`` draws in both modes
 and ``bottleneck_instance`` draws. Each batch records, next to its digest,
-the dead states and the moves checked that its solves take in all, so a
+the dead states and the moves checked that its searches take in all, so a
 change that keeps the routing but searches more or less shows too, and
 the demands pinned and routed directly over the solves that route, so a
 change that keeps the routing but pins more or fewer shows as well. A
@@ -161,11 +161,11 @@ def search_batch() -> Iterator[Instance]:
 #: and the pinned and direct demands of the solves that route).
 BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int, int, int]] = {
     "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
-               0, 52, 1252, 3041),
+               0, 0, 1252, 3041),
     "direct": (direct_batch, "9391d34b69423ea261baad9e21cc170aaf668ece148e608f6c238b29a64ddced",
-               481, 1023, 176, 4368),
+               481, 772, 176, 4368),
     "search": (search_batch, "d66645b852598144400ab814a5eb31890a69897b495f47dc4aceb17bbaa8e24e",
-               1173, 5791, 0, 270),
+               1173, 3318, 0, 270),
 }
 
 

@@ -61,7 +61,7 @@ from helpers import (
 
 @pytest.fixture
 def search_only(monkeypatch):
-    """Solves leave every free demand that the first descent cannot route to the search."""
+    """Solves leave every free demand to the cut and the search: the walks in turn give up."""
     monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn", lambda *args: None)
 
 
@@ -79,9 +79,8 @@ class TestMergeCheck:
         # 1-5-3-4 and 1-7-3-4 keep the demand from being pinned before the
         # search. The routes 6-3-8 and 6-8 do the same for (6, 8), and at
         # c = 1 the two windows contest each other, so both are searched.
-        # Both first tight walks take vertex 3, so the first descent does not
-        # fit; with the walks in turn left out, the search offers its moves:
-        # (6, 3) is cut, (6, 8) fits.
+        # Both first tight walks take vertex 3; with the walks in turn left
+        # out, the search offers its moves: (6, 3) is cut, (6, 8) fits.
         dag = Dag(8, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 5), (1, 5, 1), (5, 3, 1),
                       (1, 7, 1), (7, 3, 1), (6, 3, 1), (3, 8, 1), (6, 8, 2)))
         offered = []
@@ -369,7 +368,8 @@ class TestPinPass:
         with caplog.at_level("DEBUG", logger="dspc.exact"):
             assert solver.solve(Instance(dag, ((1, 3), (4, 5)), 1)) is None
         assert caplog.messages == ["infeasible: demand 1 has no shortest path left"]
-        assert solver.pinned == (0,) and not solver.memo.entries
+        # (1, 3) was pinned before the refutation, but a refuted pass reports none
+        assert solver.pinned == () and not solver.memo.entries
         assert solver.solve(Instance(dag, ((4, 5),), 1)) is not None and solver.pinned == ()
 
     def test_pinned_path_through_a_free_source(self, caplog):
@@ -429,9 +429,10 @@ class TestPinPass:
 
     def test_agrees_with_oracle_on_every_route(self, monkeypatch):
         # an instance is decided by the pin pass alone, pinned in part and
-        # then searched, searched with nothing pinned, by the search's first
-        # descent in closed form or by the walks in turn, and some route
-        # demands directly; every route is taken at least 10 times per mode.
+        # then searched, searched with nothing pinned, or by the walks in
+        # turn, and some route demands directly; every route is taken at
+        # least 10 times per mode. A refuted pin pass reports no pinned
+        # demand, so its refutation is recorded apart.
         # The 1,000 draws per mode are contested_instance ones, whose
         # search-heavy demands contest each other and whose added demands of
         # one path are pinned once their windows meet more than c others.
@@ -439,18 +440,18 @@ class TestPinPass:
         # 52 (edge) times. The feasible draws pin 1,079 demands, and each
         # pinned route, like each of the 307 direct routes that are the only
         # shortest path, is checked against the oracle's.
-        searched, descended, walked, forced = [], [], [], 0
-        search, descend = DisjointShortestSolver._search, DisjointShortestSolver._descend
+        searched, walked, refuted, forced = [], [], [], 0
+        search, pin = DisjointShortestSolver._search, DisjointShortestSolver._pin
         route_in_turn = DisjointShortestSolver._route_in_turn
+
+        def recording_pin(self, *args):
+            fixed = pin(self, *args)
+            refuted.append(fixed is None)
+            return fixed
 
         def recording(self, inst, start, *args):
             searched.append(bool(start))
             return search(self, inst, start, *args)
-
-        def recording_descent(self, *args):
-            walks = descend(self, *args)
-            descended.append(walks is not None)
-            return walks
 
         def recording_walks(self, *args):
             walks = route_in_turn(*args)
@@ -458,15 +459,15 @@ class TestPinPass:
             return walks
 
         monkeypatch.setattr(DisjointShortestSolver, "_search", recording)
-        monkeypatch.setattr(DisjointShortestSolver, "_descend", recording_descent)
         monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn", recording_walks)
+        monkeypatch.setattr(DisjointShortestSolver, "_pin", recording_pin)
         for mode in ("vertex", "edge"):
             routes = Counter()
             for seed in range(1000):
                 inst = contested_instance(random.Random(seed), mode)
                 searched.clear()
-                descended.clear()
                 walked.clear()
+                refuted.clear()
                 solver = DisjointShortestSolver()
                 got = solver.solve(inst)
                 want = brute_force_oracle(inst)
@@ -481,17 +482,14 @@ class TestPinPass:
                     for i in solver.direct:
                         if count_shortest_paths(inst.dag, *inst.demands[i]) == 1:
                             assert got.paths[i] == want.paths[i], (mode, seed, i)
-                if any(descended):
-                    assert not walked and not searched, (mode, seed)
-                    routes["descent"] += 1
-                elif any(walked):
+                if any(walked):
                     assert not searched, (mode, seed)
                     routes["walks"] += 1
                 else:
-                    routes[bool(solver.pinned), any(searched)] += 1
+                    routes[bool(solver.pinned) or any(refuted), any(searched)] += 1
                 routes["direct"] += bool(solver.direct)
             assert min(routes[True, False], routes[True, True], routes[False, True],
-                       routes["direct"], routes["descent"], routes["walks"]) >= 10, (mode, routes)
+                       routes["direct"], routes["walks"]) >= 10, (mode, routes)
         assert forced >= 300, forced
 
     def test_counted_rounds_run_only_once_an_element_is_full(self, monkeypatch):
@@ -714,77 +712,6 @@ def untangled() -> Instance:
     return Instance(dag, ((1, 4), (6, 9)), 1)
 
 
-class TestFirstDescent:
-    """When every free pebble's first tight walk fits, ``solve`` returns them without the search."""
-
-    def test_same_as_the_search(self, monkeypatch, caplog, search_only):
-        # with the walks in turn left out, each draw is solved as shipped and
-        # with the descent deferring to the search: the routing, the moves checked, the dead states, the
-        # pinned and direct demands and the debug lines are the same. Of the
-        # 4,000 draws, 1,500 random and 500 search-heavy per mode, the
-        # descent decides 540 and defers 384 to the search.
-        decided = Counter()
-        for mode in ("vertex", "edge"):
-            for seed in range(2000):
-                rng = random.Random(seed)
-                if seed < 1500:
-                    k = rng.randint(1, 8)
-                    inst = random_instance(
-                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
-                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
-                    )
-                else:
-                    k = rng.randint(2, 7)
-                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
-                shipped, deferring = DisjointShortestSolver(), DisjointShortestSolver()
-                descend = shipped._descend
-
-                def recording(*args):
-                    walks = descend(*args)
-                    decided[walks is not None] += 1
-                    return walks
-
-                monkeypatch.setattr(shipped, "_descend", recording)
-                monkeypatch.setattr(deferring, "_descend", lambda *args: None)
-                runs = []
-                for solver in (shipped, deferring):
-                    caplog.clear()
-                    with caplog.at_level("DEBUG", logger="dspc.exact"):
-                        routed = solver.solve(inst)
-                    runs.append((routed, solver.checked, solver.memo.entries, solver.pinned,
-                                 solver.direct, caplog.messages))
-                assert runs[0] == runs[1], (mode, seed)
-        assert decided[True] >= 300 and decided[False] >= 300, decided
-
-    def test_fitting_walks_skip_the_cut_and_the_sweep_order(self, monkeypatch, caplog):
-        # the search would make 5 moves, on 1, 2 and 3 and on 6 and 7, with no
-        # cut prefix; the descent counts them without the search's machinery
-        for name in ("overloaded_cut", "sweep_order", "fitting_moves"):
-            monkeypatch.setattr(exact, name, None)
-        solver = DisjointShortestSolver()
-        with caplog.at_level("DEBUG", logger="dspc.exact"):
-            sol = solver.solve(untangled())
-        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 7, 9)]
-        assert solver.pinned == () and solver.direct == ()
-        assert solver.checked == 5 and not solver.memo.entries
-        assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
-                                   "search: 0 dead states, 5 moves checked"]
-
-    def test_budget_of_moves_checked(self, monkeypatch, search_only):
-        # the move budget still stops a solve that the descent would decide,
-        # with the search's error after as many moves, when the walks in turn
-        # are left out
-        inst, solver = untangled(), DisjointShortestSolver()
-        routed = solver.solve(inst)
-        assert solver.checked == 5
-        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", 5)
-        assert solver.solve(inst) == routed and solver.checked == 5
-        monkeypatch.setattr(exact, "MAX_MOVES_CHECKED", 4)
-        with pytest.raises(LimitExceeded, match="search gave up after 4 moves checked"):
-            solver.solve(inst)
-        assert solver.checked == 4 and not solver.memo.entries
-
-
 def order_bound(first: int) -> Instance:
     """Two contested demands at c = 1 in vertex mode, demand ``first`` of them listed first.
 
@@ -799,16 +726,74 @@ def order_bound(first: int) -> Instance:
 
 
 class TestWalksInTurn:
-    """Free demands the first descent cannot route take open tight walks in turn before the search."""
+    """Free demands take open tight walks in turn before the cut and the search."""
+
+    def test_fitting_first_walks_are_the_search_routing(self, monkeypatch):
+        # 4,000 draws, 1,500 random and 500 search-heavy per mode. The
+        # reference routes every demand but the pinned ones by its first
+        # tight walk and counts the loads. Whenever no element passes c, the
+        # solve returns exactly that routing with no move checked and no dead
+        # state, and the search, with the walks in turn left out, returns it
+        # too. That holds for 540 feasible draws with free demands; on 253
+        # others a first tight walk does not fit.
+        fits = Counter()
+        for mode in ("vertex", "edge"):
+            for seed in range(2000):
+                rng = random.Random(seed)
+                if seed < 1500:
+                    k = rng.randint(1, 8)
+                    inst = random_instance(
+                        rng, n=rng.randint(1, 9), k=k, congestion=rng.randint(1, k), mode=mode,
+                        edge_prob=rng.choice((0.3, 0.5, 0.7)), max_weight=rng.randint(1, 3),
+                    )
+                else:
+                    k = rng.randint(2, 7)
+                    inst = search_heavy_instance(rng, k, rng.randint(1, k - 1), mode)
+                solver = DisjointShortestSolver()
+                got = solver.solve(inst)
+                if got is None:
+                    continue  # no routing fits, the reference's included
+                routing = [got.paths[i].vertices if i in solver.pinned
+                           else first_tight_walk(inst.dag, s, t)
+                           for i, (s, t) in enumerate(inst.demands)]
+                load = Counter()
+                for walk in routing:
+                    load.update(walk if mode == "vertex" else zip(walk, walk[1:]))
+                fit = max(load.values(), default=0) <= inst.congestion
+                if len(solver.pinned) + len(solver.direct) < inst.k:
+                    fits[fit] += 1
+                if not fit:
+                    continue
+                assert [p.vertices for p in got.paths] == routing, (mode, seed)
+                assert solver.checked == 0 and not solver.memo.entries, (mode, seed)
+                searching = DisjointShortestSolver()
+                monkeypatch.setattr(searching, "_route_in_turn", lambda *args: None)
+                assert searching.solve(inst) == got and not searching.memo.entries, (mode, seed)
+        assert fits[True] >= 300 and fits[False] >= 150, fits
+
+    def test_routed_walks_skip_the_cut_and_the_sweep_order(self, monkeypatch, caplog):
+        # the first tight walks 1-2-3-4 and 6-7-9 fit, so the walks route them
+        # without the cut bound or the search's machinery
+        for name in ("overloaded_cut", "sweep_order", "fitting_moves"):
+            monkeypatch.setattr(exact, name, None)
+        solver = DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(untangled())
+        assert [p.vertices for p in sol.paths] == [(1, 2, 3, 4), (6, 7, 9)]
+        assert solver.pinned == () and solver.direct == ()
+        assert solver.checked == 0 and not solver.memo.entries
+        assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
+                                   "walks in turn: 2 demands routed"]
 
     def test_same_verdict_as_the_search(self, monkeypatch):
         # 3,100 draws: 800 random and 500 search-heavy per mode, and 500
         # bottleneck draws. Each is solved as shipped and with the walks in
         # turn left out: the verdicts are the same and match the oracle's
-        # where it fits, and every routing verifies. The walks route 277
-        # draws (105 vertex, 71 edge, 101 bottleneck), each with no move
+        # where it fits, and every routing verifies. The walks route 821
+        # draws (288 vertex, 406 edge, 127 bottleneck), each with no move
         # checked and no dead state, and with one free demand they give the
-        # search's routing; they give up on 309 (151, 37, 121).
+        # search's routing; they give up on 569 (153, 43, 373), among them
+        # every draw that the cut refutes.
         routed, deferred = Counter(), Counter()
         for mode in ("vertex", "edge"):
             for seed in range(1300):
@@ -1054,9 +1039,10 @@ class TestOverloadedCut:
         ]
         assert brute_force_oracle(inst) is None
 
-    def test_cut_vertex_at_c_still_routes(self):
+    def test_cut_vertex_at_c_still_routes(self, search_only):
         # z = 9 is met by exactly c = 2 windows, those of (1, 10) and (2, 11);
-        # the window of (3, 8) meets both before z, so every demand is searched
+        # the window of (3, 8) meets both before z, so with the walks in turn
+        # left out every demand is searched
         edges = ((1, 4, 1), (1, 5, 1), (2, 6, 1), (2, 7, 1), (3, 4, 1), (3, 5, 1), (4, 8, 1),
                  (5, 8, 1), (4, 9, 1), (5, 9, 1), (6, 9, 1), (7, 9, 1), (9, 10, 1), (9, 11, 1))
         inst = Instance(Dag(11, edges), ((1, 10), (2, 11), (3, 8)), 2)
