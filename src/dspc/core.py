@@ -57,7 +57,7 @@ class Dag:
         n = self.vertex_count
         if n < 1:
             raise InvariantViolation(f"vertex count must be positive, got {n}")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         seen = set()
         ascending = True
         for tail, head, weight in self.edges:

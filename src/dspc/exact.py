@@ -81,33 +81,39 @@ the walks routed so far. A vertex it leaves with no way on is dead for
 that demand, so each tight edge is tried at most once, and the pass costs
 O(k(n + m)). When every demand gets a walk, the walks are a valid routing,
 and ``solve`` returns it with ``checked`` at 0, an empty memo and its own
-debug line. When one gets none, an earlier walk may have taken the wrong
-route, so that proves nothing, and the cut and the search run as they
-would have. The verdict is the search's either way. When every free
-demand's first tight walk fits, the walks are those first tight walks,
-since no walk loads one element twice, and they are the routing the
-search returns: its first descent takes option 0 for every mover at every
-move, every pebble that visits a vertex is on it when the sweep reaches
-it, so the count at each arrival is at most the element's load over all
-the walks, and no prefix is cut before the all-zero pick. With one free
-demand the walk is always the search's first routing: the search moves
-one pebble depth first over the same edges, in the same order, and
-records the same dead vertices. With two or more, once a first tight walk
-does not fit, the walks may route a feasible instance differently from the
-search, since they fix each demand before looking at the next, where the
-search advances every pebble along one sweep; both routings are valid,
-and which one is printed stays deterministic.
+debug line. When every free demand's first tight walk fits, the walks are
+those first tight walks, since no walk loads one element twice, and they
+are the routing the search returns: its first descent takes option 0 for
+every mover at every move, every pebble that visits a vertex is on it when
+the sweep reaches it, so the count at each arrival is at most the
+element's load over all the walks, and no prefix is cut before the
+all-zero pick. With one free demand the walk is always the search's first
+routing: the search moves one pebble depth first over the same edges, in
+the same order, and records the same dead vertices. With two or more, once
+a first tight walk does not fit, the walks may route a feasible instance
+differently from the search, since they fix each demand before looking at
+the next, where the search advances every pebble along one sweep; both
+routings are valid, and which one is printed stays deterministic.
 
-When the walks give up, ``overloaded_cut`` tries to refute the instance
-before the search, from the graph and the demand windows in ``Dag.order``
-alone: a vertex that no edge jumps over and more than c windows hold
-(vertex mode), or a gap between two positions that more than c windows per
-crossing edge span (edge mode). The test is exact, so it changes no
-verdict and no routing, only how much the search does: the forced funnel
-below, and most infeasible bottleneck draws, are refuted with no dead
-state. It cannot refute a routing the walks found, so a solve that the
-direct walks, the pin pass or the walks in turn decide never runs it, and
-at ``DSPC_LOG=debug`` the reason names the cut.
+When a demand gets no walk, an earlier walk may have taken its route, so
+that proves nothing. First ``overloaded_cut`` tries to refute the instance,
+from the graph and the demand windows in ``Dag.order`` alone: a vertex
+that no edge jumps over and more than c windows hold (vertex mode), or a
+gap between two positions that more than c windows per crossing edge span
+(edge mode). The test is exact, so it changes no verdict and no routing:
+the forced funnel below, and most infeasible bottleneck draws, are refuted
+with no dead state, and at ``DSPC_LOG=debug`` the reason names the cut. It
+cannot refute a routing the walks found, so a solve whose first pass
+routes never runs it. It runs before the retries, which a refuted instance
+would pay for in full. Then the walks are retried, each pass with the
+demand that the pass before left without a walk moved to the front and the
+others kept in their order, the net reordering of rip-up-and-reroute
+routers. The retries stop at the first pass that routes every demand, when
+the blocked demand is first already, or after k passes in all, k the free
+demands, so they cost O(k^2 (n + m)). Each pass is a fixed function of the
+one before, so the routing printed stays deterministic. Only when every
+pass gives up does the search run; every routing a pass returns is valid,
+so the verdict is the search's either way.
 
 The search sweeps in its own topological order, ``sweep_order``, computed
 once per solve and only when pebbles remain that neither the walks in turn
@@ -142,9 +148,9 @@ up front. The search keeps its path in an explicit stack, one level per
 move, so long graphs stay clear of the recursion limit. At
 ``DSPC_LOG=debug`` a solve that gets past the pin pass logs its pinned,
 direct and searched demand counts, one that the walks in turn route the
-demands they routed, one that reaches the search its dead states and
-moves checked, and an infeasible solve its reason, on the ``dspc.exact``
-logger.
+demands they routed, and the pass when it is a retry, one that reaches the
+search its dead states and moves checked, and an infeasible solve its
+reason, on the ``dspc.exact`` logger.
 
 ``solve_with_congestion``, the solve with its routing checked again, is the
 route of ``dspc solve``, the kernel's core solves and ``solve_edsp``.
@@ -338,7 +344,9 @@ class DisjointShortestSolver:
     ``solve`` checks none of them again. ``memo`` holds the dead states,
     ``direct`` the indices of the uncontested demands, routed by their first
     tight walk before the pin pass, ``pinned`` those of the contested
-    demands pinned before the search (none when the pin pass refutes), and
+    demands pinned before the search (none when the pin pass refutes),
+    ``passes`` the passes of the walks in turn, ``blocked`` the demand the
+    last failed pass left without a walk (None when none failed), and
     ``checked`` the moves the search checked (0 when it does not run), all
     of the latest solve() call; none is mutated once that call returns.
     """
@@ -347,12 +355,14 @@ class DisjointShortestSolver:
         self.memo = MemoStore()
         self.pinned: tuple[int, ...] = ()
         self.direct: tuple[int, ...] = ()
-        self.checked = 0
+        self.checked = self.passes = 0
+        self.blocked: int | None = None
 
     def solve(self, inst: Instance) -> Solution | None:
         self.memo = MemoStore()
         self.pinned = self.direct = ()
-        self.checked = 0
+        self.checked = self.passes = 0
+        self.blocked = None
         pairs, c, dag = inst.demands, inst.congestion, inst.dag
         out = dag.out_edges
         if inst.mode == VERTEX:
@@ -389,10 +399,17 @@ class DisjointShortestSolver:
                   len(self.pinned), len(self.direct), len(free))
         routed = self._route_in_turn(inst, free, to_t, fixed) if free else {}
         if routed is None:
-            # a solve whose walks give up pays for the bound, which may spare it the search
+            # a solve whose first pass gives up pays for the bound, which may spare it the retries
             cut = overloaded_cut(inst)
             if cut is not None:
                 return _infeasible(*cut)
+            # each retry moves the demand left without a walk to the front: k passes at most
+            order = list(free)
+            while routed is None and 0 < self.passes < len(free) and self.blocked != order[0]:
+                order.remove(self.blocked)
+                order.insert(0, self.blocked)
+                routed = self._route_in_turn(inst, order, to_t, fixed)
+        if routed is None:
             states = self._search(inst, tuple(pairs[i][0] for i in free),
                                   tuple(pairs[i][1] for i in free), to_t, fixed)
             if states is None:
@@ -403,14 +420,14 @@ class DisjointShortestSolver:
         walks.update(routed)
         return Solution(tuple(Path(walks[i], to_t[t][s]) for i, (s, t) in enumerate(pairs)))
 
-    @staticmethod
     def _route_in_turn(
+        self,
         inst: Instance,
         free: Sequence[int],
         to_t: Mapping[int, Sequence[float]],
         fixed: Load,
     ) -> dict[int, tuple[int, ...]] | None:
-        """Each free demand in turn by its first tight walk over elements below c, or None.
+        """Each demand of ``free``, in that order, by its first tight walk over elements below c.
 
         A walk goes depth first over its vertex's tight out-edges in
         out-edge order, skipping each edge whose element is at c on top of
@@ -419,9 +436,12 @@ class DisjointShortestSolver:
         demand, so each tight edge is tried once. When every first tight
         walk fits, those are the walks found. The routing found is valid. A
         demand left without a walk proves nothing, since an earlier walk may
-        have taken its route: None, and the cut and the search decide.
-        ``checked`` stays 0.
+        have taken its route: it is kept as ``blocked``, for ``solve`` to
+        retry it first, and the pass returns None. Each call counts one in
+        ``passes``; ``checked`` stays 0. The same ``free`` order always
+        gives the same walks.
         """
+        self.passes += 1
         pairs, c, out = inst.demands, inst.congestion, inst.dag.out_edges
         vertex_mode = inst.mode == VERTEX
         load = dict(fixed)
@@ -453,6 +473,7 @@ class DisjointShortestSolver:
                 else:
                     # every tight edge out of u is full or leads to a dead vertex
                     if u == s:
+                        self.blocked = i
                         return None
                     dead.add(walk.pop())
                     keys.pop()
@@ -465,7 +486,10 @@ class DisjointShortestSolver:
             for key in keys:
                 load[key] = held(key, 0) + 1
             walks[i] = tuple(walk)
-        log.debug("walks in turn: %d demands routed", len(walks))
+        if self.passes == 1:
+            log.debug("walks in turn: %d demands routed", len(walks))
+        else:
+            log.debug("walks in turn: %d demands routed on pass %d", len(walks), self.passes)
         return walks
 
     def _pin(
@@ -712,9 +736,11 @@ def solve_disjoint_shortest(inst: Instance) -> Solution | None:
     checks ``MAX_MOVES_CHECKED`` moves without deciding; the walks in turn
     check no move, so a solve they route meets neither budget.
     Deterministic: the walks in turn take the free demands in demand order
-    and each vertex's tight edges in out-edge order, and the search, which
-    runs only when they give up, tries the movers' edges in lexicographic
-    order of their out-edge lists; the first routing found wins.
+    and each vertex's tight edges in out-edge order, each retry moves the
+    demand the pass before left without a walk to the front, and the
+    search, which runs only when every pass gives up, tries the movers'
+    edges in lexicographic order of their out-edge lists; the first routing
+    found wins.
     """
     return DisjointShortestSolver().solve(inst)
 

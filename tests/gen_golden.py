@@ -162,10 +162,10 @@ def search_batch() -> Iterator[Instance]:
 BATCHES: dict[str, tuple[Callable[[], Iterator[Instance]], str, int, int, int, int]] = {
     "random": (random_batch, "8d62e983abc7f39b896999fbe6e9f5786e075aad520207d0ab403d7d14790d41",
                0, 0, 1252, 3041),
-    "direct": (direct_batch, "9391d34b69423ea261baad9e21cc170aaf668ece148e608f6c238b29a64ddced",
-               481, 772, 176, 4368),
-    "search": (search_batch, "d66645b852598144400ab814a5eb31890a69897b495f47dc4aceb17bbaa8e24e",
-               1173, 3318, 0, 270),
+    "direct": (direct_batch, "024e1f8912f3e3910ad06e6cc9b69bb74ed67ecec13c40b1a1610e5670314e29",
+               480, 744, 176, 4368),
+    "search": (search_batch, "6d670f213d4ce9f325bcd28d4984cc0c113502bfd68f2fb0296c479f9b2ff944",
+               829, 1546, 0, 270),
 }
 
 

@@ -454,7 +454,7 @@ class TestPinPass:
             return search(self, inst, start, *args)
 
         def recording_walks(self, *args):
-            walks = route_in_turn(*args)
+            walks = route_in_turn(self, *args)
             walked.append(walks is not None)
             return walks
 
@@ -725,8 +725,22 @@ def order_bound(first: int) -> Instance:
     return Instance(dag, (demands[first], demands[1 - first]), 1)
 
 
+def crossed_pair(first: int) -> Instance:
+    """Two demands at c = 1 in vertex mode that no order of the walks in turn routes.
+
+    Demand 0, (1, 6), has the routes 1-4-5-6 and 1-3-6, and demand 1,
+    (2, 7), the routes 2-3-4-7 and 2-5-7, each first route its first tight
+    walk. Each first route takes a vertex of both routes of the other
+    demand, and the two second routes fit together.
+    """
+    dag = Dag(7, ((1, 4, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (3, 6, 2),
+                  (2, 3, 1), (2, 5, 1), (3, 4, 1), (4, 7, 1), (5, 7, 2)))
+    demands = ((1, 6), (2, 7))
+    return Instance(dag, (demands[first], demands[1 - first]), 1)
+
+
 class TestWalksInTurn:
-    """Free demands take open tight walks in turn before the cut and the search."""
+    """Free demands take open tight walks in turn, and retry them, before the search."""
 
     def test_fitting_first_walks_are_the_search_routing(self, monkeypatch):
         # 4,000 draws, 1,500 random and 500 search-heavy per mode. The
@@ -789,10 +803,11 @@ class TestWalksInTurn:
         # 3,100 draws: 800 random and 500 search-heavy per mode, and 500
         # bottleneck draws. Each is solved as shipped and with the walks in
         # turn left out: the verdicts are the same and match the oracle's
-        # where it fits, and every routing verifies. The walks route 821
-        # draws (288 vertex, 406 edge, 127 bottleneck), each with no move
-        # checked and no dead state, and with one free demand they give the
-        # search's routing; they give up on 569 (153, 43, 373), among them
+        # where it fits, and every routing verifies. The walks route 983
+        # draws (329 vertex, 428 edge, 226 bottleneck), 162 of them on a
+        # later pass, each with no move checked and no dead state and only
+        # the last pass routing, and with one free demand they give the
+        # search's routing; they give up on 407 (112, 21, 274), among them
         # every draw that the cut refutes.
         routed, deferred = Counter(), Counter()
         for mode in ("vertex", "edge"):
@@ -836,8 +851,9 @@ class TestWalksInTurn:
         for sol in (got, want):
             assert sol is None or verify_solution(inst, sol).feasible, where
         kind = where[0]
-        if outcome == [True]:
+        if outcome and outcome[-1]:
             assert shipped.checked == 0 and not shipped.memo.entries, where
+            assert outcome.count(True) == 1 and shipped.passes == len(outcome), where
             if inst.k - len(shipped.pinned) - len(shipped.direct) == 1:
                 assert got == want, where
             routed[kind] += 1
@@ -846,16 +862,16 @@ class TestWalksInTurn:
 
     def test_demand_order_decides_whether_the_walks_route(self, caplog):
         # listed first, (1, 7) takes 1-3-5-7, which fills both routes of
-        # (2, 6), so the walks give up and the search routes both
+        # (2, 6), so the first pass gives up; the second moves (2, 6) to the
+        # front, and the walks route both with no search
         inst, solver = order_bound(0), DisjointShortestSolver()
         with caplog.at_level("DEBUG", logger="dspc.exact"):
             sol = solver.solve(inst)
         assert [p.vertices for p in sol.paths] == [(1, 4, 7), (2, 3, 6)]
-        assert verify_solution(inst, sol).feasible and solver.checked > 0
-        assert caplog.messages == [
-            "demands: 0 pinned, 0 direct, 2 searched",
-            f"search: {len(solver.memo.entries)} dead states, {solver.checked} moves checked",
-        ]
+        assert verify_solution(inst, sol).feasible
+        assert solver.passes == 2 and solver.checked == 0 and not solver.memo.entries
+        assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
+                                   "walks in turn: 2 demands routed on pass 2"]
         # listed first, (2, 6) takes 2-3-6, and (1, 7) then goes round 3 by 4
         caplog.clear()
         inst = order_bound(1)
@@ -863,9 +879,92 @@ class TestWalksInTurn:
             sol = solver.solve(inst)
         assert [p.vertices for p in sol.paths] == [(2, 3, 6), (1, 4, 7)]
         assert verify_solution(inst, sol).feasible
-        assert solver.checked == 0 and not solver.memo.entries
+        assert solver.passes == 1 and solver.checked == 0 and not solver.memo.entries
         assert caplog.messages == ["demands: 0 pinned, 0 direct, 2 searched",
                                    "walks in turn: 2 demands routed"]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_crossed_pair_is_left_to_the_search(self, first, caplog):
+        # in either order the first walk fills both routes of the other
+        # demand, and so does the blocked demand's walk moved to the front:
+        # both passes give up, the second on the demand listed first, and the
+        # search routes the second routes
+        inst, solver = crossed_pair(first), DisjointShortestSolver()
+        with caplog.at_level("DEBUG", logger="dspc.exact"):
+            sol = solver.solve(inst)
+        assert sorted(p.vertices for p in sol.paths) == [(1, 3, 6), (2, 5, 7)]
+        assert sol == brute_force_oracle(inst)
+        assert solver.passes == 2 and solver.blocked == 0 and solver.checked > 0
+        assert caplog.messages == [
+            "demands: 0 pinned, 0 direct, 2 searched",
+            f"search: {len(solver.memo.entries)} dead states, {solver.checked} moves checked",
+        ]
+
+    def test_retries_move_the_blocked_demand_first(self, monkeypatch):
+        # 1,600 draws: 500 search-heavy per mode and 600 bottleneck draws.
+        # Each pass after the first moves the demand the pass before left
+        # without a walk to the front and keeps the others in their order;
+        # a solve makes at most one pass per free demand, stops at the first
+        # that routes, and makes no retry once the cut refutes. 182 draws
+        # are routed on a later pass, 106 give up on every pass, and the cut
+        # refutes 310. With the walks in turn left out, as the search_only
+        # tests leave them, no solve retries: each goes on to the cut and,
+        # unless the cut refutes, the search, which 1,196 draws reach.
+        draws = []
+        for mode in ("vertex", "edge"):
+            for seed in range(500):
+                rng = random.Random(seed)
+                k = rng.randint(2, 7)
+                draws.append(search_heavy_instance(rng, k, rng.randint(1, k - 1), mode))
+        for seed in range(600):
+            rng = random.Random(seed)
+            draws.append(bottleneck_instance(rng, rng.randint(4, 6), rng.randint(1, 2)))
+        orders, blocked, cuts = [], [], []
+        route_in_turn, cut = DisjointShortestSolver._route_in_turn, exact.overloaded_cut
+
+        def spying(self, inst, order, *args):
+            orders.append(list(order))
+            walks = route_in_turn(self, inst, order, *args)
+            blocked.append(None if walks else self.blocked)
+            return walks
+
+        def cutting(inst):
+            cuts.append(cut(inst))
+            return cuts[-1]
+
+        def solve(inst):
+            orders.clear()
+            blocked.clear()
+            cuts.clear()
+            solver = DisjointShortestSolver()
+            return solver, solver.solve(inst)
+
+        monkeypatch.setattr(exact, "overloaded_cut", cutting)
+        monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn", spying)
+        tally = Counter()
+        for inst in draws:
+            solver, got = solve(inst)
+            if not orders:
+                continue
+            assert len(orders) <= len(orders[0]) and solver.passes == len(orders)
+            assert None not in blocked[:-1]
+            for before, after, moved in zip(orders, orders[1:], blocked):
+                assert after == [moved] + [i for i in before if i != moved] != before
+            if cuts and cuts[0] is not None:
+                assert len(orders) == 1 and got is None
+                tally["cut"] += 1
+            elif len(orders) > 1:
+                tally["retried", blocked[-1] is None] += 1
+        monkeypatch.setattr(DisjointShortestSolver, "_route_in_turn",
+                            lambda self, inst, order, *args: orders.append(order))
+        for inst in draws:
+            solver, _ = solve(inst)
+            if orders:
+                assert len(orders) == len(cuts) == 1 and solver.passes == 0
+                assert (cuts[0] is None) == (solver.checked > 0)
+                tally["left out", cuts[0] is None] += 1
+        assert tally["cut"] >= 150 and tally["retried", True] >= 90, tally
+        assert tally["retried", False] >= 50 and tally["left out", True] >= 500, tally
 
     def test_each_vertex_is_entered_once(self):
         # 12 stacked diamonds ahead of z, which a pinned load fills: every
@@ -887,21 +986,23 @@ class TestWalksInTurn:
         counted = SimpleNamespace(demands=inst.demands, congestion=1, mode="vertex",
                                   dag=SimpleNamespace(out_edges=Counting(dag.out_edges)))
         to_t = {t: dag.dist_to(t)}
-        assert DisjointShortestSolver._route_in_turn(counted, [0], to_t, {z: 1}) is None
+        solver = DisjointShortestSolver()
+        assert solver._route_in_turn(counted, [0], to_t, {z: 1}) is None and solver.blocked == 0
         assert set(entered) == set(range(1, 3 * m + 2)) and max(entered.values()) == 1
         # with z open, the walk is the first tight walk
-        assert DisjointShortestSolver._route_in_turn(inst, [0], to_t, {}) == {
+        assert solver._route_in_turn(inst, [0], to_t, {}) == {
             0: first_tight_walk(dag, 1, t)}
 
 
 class TestCoverageFloor:
     """Seeded batches keep the search and the pin pass at work, so a fault in them shows."""
 
-    def test_search_heavy_draws_backtrack(self):
+    def test_search_heavy_draws_backtrack(self, search_only):
         # no search_heavy_instance demand is pinned; edge mode draws c = 1 and
-        # at least 4 demands, as in test_congestion's search-heavy draws. The
-        # 400 draws check 5,899 moves and record 1,198 dead states; demands
-        # that meet at most c others are routed without a search.
+        # at least 4 demands, as in test_congestion's search-heavy draws. With
+        # the walks in turn left out, which would route most of them, the 400
+        # draws check 5,732 moves and record 1,167 dead states; demands that
+        # meet at most c others are routed without a search.
         checked = dead = 0
         for mode, smallest_k, largest_c in (("vertex", 2, 3), ("edge", 4, 1)):
             for seed in range(200):
